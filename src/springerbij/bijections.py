@@ -11,8 +11,7 @@
 * snake_to_lbp: the composite of psi with the halving map.
 
 Every map validates cheaply what the underlying theorems guarantee, so silent
-drift turns into loud failures; composites accept check=False to skip the
-redundant re-validation (outputs are identical either way).
+drift turns into loud failures.
 """
 
 from __future__ import annotations
@@ -36,12 +35,10 @@ from .paths import (
     LaguerreHistory,
     extend_to_rc_fixed,
     halve_rc_fixed,
-    height_profile,
     validate_laguerre,
 )
 from .permcore import (
     MarkedPermutation,
-    count_pat_2_31_at,
     count_pat_31_2_at,
     cycle_peaks,
     foata,
@@ -143,15 +140,14 @@ def phi_trace(wip: ThreeWIP) -> PhiTrace:
     return PhiTrace(tau, tau_tilde, _place_bars(tau_tilde))
 
 
-def phi(wip: ThreeWIP, check: bool = True) -> tuple[int, ...]:
+def phi(wip: ThreeWIP) -> tuple[int, ...]:
     """Map a weakly increasing 3-dimensional permutation to a snake.
 
     >>> phi(ThreeWIP((1, 5, 2, 6, 7, 3, 8, 9, 4), (2, 5, 6, 3, 1, 7, 8, 4, 9)))
     (5, -7, -1, -2, 6, 3, 8, -9, -4)
     """
     snake = phi_trace(wip).snake
-    if check:
-        assert is_snake(snake)
+    assert is_snake(snake)
     return snake
 
 
@@ -185,7 +181,7 @@ def phi_inverse_trace(snake: Sequence[int]) -> PhiTrace:
     return PhiTrace(tau, tau_tilde, tuple(snake))
 
 
-def phi_inverse(snake: Sequence[int], check: bool = True) -> ThreeWIP:
+def phi_inverse(snake: Sequence[int]) -> ThreeWIP:
     """Map a snake back to its 3-dimensional permutation.
 
     >>> phi_inverse((5, -7, -1, -2, 6, 3, 8, -9, -4)).sigma
@@ -193,8 +189,7 @@ def phi_inverse(snake: Sequence[int], check: bool = True) -> ThreeWIP:
     """
     trace = phi_inverse_trace(snake)
     wip = phi_step1_inverse(trace.tau)
-    if check:
-        assert phi(wip, check=False) == tuple(snake)
+    assert phi(wip) == tuple(snake)
     return wip
 
 
@@ -223,12 +218,7 @@ def psi(snake: Sequence[int]) -> tuple[int, ...]:
     return full
 
 
-def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    """Recover the snake from an rc-invariant alternating permutation.
-
-    >>> psi_inverse((3, 2, 10, 6, 7, 4, 5, 1, 9, 8))
-    (2, 1, 5, -4, -3)
-    """
+def _check_rcalt(perm: Sequence[int]) -> None:
     word = tuple(perm)
     if len(word) % 2:
         raise OddLength(f"length {len(word)} is odd")
@@ -236,6 +226,16 @@ def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
         raise NotAlternating(f"not alternating: {word}")
     if reverse_complement(word) != word:
         raise NotRcInvariant(f"not rc-invariant: {word}")
+
+
+def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    """Recover the snake from an rc-invariant alternating permutation.
+
+    >>> psi_inverse((3, 2, 10, 6, 7, 4, 5, 1, 9, 8))
+    (2, 1, 5, -4, -3)
+    """
+    word = tuple(perm)
+    _check_rcalt(word)
     n = len(word) // 2
     shifted = word[:n][::-1] if n % 2 else word[n:]
     snake = tuple(v - n if v > n else v - n - 1 for v in shifted)
@@ -314,17 +314,7 @@ def fz_inverse(hw: LaguerreHistory) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the halved maps and the composite
 
-def _check_rcalt(perm: Sequence[int]) -> None:
-    word = tuple(perm)
-    if len(word) % 2:
-        raise OddLength(f"length {len(word)} is odd")
-    if not is_alternating(word):
-        raise NotAlternating(f"not alternating: {word}")
-    if reverse_complement(word) != word:
-        raise NotRcInvariant(f"not rc-invariant: {word}")
-
-
-def rcalt_to_lbp(perm: Sequence[int], check: bool = True) -> LabeledBallotPath:
+def rcalt_to_lbp(perm: Sequence[int]) -> LabeledBallotPath:
     """Halve the history of an rc-invariant alternating permutation.
 
     On this domain the history is a level-step-free rc-fixed labeled Dyck
@@ -334,45 +324,28 @@ def rcalt_to_lbp(perm: Sequence[int], check: bool = True) -> LabeledBallotPath:
     >>> format_path(rcalt_to_lbp((5, 2, 14, 11, 12, 7, 9, 6, 8, 3, 4, 1, 13, 10)))
     'UUUDDUU;0,0,1,2,0,0,0'
     """
-    if check:
-        _check_rcalt(perm)
+    _check_rcalt(perm)
     return halve_rc_fixed(fz(perm))
 
 
-def lbp_to_rcalt(lbp: LabeledBallotPath, check: bool = True) -> tuple[int, ...]:
+def lbp_to_rcalt(lbp: LabeledBallotPath) -> tuple[int, ...]:
     """Extend a labeled ballot path to its rc-fixed history and pull it back."""
     perm = fz_inverse(extend_to_rc_fixed(lbp))
-    if check:
-        assert is_alternating(perm) and reverse_complement(perm) == perm
+    assert is_alternating(perm) and reverse_complement(perm) == perm
     return perm
 
 
-def snake_to_lbp(snake: Sequence[int], check: bool = True) -> LabeledBallotPath:
+def snake_to_lbp(snake: Sequence[int]) -> LabeledBallotPath:
     """The composite snake -> rc-invariant alternating permutation -> labeled ballot path.
 
     >>> from .paths import format_path
     >>> format_path(snake_to_lbp((2, -1, 5, 4, 7, -6, -3)))
     'UUUDDUU;0,0,1,2,0,0,0'
     """
-    return rcalt_to_lbp(psi(snake), check=check)
+    return rcalt_to_lbp(psi(snake))
 
 
-def lbp_to_snake(lbp: LabeledBallotPath, check: bool = True) -> tuple[int, ...]:
+def lbp_to_snake(lbp: LabeledBallotPath) -> tuple[int, ...]:
     """Inverse of snake_to_lbp."""
-    return psi_inverse(lbp_to_rcalt(lbp, check=check))
+    return psi_inverse(lbp_to_rcalt(lbp))
 
-
-# ---------------------------------------------------------------------------
-# statistics cross-checks used by the verification suite
-
-def pattern_sum_matches_height(perm: Sequence[int]) -> bool:
-    """For every value i, the two straddling-descent counts add up to the
-    height of i's step (U, H) or that height minus one (D, T)."""
-    word = tuple(perm)
-    hw = fz(word)
-    heights = height_profile(hw.steps)
-    for i in range(1, len(word) + 1):
-        cap = heights[i - 1] if hw.steps[i - 1] in ("U", "H") else heights[i - 1] - 1
-        if count_pat_31_2_at(word, i) + count_pat_2_31_at(word, i) != cap:
-            return False
-    return True

@@ -3,19 +3,39 @@
 The six families share one counting story: snakes, weakly increasing
 3-dimensional permutations, rc-invariant alternating permutations and labeled
 ballot paths are all counted by the Springer numbers; Laguerre histories are
-counted by n!; alternating permutations by the Euler numbers. Enumeration is
-by backtracking with family-specific pruning, and every enumerator emits its
-objects in strictly increasing order of their canonical text.
+counted by n!; alternating permutations by the Euler numbers.
+
+Each family has one backtracking generator, with family-specific pruning,
+that yields its objects in strictly increasing order of their canonical
+text straight from the search: nothing is collected or sorted, and the
+working memory depends on n only (O(n), or O(n^2) for the weight ranges of
+the path families). The order rests on one rule. All objects of one size
+render to the same number of tokens (decimals, or the letters of a step
+word of fixed length), and the separators that end a token, ' ' and ',',
+sort below '-' and the digits; ';' and '/' sit at fixed places (after the
+step word, after the ' ' that ends sigma) and never decide a comparison.
+So text order is lexicographic order of the token sequence with tokens
+compared as strings (-1 < -2 < 1 < 10 < 2, D < H < T < U), and a search
+that fills positions in text order and tries each position's candidates
+in that order yields text order (Knuth, TAOCP 4A, 7.2.1.2).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import permcore
-from .paths import LabeledBallotPath, LaguerreHistory, count_lbp_dp, format_path
+from .paths import (
+    _RISE,
+    LabeledBallotPath,
+    LaguerreHistory,
+    _weight_cap,
+    count_lbp_dp,
+    format_path,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,7 +118,7 @@ def springer_dp(m: int) -> SpringerTable:
 def springer_enumeration(m: int) -> SpringerTable:
     """S_0..S_m by brute-force snake counting (desk-scale only)."""
     return SpringerTable(
-        tuple(sum(1 for _ in _gen_snakes(n)) for n in range(m + 1)), "enumeration"
+        tuple(sum(1 for _ in enumerate_snakes(n)) for n in range(m + 1)), "enumeration"
     )
 
 
@@ -119,239 +139,168 @@ def euler_sequence(m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# raw backtracking generators (unspecified order; used for counting)
+# enumerators (canonical text order by construction) and the family registry
 
-def _gen_alternating(n: int) -> Iterator[tuple[int, ...]]:
-    prefix: list[int] = []
+def _in_text_order(values: Iterable[int]) -> list[int]:
+    """Token values in the order of their decimal text: -1 < -2 < 1 < 10 < 2."""
+    return sorted(values, key=str)
+
+
+def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
+             last_ok: Callable[[int], bool] = lambda v: True) -> Iterator[tuple[int, ...]]:
+    """Words w of length n with 0 < w1 > w2 < w3 > ..., in text order.
+
+    Entries come from values; no two share a slot(v) in 1..n. The last entry
+    must also pass last_ok.
+    """
+    order = [(v, slot(v)) for v in _in_text_order(values)]
+    word: list[int] = []
     used = [False] * (n + 1)
 
     def rec():
-        i = len(prefix)
+        i = len(word)
         if i == n:
-            yield tuple(prefix)
+            yield tuple(word)
             return
-        for v in range(1, n + 1):
-            if used[v]:
+        prev = word[-1] if word else 0
+        for v, s in order:
+            if used[s] or (v < prev if i % 2 == 0 else v > prev):
                 continue
-            if i > 0:
-                if (i - 1) % 2 == 0:
-                    if prefix[-1] < v:
-                        continue
-                elif prefix[-1] > v:
-                    continue
-            used[v] = True
-            prefix.append(v)
+            if i == n - 1 and not last_ok(v):
+                continue
+            used[s] = True
+            word.append(v)
             yield from rec()
-            prefix.pop()
-            used[v] = False
+            word.pop()
+            used[s] = False
 
     return rec()
 
-
-def _gen_snakes(n: int) -> Iterator[tuple[int, ...]]:
-    prefix: list[int] = []
-    used = [False] * (n + 1)
-
-    def fits(i: int, v: int) -> bool:
-        if i == 0:
-            return v > 0
-        if (i - 1) % 2 == 0:
-            return prefix[-1] > v
-        return prefix[-1] < v
-
-    def rec():
-        i = len(prefix)
-        if i == n:
-            yield tuple(prefix)
-            return
-        for a in range(1, n + 1):
-            if used[a]:
-                continue
-            for v in (a, -a):
-                if not fits(i, v):
-                    continue
-                used[a] = True
-                prefix.append(v)
-                yield from rec()
-                prefix.pop()
-                used[a] = False
-
-    return rec()
-
-
-def _gen_rcalt(n: int) -> Iterator[tuple[int, ...]]:
-    # Only the first half is free: position i pairs with 2n+1-i and the
-    # mirrored entries sum to 2n+1, which also transports the down-up test.
-    size = 2 * n
-    half: list[int] = []
-    used = [False] * (size + 1)
-
-    def fits(i: int, v: int) -> bool:
-        if i > 0:
-            if (i - 1) % 2 == 0:
-                if half[-1] <= v:
-                    return False
-            elif half[-1] >= v:
-                return False
-        if i == n - 1:
-            # down-up across the middle forces p[n] > n for odd n, p[n] <= n for even
-            return (2 * v > size + 1) if n % 2 else (2 * v < size + 1)
-        return True
-
-    def rec():
-        i = len(half)
-        if i == n:
-            yield tuple(half) + tuple(size + 1 - v for v in reversed(half))
-            return
-        for v in range(1, size + 1):
-            if used[v] or not fits(i, v):
-                continue
-            used[v] = used[size + 1 - v] = True
-            half.append(v)
-            yield from rec()
-            half.pop()
-            used[v] = used[size + 1 - v] = False
-
-    return rec()
-
-
-def _gen_wip3(n: int) -> Iterator[ThreeWIP]:
-    top: list[int] = []
-    bot: list[int] = []
-    used_top = [False] * (n + 1)
-    used_bot = [False] * (n + 1)
-
-    def rec(cur_max: int):
-        i = len(top)
-        if i == n:
-            yield ThreeWIP(tuple(top), tuple(bot))
-            return
-        for a in range(1, n + 1):
-            if used_top[a]:
-                continue
-            for b in range(1, n + 1):
-                if used_bot[b] or max(a, b) < cur_max:
-                    continue
-                used_top[a] = used_bot[b] = True
-                top.append(a)
-                bot.append(b)
-                yield from rec(max(a, b))
-                top.pop()
-                bot.pop()
-                used_top[a] = used_bot[b] = False
-
-    return rec(0)
-
-
-def _gen_lbp(n: int) -> Iterator[LabeledBallotPath]:
-    steps: list[str] = []
-    weights: list[int] = []
-
-    def rec(h: int):
-        if len(steps) == n:
-            yield LabeledBallotPath("".join(steps), tuple(weights))
-            return
-        for s, nh in (("U", h + 1), ("D", h - 1)):
-            if nh < 0:
-                continue
-            cap = h if s == "U" else h - 1
-            steps.append(s)
-            for w in range(cap + 1):
-                weights.append(w)
-                yield from rec(nh)
-                weights.pop()
-            steps.pop()
-
-    return rec(0)
-
-
-def _gen_laguerre(n: int) -> Iterator[LaguerreHistory]:
-    steps: list[str] = []
-    weights: list[int] = []
-
-    def rec(h: int):
-        remaining = n - len(steps)
-        if remaining == 0:
-            if h == 0:
-                yield LaguerreHistory("".join(steps), tuple(weights))
-            return
-        if h > remaining:
-            return
-        for s in "UDHT":
-            nh = h + {"U": 1, "D": -1}.get(s, 0)
-            if nh < 0 or nh > remaining - 1:
-                continue
-            cap = h if s in ("U", "H") else h - 1
-            if cap < 0:
-                continue
-            steps.append(s)
-            for w in range(cap + 1):
-                weights.append(w)
-                yield from rec(nh)
-                weights.pop()
-            steps.pop()
-
-    return rec(0)
-
-
-# ---------------------------------------------------------------------------
-# public enumerators (canonical text order) and the family registry
 
 def enumerate_snakes(n: int) -> Iterator[tuple[int, ...]]:
     """All snakes of length n, in increasing text order; there are S_n of them."""
-    return iter(sorted(_gen_snakes(n), key=permcore.format_signed))
-
-
-def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
-    """All weakly increasing 3-dimensional permutations of length n (S_n many)."""
-    return iter(sorted(_gen_wip3(n), key=format_wip3))
-
-
-def enumerate_rcalt(n: int) -> Iterator[tuple[int, ...]]:
-    """All rc-invariant alternating permutations of length 2n (S_n many)."""
-    return iter(sorted(_gen_rcalt(n), key=permcore.format_perm))
-
-
-def enumerate_lbp(n: int) -> Iterator[LabeledBallotPath]:
-    """All labeled ballot paths of length n (S_n many)."""
-    return iter(sorted(_gen_lbp(n), key=format_path))
-
-
-def enumerate_laguerre(n: int) -> Iterator[LaguerreHistory]:
-    """All restricted Laguerre histories of length n (n! many)."""
-    return iter(sorted(_gen_laguerre(n), key=format_path))
+    return _zigzags(n, [*range(-n, 0), *range(1, n + 1)], abs)
 
 
 def enumerate_alternating(n: int) -> Iterator[tuple[int, ...]]:
     """All down-up alternating permutations of length n (E_n many)."""
-    return iter(sorted(_gen_alternating(n), key=permcore.format_perm))
+    return _zigzags(n, range(1, n + 1), lambda v: v)
+
+
+def enumerate_rcalt(n: int) -> Iterator[tuple[int, ...]]:
+    """All rc-invariant alternating permutations of length 2n (S_n many).
+
+    Only the first half is free: position i pairs with 2n+1-i and mirrored
+    entries sum to 2n+1, so v and its mirror share one slot. Down-up across
+    the middle forces p[n] > n for odd n and p[n] <= n for even n.
+    """
+    size = 2 * n
+    halves = _zigzags(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
+                      lambda v: (2 * v > size + 1) == (n % 2 == 1))
+    return (half + tuple(size + 1 - v for v in reversed(half)) for half in halves)
+
+
+def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
+    """All weakly increasing 3-dimensional permutations of length n (S_n many).
+
+    sigma comes first in the text, so each sigma is fixed before pi is
+    searched under the column-max constraint. A sigma is skipped when some
+    prefix maximum m_j = max(sigma_1..sigma_j) has 2 m_j > n + j + 1: the
+    n - j + 1 columns from j on all need an entry >= m_j, and only
+    2 (n - m_j + 1) entries are that large.
+    """
+    order = _in_text_order(range(1, n + 1))
+    pi: list[int] = []
+    used = [False] * (n + 1)
+
+    def rec(sigma: tuple[int, ...], floor: int):
+        i = len(pi)
+        if i == n:
+            yield ThreeWIP(sigma, tuple(pi))
+            return
+        for b in order:
+            top = max(sigma[i], b)
+            if used[b] or top < floor:
+                continue
+            used[b] = True
+            pi.append(b)
+            yield from rec(sigma, top)
+            pi.pop()
+            used[b] = False
+
+    for sigma in itertools.permutations(order):
+        maxima = itertools.accumulate(sigma, max)
+        if all(2 * m <= n + j + 1 for j, m in enumerate(maxima, start=1)):
+            yield from rec(sigma, 0)
+
+
+def _labeled_paths(n: int, alphabet: str, closed: bool, make: Callable) -> Iterator:
+    """Weighted paths of length n over alphabet (given in letter order), in text order.
+
+    Step words come in letter order; each word's weight vectors follow as the
+    product of its text-ordered weight ranges. A step whose range is empty
+    (D or T on the axis) is never taken; closed paths must end on the axis.
+    """
+    steps: list[str] = []
+    ranges: list[list[int]] = []
+
+    def rec(h: int):
+        remaining = n - len(steps)
+        if closed and h > remaining:
+            return
+        if remaining == 0:
+            word = "".join(steps)
+            for weights in itertools.product(*ranges):
+                yield make(word, weights)
+            return
+        for s in alphabet:
+            cap = _weight_cap(s, h)
+            if cap < 0:
+                continue
+            steps.append(s)
+            ranges.append(_in_text_order(range(cap + 1)))
+            yield from rec(h + _RISE[s])
+            ranges.pop()
+            steps.pop()
+
+    return rec(0)
+
+
+def enumerate_lbp(n: int) -> Iterator[LabeledBallotPath]:
+    """All labeled ballot paths of length n (S_n many)."""
+    return _labeled_paths(n, "DU", False, LabeledBallotPath)
+
+
+def enumerate_laguerre(n: int) -> Iterator[LaguerreHistory]:
+    """All restricted Laguerre histories of length n (n! many)."""
+    return _labeled_paths(n, "DHTU", True, LaguerreHistory)
 
 
 @dataclasses.dataclass(frozen=True)
 class Family:
-    enumerate: object  # n -> iterator, canonical order
-    generate: object   # n -> iterator, unspecified order (cheaper for counting)
-    render: object     # object -> canonical text
-    oracle: object     # n -> count, closed form
+    enumerate: Callable[[int], Iterator]  # n -> objects in canonical text order
+    generate: Callable[[int], Iterator]   # = enumerate; perfbench/tracer.py wraps both by name
+    render: Callable[[Any], str]          # object -> canonical text
+    oracle: Callable[[int], int]          # n -> count, closed form
 
 
 FAMILIES: dict[str, Family] = {
     "snakes": Family(
-        enumerate_snakes, _gen_snakes, permcore.format_signed,
+        enumerate_snakes, enumerate_snakes, permcore.format_signed,
         lambda n: springer_egf(n).values[n],
     ),
     "wip3": Family(
-        enumerate_wip3, _gen_wip3, format_wip3,
+        enumerate_wip3, enumerate_wip3, format_wip3,
         lambda n: springer_egf(n).values[n],
     ),
     "rcalt": Family(
-        enumerate_rcalt, _gen_rcalt, permcore.format_perm,
+        enumerate_rcalt, enumerate_rcalt, permcore.format_perm,
         lambda n: springer_egf(n).values[n],
     ),
-    "lbp": Family(enumerate_lbp, _gen_lbp, format_path, count_lbp_dp),
-    "laguerre": Family(enumerate_laguerre, _gen_laguerre, format_path, math.factorial),
+    "lbp": Family(enumerate_lbp, enumerate_lbp, format_path, count_lbp_dp),
+    "laguerre": Family(enumerate_laguerre, enumerate_laguerre, format_path, math.factorial),
     "altperm": Family(
-        enumerate_alternating, _gen_alternating, permcore.format_perm,
+        enumerate_alternating, enumerate_alternating, permcore.format_perm,
         lambda n: euler_sequence(n)[n],
     ),
 }

@@ -12,7 +12,7 @@ import dataclasses
 import itertools
 import math
 import time
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import bijections, families, paths, permcore
 from .errors import ValidationError
@@ -83,14 +83,14 @@ def _peak_has_valley(cap: int) -> str:
 
 def _history_rc_involution(cap: int) -> str:
     for n in range(cap + 1):
-        for hw in families._gen_laguerre(n):
+        for hw in families.enumerate_laguerre(n):
             assert paths.history_rc(paths.history_rc(hw)) == hw
     return ""
 
 
 def _wbar_involution(cap: int) -> str:
     for n in range(cap + 1):
-        for lbp in families._gen_lbp(n):
+        for lbp in families.enumerate_lbp(n):
             assert paths.wbar(paths.wbar(lbp)) == lbp
     return ""
 
@@ -98,7 +98,7 @@ def _wbar_involution(cap: int) -> str:
 def _laguerre_factorial(cap: int) -> str:
     counts = []
     for n in range(cap + 1):
-        count = sum(1 for _ in families._gen_laguerre(n))
+        count = sum(1 for _ in families.enumerate_laguerre(n))
         assert count == math.factorial(n)
         counts.append(count)
     return "counts=" + ",".join(map(str, counts))
@@ -106,7 +106,7 @@ def _laguerre_factorial(cap: int) -> str:
 
 def _lbp_dp_vs_enumeration(cap: int) -> str:
     for n in range(cap + 1):
-        assert sum(1 for _ in families._gen_lbp(n)) == paths.count_lbp_dp(n)
+        assert sum(1 for _ in families.enumerate_lbp(n)) == paths.count_lbp_dp(n)
     return ""
 
 
@@ -119,7 +119,7 @@ def _lbp_dp_vs_egf(cap: int) -> str:
 
 def _extend_closure(cap: int) -> str:
     for n in range(cap + 1):
-        for lbp in families._gen_lbp(n):
+        for lbp in families.enumerate_lbp(n):
             hw = paths.extend_to_rc_fixed(lbp)
             assert paths.history_rc(hw) == hw
             assert paths.halve_rc_fixed(hw) == lbp
@@ -128,34 +128,34 @@ def _extend_closure(cap: int) -> str:
 
 def _phi_bijective(cap: int) -> str:
     for n in range(cap + 1):
-        images = [bijections.phi(w) for w in families._gen_wip3(n)]
+        images = [bijections.phi(w) for w in families.enumerate_wip3(n)]
         assert len(set(images)) == len(images)
-        assert set(images) == set(families._gen_snakes(n))
+        assert set(images) == set(families.enumerate_snakes(n))
     return ""
 
 
 def _phi_roundtrip(cap: int) -> str:
     for n in range(cap + 1):
-        for w in families._gen_wip3(n):
+        for w in families.enumerate_wip3(n):
             assert bijections.phi_inverse(bijections.phi(w)) == w
-        for s in families._gen_snakes(n):
+        for s in families.enumerate_snakes(n):
             assert bijections.phi(bijections.phi_inverse(s)) == s
     return ""
 
 
 def _psi_bijective(cap: int) -> str:
     for n in range(cap + 1):
-        images = [bijections.psi(s) for s in families._gen_snakes(n)]
+        images = [bijections.psi(s) for s in families.enumerate_snakes(n)]
         assert len(set(images)) == len(images)
-        assert set(images) == set(families._gen_rcalt(n))
+        assert set(images) == set(families.enumerate_rcalt(n))
     return ""
 
 
 def _psi_roundtrip(cap: int) -> str:
     for n in range(cap + 1):
-        for s in families._gen_snakes(n):
+        for s in families.enumerate_snakes(n):
             assert bijections.psi_inverse(bijections.psi(s)) == s
-        for p in families._gen_rcalt(n):
+        for p in families.enumerate_rcalt(n):
             assert bijections.psi(bijections.psi_inverse(p)) == p
     return ""
 
@@ -164,7 +164,7 @@ def _fz_bijective(cap: int) -> str:
     for n in range(cap + 1):
         images = [bijections.fz(p) for p in itertools.permutations(range(1, n + 1))]
         assert len(set(images)) == len(images) == math.factorial(n)
-        assert set(images) == set(families._gen_laguerre(n))
+        assert set(images) == set(families.enumerate_laguerre(n))
     return ""
 
 
@@ -172,31 +172,44 @@ def _fz_roundtrip(cap: int) -> str:
     for n in range(cap + 1):
         for p in itertools.permutations(range(1, n + 1)):
             assert bijections.fz_inverse(bijections.fz(p)) == p
-        for hw in families._gen_laguerre(n):
+        for hw in families.enumerate_laguerre(n):
             assert bijections.fz(bijections.fz_inverse(hw)) == hw
     return ""
 
 
 def _bigpsi_roundtrip(cap: int) -> str:
     for n in range(cap + 1):
-        for p in families._gen_rcalt(n):
+        for p in families.enumerate_rcalt(n):
             assert bijections.lbp_to_rcalt(bijections.rcalt_to_lbp(p)) == p
-        for lbp in families._gen_lbp(n):
+        for lbp in families.enumerate_lbp(n):
             assert bijections.rcalt_to_lbp(bijections.lbp_to_rcalt(lbp)) == lbp
     return ""
 
 
 def _snake2lbp_bijective(cap: int) -> str:
     for n in range(cap + 1):
-        images = [bijections.snake_to_lbp(s) for s in families._gen_snakes(n)]
+        images = [bijections.snake_to_lbp(s) for s in families.enumerate_snakes(n)]
         assert len(set(images)) == len(images)
-        assert set(images) == set(families._gen_lbp(n))
+        assert set(images) == set(families.enumerate_lbp(n))
     return ""
+
+
+def pattern_sum_matches_height(perm: Sequence[int]) -> bool:
+    """For every value i, the two straddling-descent counts add up to the
+    height of i's step (U, H) or that height minus one (D, T)."""
+    word = tuple(perm)
+    hw = bijections.fz(word)
+    heights = paths.height_profile(hw.steps)
+    return all(
+        permcore.count_pat_31_2_at(word, i) + permcore.count_pat_2_31_at(word, i)
+        == paths._weight_cap(s, h)
+        for i, (s, h) in enumerate(zip(hw.steps, heights), start=1)
+    )
 
 
 def _pattern_sum_identity(cap: int) -> str:
     for p in _perms(cap):
-        assert bijections.pattern_sum_matches_height(p)
+        assert pattern_sum_matches_height(p)
     return ""
 
 
@@ -211,7 +224,7 @@ def _middle_parity(cap: int) -> str:
     # into halves with equality possible on the small side only: for odd n,
     # p[n] > n >= p[n+1]; for even n, p[n] <= n < p[n+1].
     for n in range(1, cap + 1):
-        for p in families._gen_rcalt(n):
+        for p in families.enumerate_rcalt(n):
             if n % 2:
                 assert p[n - 1] > n >= p[n]
             else:
@@ -221,7 +234,7 @@ def _middle_parity(cap: int) -> str:
 
 def _rcalt_image_shape(cap: int) -> str:
     for n in range(cap + 1):
-        for p in families._gen_rcalt(n):
+        for p in families.enumerate_rcalt(n):
             hw = bijections.fz(p)
             assert "H" not in hw.steps and "T" not in hw.steps
             assert paths.history_rc(hw) == hw
@@ -230,14 +243,14 @@ def _rcalt_image_shape(cap: int) -> str:
 
 def _bars_always_consistent(cap: int) -> str:
     for n in range(cap + 1):
-        for s in families._gen_snakes(n):
+        for s in families.enumerate_snakes(n):
             bijections.phi_inverse_trace(s)  # raises InconsistentBars on failure
     return ""
 
 
 def _snake_sign_pattern(cap: int) -> str:
     for n in range(cap + 1):
-        for s in families._gen_snakes(n):
+        for s in families.enumerate_snakes(n):
             word = tuple(abs(v) for v in s)
             valleys = set(permcore.right_valleys(word))
             for pos, v in enumerate(s, start=1):
@@ -252,10 +265,10 @@ def _four_way_counts(cap: int) -> str:
     counts = []
     for n in range(cap + 1):
         got = {
-            "snakes": sum(1 for _ in families._gen_snakes(n)),
-            "wip3": sum(1 for _ in families._gen_wip3(n)),
-            "rcalt": sum(1 for _ in families._gen_rcalt(n)),
-            "lbp": sum(1 for _ in families._gen_lbp(n)),
+            "snakes": sum(1 for _ in families.enumerate_snakes(n)),
+            "wip3": sum(1 for _ in families.enumerate_wip3(n)),
+            "rcalt": sum(1 for _ in families.enumerate_rcalt(n)),
+            "lbp": sum(1 for _ in families.enumerate_lbp(n)),
         }
         assert set(got.values()) == {expected[n]}, f"n={n}: {got} != {expected[n]}"
         counts.append(expected[n])
@@ -265,7 +278,7 @@ def _four_way_counts(cap: int) -> str:
 def _alternating_vs_euler(cap: int) -> str:
     euler = families.euler_sequence(cap)
     for n in range(cap + 1):
-        assert sum(1 for _ in families._gen_alternating(n)) == euler[n]
+        assert sum(1 for _ in families.enumerate_alternating(n)) == euler[n]
     return "counts=" + ",".join(map(str, euler))
 
 

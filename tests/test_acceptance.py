@@ -22,12 +22,12 @@ from springerbij.bijections import (
 )
 from springerbij.cli import main
 from springerbij.families import (
-    _gen_laguerre,
-    _gen_lbp,
-    _gen_rcalt,
-    _gen_snakes,
-    _gen_wip3,
     ThreeWIP,
+    enumerate_laguerre,
+    enumerate_lbp,
+    enumerate_rcalt,
+    enumerate_snakes,
+    enumerate_wip3,
     euler_sequence,
     springer_egf,
 )
@@ -67,10 +67,10 @@ def test_criterion_2_four_way_count_equality():
     springer = springer_egf(6).values
     for n in range(7):
         counts = {
-            "snakes": sum(1 for _ in _gen_snakes(n)),
-            "wip3": sum(1 for _ in _gen_wip3(n)),
-            "rcalt": sum(1 for _ in _gen_rcalt(n)),
-            "lbp": sum(1 for _ in _gen_lbp(n)),
+            "snakes": sum(1 for _ in enumerate_snakes(n)),
+            "wip3": sum(1 for _ in enumerate_wip3(n)),
+            "rcalt": sum(1 for _ in enumerate_rcalt(n)),
+            "lbp": sum(1 for _ in enumerate_lbp(n)),
         }
         assert set(counts.values()) == {springer[n]}, (n, counts)
     assert time.perf_counter() - start < 60.0
@@ -97,34 +97,34 @@ def test_criterion_3_golden_examples():
 
 
 def test_criterion_4_snake_list():
-    assert set(_gen_snakes(3)) == SNAKES_3
+    assert set(enumerate_snakes(3)) == SNAKES_3
     report(4, "the 11 snakes of length 3")
 
 
 def test_criterion_5_roundtrip_exhaustion():
     start = time.perf_counter()
     for n in range(7):
-        for wip in _gen_wip3(n):
+        for wip in enumerate_wip3(n):
             assert phi_inverse(phi(wip)) == wip
-        for snake in _gen_snakes(n):
+        for snake in enumerate_snakes(n):
             assert phi(phi_inverse(snake)) == snake  # phi_inverse never raises InconsistentBars
             assert psi_inverse(psi(snake)) == snake
-        for perm in _gen_rcalt(n):
+        for perm in enumerate_rcalt(n):
             assert psi(psi_inverse(perm)) == perm
             assert lbp_to_rcalt(rcalt_to_lbp(perm)) == perm
-        for lbp in _gen_lbp(n):
+        for lbp in enumerate_lbp(n):
             assert rcalt_to_lbp(lbp_to_rcalt(lbp)) == lbp
     for n in range(8):
         for perm in itertools.permutations(range(1, n + 1)):
             assert fz_inverse(fz(perm)) == perm
-        for hw in _gen_laguerre(n):
+        for hw in enumerate_laguerre(n):
             assert fz(fz_inverse(hw)) == hw
     assert time.perf_counter() - start < 120.0
     report(5, "roundtrip exhaustion (n<=6, fz n<=7)")
 
 
 def test_criterion_6_statistic_identities():
-    from springerbij.bijections import pattern_sum_matches_height
+    from springerbij.verify import pattern_sum_matches_height
 
     for n in range(8):
         for perm in itertools.permutations(range(1, n + 1)):
@@ -134,7 +134,7 @@ def test_criterion_6_statistic_identities():
     # comparison splits values into halves, with equality reachable on the
     # small side only (e.g. 2 1 has p[2] = n; 4 2 3 1 has p[2] = n)
     for n in range(1, 7):
-        for perm in _gen_rcalt(n):
+        for perm in enumerate_rcalt(n):
             if n % 2:
                 assert perm[n - 1] > n >= perm[n]
             else:
@@ -146,14 +146,14 @@ def test_criterion_7_oracle_agreement():
     egf = springer_egf(12).values
     assert tuple(count_lbp_dp(n) for n in range(13)) == egf
     assert egf[7] == 24611
-    assert sum(1 for _ in _gen_snakes(7)) == 24611
+    assert sum(1 for _ in enumerate_snakes(7)) == 24611
     report(7, "counting oracles agree n<=12")
 
 
 def test_criterion_8_involutions():
     for n in range(8):
-        for lbp in _gen_lbp(n):
+        for lbp in enumerate_lbp(n):
             assert wbar(wbar(lbp)) == lbp
-        for hw in _gen_laguerre(n):
+        for hw in enumerate_laguerre(n):
             assert history_rc(history_rc(hw)) == hw
     report(8, "wbar and history-rc involutions n<=7")

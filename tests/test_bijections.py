@@ -9,7 +9,6 @@ from springerbij.bijections import (
     fz_inverse,
     lbp_to_rcalt,
     lbp_to_snake,
-    pattern_sum_matches_height,
     phi,
     phi_inverse,
     phi_inverse_trace,
@@ -30,7 +29,13 @@ from springerbij.errors import (
     OddLength,
     PlaceholderExhausted,
 )
-from springerbij.families import ThreeWIP, _gen_lbp, _gen_rcalt, _gen_snakes, _gen_wip3
+from springerbij.families import (
+    ThreeWIP,
+    enumerate_lbp,
+    enumerate_rcalt,
+    enumerate_snakes,
+    enumerate_wip3,
+)
 from springerbij.paths import (
     LabeledBallotPath,
     LaguerreHistory,
@@ -39,6 +44,7 @@ from springerbij.paths import (
     history_rc,
 )
 from springerbij.permcore import format_marked, reverse_complement
+from springerbij.verify import pattern_sum_matches_height
 
 WIP9 = ThreeWIP((1, 5, 2, 6, 7, 3, 8, 9, 4), (2, 5, 6, 3, 1, 7, 8, 4, 9))
 SNAKE9 = (5, -7, -1, -2, 6, 3, 8, -9, -4)
@@ -78,7 +84,7 @@ def test_phi_step1_inverse_small():
 
 def test_phi_step1_roundtrip_exhaustive():
     for n in range(6):
-        for wip in _gen_wip3(n):
+        for wip in enumerate_wip3(n):
             assert phi_step1_inverse(phi_step1(wip)) == wip
 
 
@@ -115,21 +121,13 @@ def test_phi_inverse_examples():
 
 def test_phi_bijective_exhaustive():
     for n in range(6):
-        images = [phi(w) for w in _gen_wip3(n)]
+        images = [phi(w) for w in enumerate_wip3(n)]
         assert len(set(images)) == len(images)
-        assert set(images) == set(_gen_snakes(n))
-        for w in _gen_wip3(n):
+        assert set(images) == set(enumerate_snakes(n))
+        for w in enumerate_wip3(n):
             assert phi_inverse(phi(w)) == w
-        for s in _gen_snakes(n):
+        for s in enumerate_snakes(n):
             assert phi(phi_inverse(s)) == s
-
-
-def test_phi_check_modes_agree():
-    for n in range(5):
-        for w in _gen_wip3(n):
-            assert phi(w, check=True) == phi(w, check=False)
-        for s in _gen_snakes(n):
-            assert phi_inverse(s, check=True) == phi_inverse(s, check=False)
 
 
 # --- psi --------------------------------------------------------------------
@@ -161,10 +159,10 @@ def test_psi_errors():
 
 def test_psi_bijective_exhaustive():
     for n in range(6):
-        images = [psi(s) for s in _gen_snakes(n)]
+        images = [psi(s) for s in enumerate_snakes(n)]
         assert len(set(images)) == len(images)
-        assert set(images) == set(_gen_rcalt(n))
-        for s in _gen_snakes(n):
+        assert set(images) == set(enumerate_rcalt(n))
+        for s in enumerate_snakes(n):
             assert psi_inverse(psi(s)) == s
 
 
@@ -175,7 +173,7 @@ def test_middle_parity_boundary_cases():
     p = psi((1, -5, -3, -6, 2, -4))           # n = 6: p[6] = 6 = n
     assert p[5] == 6 and p[6] == 7
     for n in range(1, 6):
-        for q in _gen_rcalt(n):
+        for q in enumerate_rcalt(n):
             if n % 2:
                 assert q[n - 1] > n >= q[n]
             else:
@@ -208,12 +206,12 @@ def test_fz_inverse_rejects_malformed():
 
 
 def test_fz_roundtrip_exhaustive():
-    from springerbij.families import _gen_laguerre
+    from springerbij.families import enumerate_laguerre
 
     for n in range(7):
         for p in itertools.permutations(range(1, n + 1)):
             assert fz_inverse(fz(p)) == p
-        for hw in _gen_laguerre(n):
+        for hw in enumerate_laguerre(n):
             assert fz(fz_inverse(hw)) == hw
 
 
@@ -245,7 +243,7 @@ def test_rcalt_to_lbp_worked_examples():
 
 def test_rcalt_fz_image_is_rc_fixed_dyck():
     for n in range(5):
-        for p in _gen_rcalt(n):
+        for p in enumerate_rcalt(n):
             hw = fz(p)
             assert set(hw.steps) <= {"U", "D"}
             assert history_rc(hw) == hw
@@ -256,27 +254,16 @@ def test_rcalt_fz_image_is_rc_fixed_dyck():
 def test_rcalt_fz_image_is_exactly_the_rc_fixed_level_free_histories():
     # confirms that halving loses nothing: the image set coincides with the
     # set it is halved over, so the rc fixed-point extension is its inverse
-    from springerbij.families import _gen_laguerre
+    from springerbij.families import enumerate_laguerre
 
     for n in range(4):
-        image = {fz(p) for p in _gen_rcalt(n)}
+        image = {fz(p) for p in enumerate_rcalt(n)}
         target = {
             hw
-            for hw in _gen_laguerre(2 * n)
+            for hw in enumerate_laguerre(2 * n)
             if set(hw.steps) <= {"U", "D"} and history_rc(hw) == hw
         }
         assert image == target
-
-
-def test_composite_check_modes_agree():
-    for n in range(5):
-        for p in _gen_rcalt(n):
-            assert rcalt_to_lbp(p, check=True) == rcalt_to_lbp(p, check=False)
-        for s in _gen_snakes(n):
-            assert snake_to_lbp(s, check=True) == snake_to_lbp(s, check=False)
-        for lbp in _gen_lbp(n):
-            assert lbp_to_rcalt(lbp, check=True) == lbp_to_rcalt(lbp, check=False)
-            assert lbp_to_snake(lbp, check=True) == lbp_to_snake(lbp, check=False)
 
 
 def test_lbp_to_rcalt_worked_examples():
@@ -285,14 +272,14 @@ def test_lbp_to_rcalt_worked_examples():
         5, 2, 14, 11, 12, 7, 9, 6, 8, 3, 4, 1, 13, 10,
     )
     assert lbp_to_rcalt(LabeledBallotPath("UU", (0, 1))) == (3, 1, 4, 2)
-    assert (3, 1, 4, 2) in set(_gen_rcalt(2))
+    assert (3, 1, 4, 2) in set(enumerate_rcalt(2))
 
 
 def test_halved_roundtrip_exhaustive():
     for n in range(6):
-        for p in _gen_rcalt(n):
+        for p in enumerate_rcalt(n):
             assert lbp_to_rcalt(rcalt_to_lbp(p)) == p
-        for lbp in _gen_lbp(n):
+        for lbp in enumerate_lbp(n):
             assert rcalt_to_lbp(lbp_to_rcalt(lbp)) == lbp
 
 
@@ -306,10 +293,10 @@ def test_snake_to_lbp_worked_examples():
 
 def test_snake_to_lbp_bijective_exhaustive():
     for n in range(6):
-        images = [snake_to_lbp(s) for s in _gen_snakes(n)]
+        images = [snake_to_lbp(s) for s in enumerate_snakes(n)]
         assert len(set(images)) == len(images)
-        assert set(images) == set(_gen_lbp(n))
-        for s in _gen_snakes(n):
+        assert set(images) == set(enumerate_lbp(n))
+        for s in enumerate_snakes(n):
             assert lbp_to_snake(snake_to_lbp(s)) == s
 
 
@@ -317,7 +304,7 @@ def test_bars_always_consistent_and_sign_pattern():
     from springerbij.permcore import right_valleys
 
     for n in range(9):
-        for s in _gen_snakes(n):
+        for s in enumerate_snakes(n):
             phi_inverse_trace(s)  # must not raise InconsistentBars
             word = tuple(abs(v) for v in s)
             valleys = set(right_valleys(word))

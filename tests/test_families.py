@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from springerbij import permcore
+from springerbij import permcore, verify
 from springerbij.families import (
     FAMILIES,
     ThreeWIP,
+    _in_text_order,
     enumerate_alternating,
     enumerate_laguerre,
     enumerate_lbp,
@@ -110,12 +111,36 @@ def test_enumerate_alternating():
     assert sum(1 for _ in enumerate_alternating(6)) == 61
 
 
+# the largest n checked per family; rcalt at n = 5 and altperm at n = 10
+# reach the token 10, where text order and numeric order differ
+DESK_N = {"snakes": 6, "wip3": 6, "rcalt": 5, "lbp": 6, "laguerre": 6, "altperm": 10}
+
+
 def test_enumerators_emit_strictly_increasing_canonical_text():
+    # strictly increasing text, the oracle's count and valid objects together
+    # force equality with the family sorted by text
     for name, fam in FAMILIES.items():
-        for n in range(5):
-            texts = [fam.render(obj) for obj in fam.enumerate(n)]
-            assert texts == sorted(texts), name
-            assert len(texts) == len(set(texts)), name
+        for n in range(DESK_N[name] + 1):
+            previous = None
+            count = 0
+            for obj in fam.enumerate(n):
+                text = fam.render(obj)
+                assert previous is None or previous < text, (name, previous, text)
+                assert verify._validates(name, obj), (name, text)
+                previous = text
+                count += 1
+            assert count == fam.oracle(n), (name, n)
+
+
+def test_text_order_of_tokens():
+    assert _in_text_order(range(11)) == [0, 1, 10, 2, 3, 4, 5, 6, 7, 8, 9]
+    assert _in_text_order([-10, -2, -1, 1, 2, 10]) == [-1, -10, -2, 1, 10, 2]
+    # a weight range reaching 10 (lbp and laguerre at n >= 11), and signed
+    # tokens: the product of text-ordered ranges is in text order
+    for values, sep in ((range(11), ","), ([*range(-10, 0), *range(1, 11)], " ")):
+        pairs = itertools.product(_in_text_order(values), repeat=2)
+        texts = [sep.join(map(str, pair)) for pair in pairs]
+        assert all(a < b for a, b in zip(texts, texts[1:]))
 
 
 def test_four_way_count_equality():

@@ -12,7 +12,7 @@ from springerbij.errors import (
     ValidationError,
     WeightOutOfRange,
 )
-from springerbij.families import _gen_laguerre, _gen_lbp
+from springerbij.families import enumerate_laguerre, enumerate_lbp
 from springerbij.paths import (
     LabeledBallotPath,
     LaguerreHistory,
@@ -50,7 +50,7 @@ def test_height_profile_examples():
 
 def test_height_profile_matches_prefix_counting():
     for n in range(6):
-        for hw in _gen_laguerre(n):
+        for hw in enumerate_laguerre(n):
             assert height_profile(hw.steps) == oracle_heights(hw.steps)
 
 
@@ -103,7 +103,7 @@ def test_history_rc_examples():
 
 def test_history_rc_is_involution():
     for n in range(6):
-        for hw in _gen_laguerre(n):
+        for hw in enumerate_laguerre(n):
             assert history_rc(history_rc(hw)) == hw
 
 
@@ -130,7 +130,7 @@ def test_extend_to_rc_fixed():
 
 def test_extend_halve_roundtrip():
     for n in range(7):
-        for lbp in _gen_lbp(n):
+        for lbp in enumerate_lbp(n):
             hw = extend_to_rc_fixed(lbp)
             assert history_rc(hw) == hw
             assert halve_rc_fixed(hw) == lbp
@@ -145,7 +145,7 @@ def test_count_lbp_dp():
 
 def test_count_lbp_dp_matches_enumeration():
     for n in range(8):
-        assert count_lbp_dp(n) == sum(1 for _ in _gen_lbp(n))
+        assert count_lbp_dp(n) == sum(1 for _ in enumerate_lbp(n))
 
 
 def test_wbar_examples():
@@ -156,7 +156,7 @@ def test_wbar_examples():
 
 def test_wbar_is_involution():
     for n in range(7):
-        for lbp in _gen_lbp(n):
+        for lbp in enumerate_lbp(n):
             assert wbar(wbar(lbp)) == lbp
 
 

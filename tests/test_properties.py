@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import springerbij
 from springerbij import bijections, cli, errors, families, paths, permcore, verify
-from springerbij.bijections import fz, fz_inverse, pattern_sum_matches_height
+from springerbij.bijections import fz, fz_inverse
 from springerbij.paths import (
     extend_to_rc_fixed,
     halve_rc_fixed,
@@ -31,6 +31,7 @@ from springerbij.permcore import (
     left_peaks,
     reverse_complement,
 )
+from springerbij.verify import pattern_sum_matches_height
 
 
 @st.composite
