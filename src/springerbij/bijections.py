@@ -10,8 +10,9 @@
   alternating permutations, halved to a labeled ballot path and back.
 * snake_to_lbp: the composite of psi with the halving map.
 
-Every map validates cheaply what the underlying theorems guarantee, so silent
-drift turns into loud failures.
+The maps out of wip3, snakes, rcalt and lbp reject a non-member with the
+family's validator; every map checks cheaply what the underlying
+theorems guarantee of its output, so silent drift turns into loud failures.
 """
 
 from __future__ import annotations
@@ -19,22 +20,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from .errors import (
-    InconsistentBars,
-    MarkNotCyclePeak,
-    NotAlternating,
-    NotASnake,
-    NotClosed,
-    NotRcInvariant,
-    OddLength,
-    PlaceholderExhausted,
-)
-from .families import ThreeWIP, validate_wip3
+from .errors import InconsistentBars, MarkNotCyclePeak, NotClosed, PlaceholderExhausted
+from .families import ThreeWIP, validate_rcalt, validate_snake, validate_wip3
 from .paths import (
     LabeledBallotPath,
     LaguerreHistory,
     extend_to_rc_fixed,
     halve_rc_fixed,
+    validate_labeled_ballot,
     validate_laguerre,
 )
 from .permcore import (
@@ -135,6 +128,7 @@ def _place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
 
 def phi_trace(wip: ThreeWIP) -> PhiTrace:
     """Run phi and keep the intermediates (used by the CLI --trace mode)."""
+    validate_wip3(wip.sigma, wip.pi)
     tau = phi_step1(wip)
     tau_tilde = MarkedPermutation(foata(tau.perm), tau.marks)
     return PhiTrace(tau, tau_tilde, _place_bars(tau_tilde))
@@ -174,8 +168,7 @@ def _unbar(snake: Sequence[int]) -> MarkedPermutation:
 
 
 def phi_inverse_trace(snake: Sequence[int]) -> PhiTrace:
-    if not is_snake(snake):
-        raise NotASnake(f"not a snake: {tuple(snake)}")
+    validate_snake(snake)
     tau_tilde = _unbar(snake)
     tau = MarkedPermutation(foata_inverse(tau_tilde.perm), tau_tilde.marks)
     return PhiTrace(tau, tau_tilde, tuple(snake))
@@ -207,8 +200,7 @@ def psi(snake: Sequence[int]) -> tuple[int, ...]:
     >>> psi((2, 1, 5, -4, -3))
     (3, 2, 10, 6, 7, 4, 5, 1, 9, 8)
     """
-    if not is_snake(snake):
-        raise NotASnake(f"not a snake: {tuple(snake)}")
+    validate_snake(snake)
     n = len(snake)
     shifted = tuple(n + v if v > 0 else n + 1 + v for v in snake)
     half = shifted[::-1] if n % 2 else shifted
@@ -218,16 +210,6 @@ def psi(snake: Sequence[int]) -> tuple[int, ...]:
     return full
 
 
-def _check_rcalt(perm: Sequence[int]) -> None:
-    word = tuple(perm)
-    if len(word) % 2:
-        raise OddLength(f"length {len(word)} is odd")
-    if not is_alternating(word):
-        raise NotAlternating(f"not alternating: {word}")
-    if reverse_complement(word) != word:
-        raise NotRcInvariant(f"not rc-invariant: {word}")
-
-
 def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
     """Recover the snake from an rc-invariant alternating permutation.
 
@@ -235,7 +217,7 @@ def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
     (2, 1, 5, -4, -3)
     """
     word = tuple(perm)
-    _check_rcalt(word)
+    validate_rcalt(word)
     n = len(word) // 2
     shifted = word[:n][::-1] if n % 2 else word[n:]
     snake = tuple(v - n if v > n else v - n - 1 for v in shifted)
@@ -324,12 +306,13 @@ def rcalt_to_lbp(perm: Sequence[int]) -> LabeledBallotPath:
     >>> format_path(rcalt_to_lbp((5, 2, 14, 11, 12, 7, 9, 6, 8, 3, 4, 1, 13, 10)))
     'UUUDDUU;0,0,1,2,0,0,0'
     """
-    _check_rcalt(perm)
+    validate_rcalt(perm)
     return halve_rc_fixed(fz(perm))
 
 
 def lbp_to_rcalt(lbp: LabeledBallotPath) -> tuple[int, ...]:
     """Extend a labeled ballot path to its rc-fixed history and pull it back."""
+    validate_labeled_ballot(lbp.steps, lbp.weights)
     perm = fz_inverse(extend_to_rc_fixed(lbp))
     assert is_alternating(perm) and reverse_complement(perm) == perm
     return perm

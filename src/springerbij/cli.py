@@ -106,9 +106,10 @@ def _cmd_map(args, stdin: TextIO, out: TextIO, err: TextIO) -> int:
 def _cmd_verify(args, out: TextIO) -> int:
     results = verify.run(args.n_max)
     width = max(len(r.name) for r in results)
+    bound_width = max(len(str(r.bound)) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        row = f"{r.name:<{width}}  n<={r.bound}  {status}  {r.elapsed:8.3f}s"
+        row = f"{r.name:<{width}}  n<={r.bound:<{bound_width}}  {status}  {r.elapsed:8.3f}s"
         if r.detail:
             row += f"  {r.detail}"
         out.write(row + "\n")

@@ -28,6 +28,7 @@ import math
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import permcore
+from .errors import NotAlternating, NotASnake, NotRcInvariant, OddLength, ValidationError
 from .paths import (
     _RISE,
     LabeledBallotPath,
@@ -35,6 +36,8 @@ from .paths import (
     _weight_cap,
     count_lbp_dp,
     format_path,
+    validate_labeled_ballot,
+    validate_laguerre,
 )
 
 
@@ -71,6 +74,40 @@ def parse_wip3(text: str) -> ThreeWIP:
     if not sep:
         raise ValueError(f"expected 'sigma / pi' in {text!r}")
     return validate_wip3(permcore.parse_perm(head), permcore.parse_perm(tail))
+
+
+# ---------------------------------------------------------------------------
+# validators of the one-line families: each raises on a non-member
+
+def validate_snake(snake: Sequence[int]) -> None:
+    """A signed permutation with a positive first entry, running down-up."""
+    if not (permcore.is_snake(snake) and permcore.is_signed_permutation(snake)):
+        raise NotASnake(f"not a snake: {tuple(snake)}")
+
+
+def _check_permutation(word: tuple[int, ...]) -> None:
+    if not permcore.is_permutation(word):
+        raise ValidationError(f"not a permutation: {word}")
+
+
+def validate_alternating(perm: Sequence[int]) -> None:
+    """A down-up alternating permutation."""
+    word = tuple(perm)
+    if not permcore.is_alternating(word):
+        raise NotAlternating(f"not alternating: {word}")
+    _check_permutation(word)
+
+
+def validate_rcalt(perm: Sequence[int]) -> None:
+    """An alternating permutation of even length fixed by reverse-complement."""
+    word = tuple(perm)
+    if len(word) % 2:
+        raise OddLength(f"length {len(word)} is odd")
+    if not permcore.is_alternating(word):
+        raise NotAlternating(f"not alternating: {word}")
+    if permcore.reverse_complement(word) != word:
+        raise NotRcInvariant(f"not rc-invariant: {word}")
+    _check_permutation(word)
 
 
 # ---------------------------------------------------------------------------
@@ -281,26 +318,35 @@ class Family:
     enumerate: Callable[[int], Iterator]  # n -> objects in canonical text order
     generate: Callable[[int], Iterator]   # = enumerate; perfbench/tracer.py wraps both by name
     render: Callable[[Any], str]          # object -> canonical text
+    validate: Callable[[Any], object]     # object -> raises ValueError on a non-member
     oracle: Callable[[int], int]          # n -> count, closed form
 
 
+# The path adapters look up their validators by name on each call, so the
+# spans of perfbench/tracer.py, which rebinds module functions, still see them.
 FAMILIES: dict[str, Family] = {
     "snakes": Family(
-        enumerate_snakes, enumerate_snakes, permcore.format_signed,
+        enumerate_snakes, enumerate_snakes, permcore.format_signed, validate_snake,
         lambda n: springer_egf(n).values[n],
     ),
     "wip3": Family(
-        enumerate_wip3, enumerate_wip3, format_wip3,
+        enumerate_wip3, enumerate_wip3, format_wip3, lambda w: validate_wip3(w.sigma, w.pi),
         lambda n: springer_egf(n).values[n],
     ),
     "rcalt": Family(
-        enumerate_rcalt, enumerate_rcalt, permcore.format_perm,
+        enumerate_rcalt, enumerate_rcalt, permcore.format_perm, validate_rcalt,
         lambda n: springer_egf(n).values[n],
     ),
-    "lbp": Family(enumerate_lbp, enumerate_lbp, format_path, count_lbp_dp),
-    "laguerre": Family(enumerate_laguerre, enumerate_laguerre, format_path, math.factorial),
+    "lbp": Family(
+        enumerate_lbp, enumerate_lbp, format_path,
+        lambda p: validate_labeled_ballot(p.steps, p.weights), count_lbp_dp,
+    ),
+    "laguerre": Family(
+        enumerate_laguerre, enumerate_laguerre, format_path,
+        lambda h: validate_laguerre(h.steps, h.weights), math.factorial,
+    ),
     "altperm": Family(
-        enumerate_alternating, enumerate_alternating, permcore.format_perm,
+        enumerate_alternating, enumerate_alternating, permcore.format_perm, validate_alternating,
         lambda n: euler_sequence(n)[n],
     ),
 }

@@ -73,17 +73,18 @@ def _weight_cap(step: str, height: int) -> int:
     return height if step in ("U", "H") else height - 1
 
 
-def _check_weights(steps: str, weights: Sequence[int]) -> tuple[int, ...]:
+def _heights(steps: str, weights: Sequence[int]) -> tuple[int, ...]:
+    """The height profile, once the word and the weights have equal length."""
     if len(steps) != len(weights):
-        raise LengthMismatch(
-            f"{len(steps)} steps but {len(weights)} weights"
-        )
-    heights = height_profile(steps)
+        raise LengthMismatch(f"{len(steps)} steps but {len(weights)} weights")
+    return height_profile(steps)
+
+
+def _check_weights(steps: str, weights: Sequence[int], heights: Sequence[int]) -> None:
     for i, (s, w, h) in enumerate(zip(steps, weights, heights), start=1):
         cap = _weight_cap(s, h)
         if not 0 <= w <= cap:
             raise WeightOutOfRange(i, f"weight {w} at step {i} outside 0..{cap}")
-    return heights
 
 
 def validate_labeled_ballot(steps: str, weights: Sequence[int]) -> LabeledBallotPath:
@@ -93,7 +94,7 @@ def validate_labeled_ballot(steps: str, weights: Sequence[int]) -> LabeledBallot
             raise HorizontalStepPresent(f"level step at position {i}")
         if s not in BALLOT_ALPHABET:
             raise ValidationError(f"unknown step letter {s!r} at step {i}")
-    _check_weights(steps, weights)
+    _check_weights(steps, weights, _heights(steps, weights))
     return LabeledBallotPath(str(steps), tuple(weights))
 
 
@@ -105,13 +106,11 @@ def validate_laguerre(steps: str, weights: Sequence[int]) -> LaguerreHistory:
     for i, s in enumerate(steps, start=1):
         if s not in MOTZKIN_ALPHABET:
             raise ValidationError(f"unknown step letter {s!r} at step {i}")
-    if len(steps) != len(weights):
-        raise LengthMismatch(f"{len(steps)} steps but {len(weights)} weights")
-    heights = height_profile(steps)
+    heights = _heights(steps, weights)
     final = heights[-1] + _RISE[steps[-1]] if steps else 0
     if final != 0:
         raise NotClosed(f"path ends at height {final}")
-    _check_weights(steps, weights)
+    _check_weights(steps, weights, heights)
     return LaguerreHistory(str(steps), tuple(weights))
 
 

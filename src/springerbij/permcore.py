@@ -31,8 +31,8 @@ def is_permutation(word: Sequence[int]) -> bool:
 
 
 def is_signed_permutation(word: Sequence[int]) -> bool:
-    """Check that all entries are nonzero and the absolute values form a permutation."""
-    return all(v != 0 for v in word) and is_permutation([abs(v) for v in word])
+    """Check that the absolute values form a permutation (so no entry is 0)."""
+    return is_permutation([abs(v) for v in word])
 
 
 def invert(perm: Sequence[int]) -> tuple[int, ...]:

@@ -4,18 +4,23 @@ Each property replays one documented invariant over every object of every
 size up to a cap (clamped by the requested --n-max). The runner reports one
 row per property, in name order, and never stops early: all rows are always
 produced.
+
+Most rows are one of four generic checks over a domain: the name of a family
+in families.FAMILIES, or "perm" for all permutations of 1..n. A failing row
+names its first counterexample in canonical text. The checks raise instead
+of using assert, so they also check under `python -O`; and they look up the
+families and the library functions when the row runs, never at import time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
+import operator
 import time
 from typing import Callable, Iterator, Sequence
 
 from . import bijections, families, paths, permcore
-from .errors import ValidationError
 
 
 @dataclasses.dataclass
@@ -27,171 +32,99 @@ class PropertyResult:
     detail: str = ""
 
 
-def _perms(n_max: int) -> Iterator[tuple[int, ...]]:
-    for n in range(n_max + 1):
-        yield from itertools.permutations(range(1, n + 1))
+class Counterexample(Exception):
+    """An invariant fails; the message names the object in canonical text."""
+
+
+def _objects(domain: str, n: int) -> Iterator:
+    if domain == "perm":
+        return itertools.permutations(range(1, n + 1))
+    return families.FAMILIES[domain].generate(n)
+
+
+def _text(domain: str, obj) -> str:
+    if domain == "perm":
+        return permcore.format_perm(obj)
+    return families.FAMILIES[domain].render(obj)
 
 
 # each check takes the clamped bound and returns a detail string (often empty);
 # any exception marks the row as failed
 
-def _invert_involution(cap: int) -> str:
-    for p in _perms(cap):
-        assert permcore.invert(permcore.invert(p)) == p
-    return ""
-
-
-def _rc_involution(cap: int) -> str:
-    for p in _perms(cap):
-        assert permcore.reverse_complement(permcore.reverse_complement(p)) == p
-    return ""
-
-
-def _foata_roundtrip(cap: int) -> str:
-    for p in _perms(cap):
-        assert permcore.foata_inverse(permcore.foata(p)) == p
-        assert permcore.foata(permcore.foata_inverse(p)) == p
-    return ""
-
-
-def _foata_peaks(cap: int) -> str:
-    for p in _perms(cap):
-        image = permcore.foata(p)
-        at_peaks = frozenset(image[i - 1] for i in permcore.left_peaks(image))
-        assert at_peaks == permcore.cycle_peaks(p)
-    return ""
-
-
-def _pattern_rc_duality(cap: int) -> str:
-    for p in _perms(cap):
-        n = len(p)
-        rc = permcore.reverse_complement(p)
-        for i in range(1, n + 1):
-            assert permcore.count_pat_31_2_at(rc, n + 1 - i) == permcore.count_pat_2_31_at(p, i)
-    return ""
-
-
-def _peak_has_valley(cap: int) -> str:
-    for p in _perms(cap):
-        peaks = permcore.left_peaks(p)
-        valleys = permcore.right_valleys(p)
-        bounds = list(peaks) + [len(p) + 1]
-        for which, peak in enumerate(peaks):
-            assert any(peak < q < bounds[which + 1] for q in valleys)
-    return ""
-
-
-def _history_rc_involution(cap: int) -> str:
+def _holds(cap: int, domain: str, prop: Callable[..., bool]) -> str:
+    """prop is true on every object of the domain."""
     for n in range(cap + 1):
-        for hw in families.enumerate_laguerre(n):
-            assert paths.history_rc(paths.history_rc(hw)) == hw
+        for obj in _objects(domain, n):
+            if not prop(obj):
+                raise Counterexample(f"{domain} {_text(domain, obj)!r}")
     return ""
 
 
-def _wbar_involution(cap: int) -> str:
+def _bijective(cap: int, domain: str, codomain: str, f: Callable,
+               inverse: Callable | None = None) -> str:
+    """f maps the objects of each size of domain one-to-one onto codomain's.
+
+    With inverse, also inverse(f(x)) == x on the domain; as f is a bijection,
+    f(inverse(y)) == y on the codomain follows.
+    """
     for n in range(cap + 1):
-        for lbp in families.enumerate_lbp(n):
-            assert paths.wbar(paths.wbar(lbp)) == lbp
+        targets = set(_objects(codomain, n))
+        images = set()
+        for obj in _objects(domain, n):
+            image = f(obj)
+            if image in images or image not in targets:
+                why = "repeats" if image in images else f"is not in {codomain}"
+                raise Counterexample(f"{domain} {_text(domain, obj)!r}: image {why}")
+            if inverse is not None and inverse(image) != obj:
+                raise Counterexample(f"{domain} {_text(domain, obj)!r}: inverse(f(x)) != x")
+            images.add(image)
+        if len(images) < len(targets):
+            missed = next(t for t in _objects(codomain, n) if t not in images)
+            raise Counterexample(f"{codomain} {_text(codomain, missed)!r} is no image")
     return ""
 
 
-def _laguerre_factorial(cap: int) -> str:
+def _roundtrip(cap: int, domain: str, codomain: str, f: Callable, g: Callable) -> str:
+    """g undoes f on the domain, and f undoes g on the codomain."""
+    _holds(cap, domain, lambda x: g(f(x)) == x)
+    return _holds(cap, codomain, lambda y: f(g(y)) == y)
+
+
+def _counts(cap: int, names: Sequence[str]) -> str:
+    """Each family has as many objects as its oracle says, and all agree."""
     counts = []
     for n in range(cap + 1):
-        count = sum(1 for _ in families.enumerate_laguerre(n))
-        assert count == math.factorial(n)
-        counts.append(count)
+        got = {name: sum(1 for _ in _objects(name, n)) for name in names}
+        want = {name: families.FAMILIES[name].oracle(n) for name in names}
+        if got != want or len(set(got.values())) != 1:
+            raise Counterexample(f"n={n}: enumerated {got}, oracles {want}")
+        counts.append(got[names[0]])
     return "counts=" + ",".join(map(str, counts))
 
 
-def _lbp_dp_vs_enumeration(cap: int) -> str:
-    for n in range(cap + 1):
-        assert sum(1 for _ in families.enumerate_lbp(n)) == paths.count_lbp_dp(n)
-    return ""
+# properties of one object
+
+def _foata_roundtrip(p) -> bool:
+    return (permcore.foata_inverse(permcore.foata(p)) == p
+            and permcore.foata(permcore.foata_inverse(p)) == p)
 
 
-def _lbp_dp_vs_egf(cap: int) -> str:
-    egf = families.springer_egf(cap).values
-    dp = families.springer_dp(cap).values
-    assert egf == dp
-    return f"S_{cap}={egf[cap]}"
+def _foata_peaks(p) -> bool:
+    image = permcore.foata(p)
+    return frozenset(image[i - 1] for i in permcore.left_peaks(image)) == permcore.cycle_peaks(p)
 
 
-def _extend_closure(cap: int) -> str:
-    for n in range(cap + 1):
-        for lbp in families.enumerate_lbp(n):
-            hw = paths.extend_to_rc_fixed(lbp)
-            assert paths.history_rc(hw) == hw
-            assert paths.halve_rc_fixed(hw) == lbp
-    return ""
+def _pattern_rc_duality(p) -> bool:
+    n = len(p)
+    rc = permcore.reverse_complement(p)
+    return all(permcore.count_pat_31_2_at(rc, n + 1 - i) == permcore.count_pat_2_31_at(p, i)
+               for i in range(1, n + 1))
 
 
-def _phi_bijective(cap: int) -> str:
-    for n in range(cap + 1):
-        images = [bijections.phi(w) for w in families.enumerate_wip3(n)]
-        assert len(set(images)) == len(images)
-        assert set(images) == set(families.enumerate_snakes(n))
-    return ""
-
-
-def _phi_roundtrip(cap: int) -> str:
-    for n in range(cap + 1):
-        for w in families.enumerate_wip3(n):
-            assert bijections.phi_inverse(bijections.phi(w)) == w
-        for s in families.enumerate_snakes(n):
-            assert bijections.phi(bijections.phi_inverse(s)) == s
-    return ""
-
-
-def _psi_bijective(cap: int) -> str:
-    for n in range(cap + 1):
-        images = [bijections.psi(s) for s in families.enumerate_snakes(n)]
-        assert len(set(images)) == len(images)
-        assert set(images) == set(families.enumerate_rcalt(n))
-    return ""
-
-
-def _psi_roundtrip(cap: int) -> str:
-    for n in range(cap + 1):
-        for s in families.enumerate_snakes(n):
-            assert bijections.psi_inverse(bijections.psi(s)) == s
-        for p in families.enumerate_rcalt(n):
-            assert bijections.psi(bijections.psi_inverse(p)) == p
-    return ""
-
-
-def _fz_bijective(cap: int) -> str:
-    for n in range(cap + 1):
-        images = [bijections.fz(p) for p in itertools.permutations(range(1, n + 1))]
-        assert len(set(images)) == len(images) == math.factorial(n)
-        assert set(images) == set(families.enumerate_laguerre(n))
-    return ""
-
-
-def _fz_roundtrip(cap: int) -> str:
-    for n in range(cap + 1):
-        for p in itertools.permutations(range(1, n + 1)):
-            assert bijections.fz_inverse(bijections.fz(p)) == p
-        for hw in families.enumerate_laguerre(n):
-            assert bijections.fz(bijections.fz_inverse(hw)) == hw
-    return ""
-
-
-def _bigpsi_roundtrip(cap: int) -> str:
-    for n in range(cap + 1):
-        for p in families.enumerate_rcalt(n):
-            assert bijections.lbp_to_rcalt(bijections.rcalt_to_lbp(p)) == p
-        for lbp in families.enumerate_lbp(n):
-            assert bijections.rcalt_to_lbp(bijections.lbp_to_rcalt(lbp)) == lbp
-    return ""
-
-
-def _snake2lbp_bijective(cap: int) -> str:
-    for n in range(cap + 1):
-        images = [bijections.snake_to_lbp(s) for s in families.enumerate_snakes(n)]
-        assert len(set(images)) == len(images)
-        assert set(images) == set(families.enumerate_lbp(n))
-    return ""
+def _peak_has_valley(p) -> bool:
+    valleys = permcore.right_valleys(p)
+    bounds = [*permcore.left_peaks(p), len(p) + 1]
+    return all(any(peak < q < bound for q in valleys) for peak, bound in zip(bounds, bounds[1:]))
 
 
 def pattern_sum_matches_height(perm: Sequence[int]) -> bool:
@@ -207,79 +140,61 @@ def pattern_sum_matches_height(perm: Sequence[int]) -> bool:
     )
 
 
-def _pattern_sum_identity(cap: int) -> str:
-    for p in _perms(cap):
-        assert pattern_sum_matches_height(p)
-    return ""
+def _wbar_involution(cap: int) -> str:
+    # an involution that complements each weight within its range
+    caps: dict[str, list[int]] = {}  # step word -> weight cap of each step
+
+    def complements(lbp) -> bool:
+        if lbp.steps not in caps:
+            heights = paths.height_profile(lbp.steps)
+            caps[lbp.steps] = [paths._weight_cap(s, h) for s, h in zip(lbp.steps, heights)]
+        image = paths.wbar(lbp)
+        return (paths.wbar(image) == lbp and image.steps == lbp.steps
+                and list(map(operator.add, lbp.weights, image.weights)) == caps[lbp.steps])
+
+    return _holds(cap, "lbp", complements)
 
 
-def _fz_rc_commutation(cap: int) -> str:
-    for p in _perms(cap):
-        assert bijections.fz(permcore.reverse_complement(p)) == paths.history_rc(bijections.fz(p))
-    return ""
+def _extend_closure(lbp) -> bool:
+    hw = paths.extend_to_rc_fixed(lbp)
+    return paths.history_rc(hw) == hw and paths.halve_rc_fixed(hw) == lbp
 
 
-def _middle_parity(cap: int) -> str:
+def _middle_parity(p) -> bool:
     # Mirrored entries sum to 2n+1, so the middle comparison splits the values
     # into halves with equality possible on the small side only: for odd n,
     # p[n] > n >= p[n+1]; for even n, p[n] <= n < p[n+1].
-    for n in range(1, cap + 1):
-        for p in families.enumerate_rcalt(n):
-            if n % 2:
-                assert p[n - 1] > n >= p[n]
-            else:
-                assert p[n - 1] <= n < p[n]
-    return ""
+    n = len(p) // 2
+    if n % 2:
+        return p[n - 1] > n >= p[n]
+    return n == 0 or p[n - 1] <= n < p[n]
 
 
-def _rcalt_image_shape(cap: int) -> str:
-    for n in range(cap + 1):
-        for p in families.enumerate_rcalt(n):
-            hw = bijections.fz(p)
-            assert "H" not in hw.steps and "T" not in hw.steps
-            assert paths.history_rc(hw) == hw
-    return ""
+def _rcalt_image_shape(p) -> bool:
+    hw = bijections.fz(p)
+    return "H" not in hw.steps and "T" not in hw.steps and paths.history_rc(hw) == hw
 
 
-def _bars_always_consistent(cap: int) -> str:
-    for n in range(cap + 1):
-        for s in families.enumerate_snakes(n):
-            bijections.phi_inverse_trace(s)  # raises InconsistentBars on failure
-    return ""
+def _bars_consistent(snake) -> bool:
+    bijections.phi_inverse_trace(snake)  # raises InconsistentBars on failure
+    return True
 
 
-def _snake_sign_pattern(cap: int) -> str:
-    for n in range(cap + 1):
-        for s in families.enumerate_snakes(n):
-            word = tuple(abs(v) for v in s)
-            valleys = set(permcore.right_valleys(word))
-            for pos, v in enumerate(s, start=1):
-                if pos in valleys:
-                    continue
-                assert (v > 0) == (pos % 2 == 1)
-    return ""
+def _snake_sign_pattern(snake) -> bool:
+    valleys = set(permcore.right_valleys(tuple(abs(v) for v in snake)))
+    return all((v > 0) == (pos % 2 == 1)
+               for pos, v in enumerate(snake, start=1) if pos not in valleys)
 
 
-def _four_way_counts(cap: int) -> str:
-    expected = families.springer_egf(cap).values
-    counts = []
-    for n in range(cap + 1):
-        got = {
-            "snakes": sum(1 for _ in families.enumerate_snakes(n)),
-            "wip3": sum(1 for _ in families.enumerate_wip3(n)),
-            "rcalt": sum(1 for _ in families.enumerate_rcalt(n)),
-            "lbp": sum(1 for _ in families.enumerate_lbp(n)),
-        }
-        assert set(got.values()) == {expected[n]}, f"n={n}: {got} != {expected[n]}"
-        counts.append(expected[n])
-    return "counts=" + ",".join(map(str, counts))
+# rows over all families
 
-
-def _alternating_vs_euler(cap: int) -> str:
-    euler = families.euler_sequence(cap)
-    for n in range(cap + 1):
-        assert sum(1 for _ in families.enumerate_alternating(n)) == euler[n]
-    return "counts=" + ",".join(map(str, euler))
+def _lbp_dp_vs_egf(cap: int) -> str:
+    egf = families.springer_egf(cap).values
+    dp = families.springer_dp(cap).values
+    if egf != dp:
+        n = next(n for n, (a, b) in enumerate(zip(egf, dp)) if a != b)
+        raise Counterexample(f"n={n}: egf {egf[n]}, dp {dp[n]}")
+    return f"S_{cap}={egf[cap]}"
 
 
 def _canonical_order(cap: int) -> str:
@@ -288,65 +203,43 @@ def _canonical_order(cap: int) -> str:
             previous = None
             for obj in fam.enumerate(n):
                 text = fam.render(obj)
-                assert previous is None or previous < text, f"{name} n={n}: {previous!r} !< {text!r}"
+                if previous is not None and previous >= text:
+                    raise Counterexample(f"{name} n={n}: {previous!r} !< {text!r}")
                 previous = text
     return ""
+
+
+def _swaps(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """word with two entries exchanged, each pair once."""
+    for i, j in itertools.combinations(range(len(word)), 2):
+        mutated = list(word)
+        mutated[i], mutated[j] = mutated[j], mutated[i]
+        yield tuple(mutated)
 
 
 def _mutations(name: str, obj):
     """One-step mutations of an enumerated object, per its family's shape."""
     if name in ("snakes", "rcalt", "altperm"):
-        word = list(obj)
-        for i in range(len(word)):
-            for j in range(i + 1, len(word)):
-                mutated = word[:]
-                mutated[i], mutated[j] = mutated[j], mutated[i]
-                yield tuple(mutated)
+        yield from _swaps(obj)
         if name == "snakes":
-            for i in range(len(word)):
-                mutated = word[:]
-                mutated[i] = -mutated[i]
-                yield tuple(mutated)
+            for i in range(len(obj)):
+                yield obj[:i] + (-obj[i],) + obj[i + 1:]
     elif name == "wip3":
-        for row in ("sigma", "pi"):
-            word = list(getattr(obj, row))
-            for i in range(len(word)):
-                for j in range(i + 1, len(word)):
-                    mutated = word[:]
-                    mutated[i], mutated[j] = mutated[j], mutated[i]
-                    if row == "sigma":
-                        yield families.ThreeWIP(tuple(mutated), obj.pi)
-                    else:
-                        yield families.ThreeWIP(obj.sigma, tuple(mutated))
+        for sigma in _swaps(obj.sigma):
+            yield families.ThreeWIP(sigma, obj.pi)
+        for pi in _swaps(obj.pi):
+            yield families.ThreeWIP(obj.sigma, pi)
     else:  # lbp, laguerre: bump one weight
-        for i in range(len(obj.weights)):
-            bumped = list(obj.weights)
-            bumped[i] += 1
-            yield type(obj)(obj.steps, tuple(bumped))
+        for i, w in enumerate(obj.weights):
+            yield type(obj)(obj.steps, obj.weights[:i] + (w + 1,) + obj.weights[i + 1:])
 
 
 def _validates(name: str, obj) -> bool:
     try:
-        if name == "snakes":
-            return permcore.is_signed_permutation(obj) and permcore.is_snake(obj)
-        if name == "rcalt":
-            return (
-                permcore.is_permutation(obj)
-                and len(obj) % 2 == 0
-                and permcore.is_alternating(obj)
-                and permcore.reverse_complement(obj) == tuple(obj)
-            )
-        if name == "altperm":
-            return permcore.is_permutation(obj) and permcore.is_alternating(obj)
-        if name == "wip3":
-            return families.is_wip3(obj.sigma, obj.pi)
-        if name == "lbp":
-            paths.validate_labeled_ballot(obj.steps, obj.weights)
-            return True
-        paths.validate_laguerre(obj.steps, obj.weights)
-        return True
-    except ValidationError:
+        families.FAMILIES[name].validate(obj)
+    except ValueError:
         return False
+    return True
 
 
 def _validator_fuzz(cap: int) -> str:
@@ -355,50 +248,65 @@ def _validator_fuzz(cap: int) -> str:
             members = set()
             objects = []
             for obj in fam.generate(n):
-                assert _validates(name, obj), f"{name} emitted invalid {obj}"
+                if not _validates(name, obj):
+                    raise Counterexample(f"{name} emitted invalid {fam.render(obj)!r}")
                 members.add(fam.render(obj))
                 objects.append(obj)
             for obj in objects:
                 for mutated in _mutations(name, obj):
-                    expected = fam.render(mutated) in members
-                    assert _validates(name, mutated) == expected, (
-                        f"{name}: validator disagrees with membership on {mutated}"
-                    )
+                    if _validates(name, mutated) != (fam.render(mutated) in members):
+                        raise Counterexample(
+                            f"{name}: validator disagrees with membership on {fam.render(mutated)!r}")
     return ""
 
 
-# (name, cap, check); caps come from the documented ranges of each invariant
+# (name, cap, check); caps come from the documented ranges of each invariant.
+# The lambdas name library functions in their bodies, so a function is looked
+# up when its row runs.
 PROPERTIES: list[tuple[str, int, Callable[[int], str]]] = [
-    ("bijections/bars-always-consistent", 8, _bars_always_consistent),
-    ("bijections/bigpsi-roundtrip", 6, _bigpsi_roundtrip),
-    ("bijections/fz-bijective", 7, _fz_bijective),
-    ("bijections/fz-commutes-with-rc", 7, _fz_rc_commutation),
-    ("bijections/fz-roundtrip", 7, _fz_roundtrip),
-    ("bijections/pattern-sum-matches-height", 7, _pattern_sum_identity),
-    ("bijections/phi-bijective", 6, _phi_bijective),
-    ("bijections/phi-roundtrip", 6, _phi_roundtrip),
-    ("bijections/psi-bijective", 6, _psi_bijective),
-    ("bijections/psi-roundtrip", 6, _psi_roundtrip),
-    ("bijections/rcalt-history-is-rc-fixed-dyck", 6, _rcalt_image_shape),
-    ("bijections/rcalt-middle-parity", 6, _middle_parity),
-    ("bijections/snake-sign-pattern", 8, _snake_sign_pattern),
-    ("bijections/snake2lbp-bijective", 6, _snake2lbp_bijective),
-    ("families/alternating-count-matches-euler", 8, _alternating_vs_euler),
+    ("bijections/bars-always-consistent", 8, lambda cap: _holds(cap, "snakes", _bars_consistent)),
+    ("bijections/bigpsi-roundtrip", 6, lambda cap: _roundtrip(
+        cap, "rcalt", "lbp", bijections.rcalt_to_lbp, bijections.lbp_to_rcalt)),
+    ("bijections/fz-bijective", 7, lambda cap: _bijective(cap, "perm", "laguerre", bijections.fz)),
+    ("bijections/fz-commutes-with-rc", 7, lambda cap: _holds(
+        cap, "perm",
+        lambda p: bijections.fz(permcore.reverse_complement(p)) == paths.history_rc(bijections.fz(p)))),
+    ("bijections/fz-roundtrip", 7, lambda cap: _roundtrip(
+        cap, "perm", "laguerre", bijections.fz, bijections.fz_inverse)),
+    ("bijections/pattern-sum-matches-height", 7,
+     lambda cap: _holds(cap, "perm", pattern_sum_matches_height)),
+    ("bijections/phi-bijective", 6, lambda cap: _bijective(cap, "wip3", "snakes", bijections.phi)),
+    ("bijections/phi-roundtrip", 6, lambda cap: _roundtrip(
+        cap, "wip3", "snakes", bijections.phi, bijections.phi_inverse)),
+    ("bijections/psi-bijective", 6, lambda cap: _bijective(cap, "snakes", "rcalt", bijections.psi)),
+    ("bijections/psi-roundtrip", 6, lambda cap: _roundtrip(
+        cap, "snakes", "rcalt", bijections.psi, bijections.psi_inverse)),
+    ("bijections/rcalt-history-is-rc-fixed-dyck", 6,
+     lambda cap: _holds(cap, "rcalt", _rcalt_image_shape)),
+    ("bijections/rcalt-middle-parity", 6, lambda cap: _holds(cap, "rcalt", _middle_parity)),
+    ("bijections/snake-sign-pattern", 8, lambda cap: _holds(cap, "snakes", _snake_sign_pattern)),
+    ("bijections/snake2lbp-bijective", 6, lambda cap: _bijective(
+        cap, "snakes", "lbp", bijections.snake_to_lbp, bijections.lbp_to_snake)),
+    ("families/alternating-count-matches-euler", 8, lambda cap: _counts(cap, ["altperm"])),
     ("families/canonical-order", 6, _canonical_order),
-    ("families/four-way-count-equality", 6, _four_way_counts),
+    ("families/four-way-count-equality", 6,
+     lambda cap: _counts(cap, ["snakes", "wip3", "rcalt", "lbp"])),
     ("families/validator-fuzz", 4, _validator_fuzz),
-    ("paths/extend-to-rc-fixed-closure", 7, _extend_closure),
-    ("paths/history-rc-involution", 7, _history_rc_involution),
-    ("paths/laguerre-count-is-factorial", 7, _laguerre_factorial),
+    ("paths/extend-to-rc-fixed-closure", 7, lambda cap: _holds(cap, "lbp", _extend_closure)),
+    ("paths/history-rc-involution", 7, lambda cap: _holds(
+        cap, "laguerre", lambda hw: paths.history_rc(paths.history_rc(hw)) == hw)),
+    ("paths/laguerre-count-is-factorial", 7, lambda cap: _counts(cap, ["laguerre"])),
     ("paths/lbp-count-dp-matches-egf", 12, _lbp_dp_vs_egf),
-    ("paths/lbp-count-dp-matches-enumeration", 9, _lbp_dp_vs_enumeration),
+    ("paths/lbp-count-dp-matches-enumeration", 9, lambda cap: _counts(cap, ["lbp"])),
     ("paths/wbar-involution", 8, _wbar_involution),
-    ("permcore/foata-maps-cycle-peaks-to-left-peaks", 8, _foata_peaks),
-    ("permcore/foata-roundtrip", 8, _foata_roundtrip),
-    ("permcore/invert-involution", 8, _invert_involution),
-    ("permcore/left-peak-has-right-valley", 8, _peak_has_valley),
-    ("permcore/pattern-count-rc-duality", 8, _pattern_rc_duality),
-    ("permcore/rc-involution", 8, _rc_involution),
+    ("permcore/foata-maps-cycle-peaks-to-left-peaks", 8, lambda cap: _holds(cap, "perm", _foata_peaks)),
+    ("permcore/foata-roundtrip", 8, lambda cap: _holds(cap, "perm", _foata_roundtrip)),
+    ("permcore/invert-involution", 8, lambda cap: _holds(
+        cap, "perm", lambda p: permcore.invert(permcore.invert(p)) == p)),
+    ("permcore/left-peak-has-right-valley", 8, lambda cap: _holds(cap, "perm", _peak_has_valley)),
+    ("permcore/pattern-count-rc-duality", 8, lambda cap: _holds(cap, "perm", _pattern_rc_duality)),
+    ("permcore/rc-involution", 8, lambda cap: _holds(
+        cap, "perm", lambda p: permcore.reverse_complement(permcore.reverse_complement(p)) == p)),
 ]
 
 

@@ -21,6 +21,7 @@ from springerbij.bijections import (
     snake_to_lbp,
 )
 from springerbij.errors import (
+    HorizontalStepPresent,
     MarkNotCyclePeak,
     NotAlternating,
     NotASnake,
@@ -28,6 +29,7 @@ from springerbij.errors import (
     NotRcInvariant,
     OddLength,
     PlaceholderExhausted,
+    ValidationError,
 )
 from springerbij.families import (
     ThreeWIP,
@@ -155,6 +157,21 @@ def test_psi_errors():
         psi_inverse((1, 2, 3, 4))
     with pytest.raises(NotRcInvariant):
         psi_inverse((4, 1, 3, 2))  # alternating, but mirrored entries sum to 6, not 5
+
+
+@pytest.mark.parametrize("bijection, obj, exc", [
+    (phi, ThreeWIP((2, 1), (2, 1)), ValueError),  # column maxima 2, 1 decrease
+    (psi, (3, -5), NotASnake),  # down-up, not a signed permutation
+    (phi_inverse, (3, -5), NotASnake),
+    (snake_to_lbp, (3, -5), NotASnake),
+    (psi_inverse, (4, 0, 5, 1), ValidationError),  # rc-invariant, not a permutation
+    (rcalt_to_lbp, (4, 0, 5, 1), ValidationError),
+    (lbp_to_rcalt, LabeledBallotPath("UH", (0, 0)), HorizontalStepPresent),
+    (lbp_to_snake, LabeledBallotPath("H", (0,)), HorizontalStepPresent),
+])
+def test_bijections_reject_non_members(bijection, obj, exc):
+    with pytest.raises(exc):
+        bijection(obj)
 
 
 def test_psi_bijective_exhaustive():

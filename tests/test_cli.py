@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from springerbij import verify
 from springerbij.cli import main
 
 SNAKES_3_LINES = [
@@ -203,6 +204,20 @@ def test_verify_small():
 def test_verify_n0():
     code, out, _ = run_cli(["verify", "--n-max", "0"])
     assert code == 0 and "FAIL" not in out
+
+
+def test_verify_table_aligns_mixed_bounds(monkeypatch):
+    rows = [verify.PropertyResult("a/x", 8, True, 0.5),
+            verify.PropertyResult("a/y", 12, True, 1.5, "counts=1"),
+            verify.PropertyResult("a/z", 8, False, 0.1, "Counterexample: 1")]
+    monkeypatch.setattr(verify, "run", lambda n_max: rows)
+    code, out, _ = run_cli(["verify", "--n-max", "12"])
+    assert code == 1
+    lines = out.splitlines()[:-1]
+    columns = {line.find("PASS") if "PASS" in line else line.find("FAIL") for line in lines}
+    assert len(columns) == 1
+    # whitespace-split readers find the status in the third field
+    assert [line.split()[2] for line in lines] == ["PASS", "PASS", "FAIL"]
 
 
 # --- springer -----------------------------------------------------------------------

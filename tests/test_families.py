@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from springerbij import permcore, verify
+from springerbij import errors, permcore
 from springerbij.families import (
     FAMILIES,
     ThreeWIP,
@@ -25,7 +25,7 @@ from springerbij.families import (
     springer_enumeration,
     validate_wip3,
 )
-from springerbij.paths import format_path
+from springerbij.paths import LabeledBallotPath, LaguerreHistory, format_path
 
 SNAKES_3 = {
     (1, -2, 3), (1, -3, 2), (1, -3, -2),
@@ -126,10 +126,44 @@ def test_enumerators_emit_strictly_increasing_canonical_text():
             for obj in fam.enumerate(n):
                 text = fam.render(obj)
                 assert previous is None or previous < text, (name, previous, text)
-                assert verify._validates(name, obj), (name, text)
+                fam.validate(obj)  # raises on a non-member
                 previous = text
                 count += 1
             assert count == fam.oracle(n), (name, n)
+
+
+# (family, non-member, exception class) for each way a validator rejects
+NON_MEMBERS = [
+    ("snakes", (-1,), errors.NotASnake),
+    ("snakes", (1, 2), errors.NotASnake),
+    ("snakes", (3, -5), errors.NotASnake),          # down-up, not a signed permutation
+    ("snakes", (1, -1), errors.NotASnake),
+    ("rcalt", (2, 1, 3), errors.OddLength),
+    ("rcalt", (1, 2, 3, 4), errors.NotAlternating),
+    ("rcalt", (4, 1, 3, 2), errors.NotRcInvariant),
+    ("rcalt", (4, 0, 5, 1), errors.ValidationError),  # rc-invariant, not a permutation
+    ("altperm", (1, 2), errors.NotAlternating),
+    ("altperm", (3, 1, 3), errors.ValidationError),
+    ("wip3", ThreeWIP((2, 1), (2, 1)), ValueError),
+    ("wip3", ThreeWIP((1, 2), (1,)), ValueError),
+    ("lbp", LabeledBallotPath("UH", (0, 0)), errors.HorizontalStepPresent),
+    ("lbp", LabeledBallotPath("UU", (0,)), errors.LengthMismatch),
+    ("lbp", LabeledBallotPath("D", (0,)), errors.HeightBelowZero),
+    ("lbp", LabeledBallotPath("UU", (0, 2)), errors.WeightOutOfRange),
+    ("laguerre", LaguerreHistory("UX", (0, 0)), errors.ValidationError),
+    ("laguerre", LaguerreHistory("UD", (0,)), errors.LengthMismatch),
+    ("laguerre", LaguerreHistory("DU", (0, 0)), errors.HeightBelowZero),
+    ("laguerre", LaguerreHistory("UU", (0, 0)), errors.NotClosed),
+    ("laguerre", LaguerreHistory("UD", (0, 1)), errors.WeightOutOfRange),
+    ("laguerre", LaguerreHistory("T", (0,)), errors.WeightOutOfRange),
+]
+
+
+@pytest.mark.parametrize("name, obj, exc", NON_MEMBERS)
+def test_family_validators_reject_non_members(name, obj, exc):
+    with pytest.raises(exc) as excinfo:
+        FAMILIES[name].validate(obj)
+    assert type(excinfo.value) is exc
 
 
 def test_text_order_of_tokens():
