@@ -10,18 +10,19 @@
   alternating permutations, halved to a labeled ballot path and back.
 * snake_to_lbp: the composite of psi with the halving map.
 
-The maps out of wip3, snakes, rcalt and lbp reject a non-member with the
-family's validator; every map checks cheaply what the underlying
-theorems guarantee of its output, so silent drift turns into loud failures.
+BIJECTIONS holds one record per bijection of the CLI. Every map here rejects
+a non-member of its domain and cheaply checks what the theorems guarantee of
+its output, so silent drift turns into loud failures.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from . import paths
 from .errors import InconsistentBars, MarkNotCyclePeak, NotClosed, PlaceholderExhausted
-from .families import ThreeWIP, validate_rcalt, validate_snake, validate_wip3
+from .families import ThreeWIP, validate_permutation, validate_rcalt, validate_snake, validate_wip3
 from .paths import (
     LabeledBallotPath,
     LaguerreHistory,
@@ -36,6 +37,7 @@ from .permcore import (
     cycle_peaks,
     foata,
     foata_inverse,
+    format_marked,
     is_alternating,
     is_snake,
     left_peaks,
@@ -240,6 +242,7 @@ def fz(perm: Sequence[int]) -> LaguerreHistory:
     LaguerreHistory(steps='UHTDUUHDD', weights=(0, 1, 0, 0, 0, 0, 2, 1, 0))
     """
     word = tuple(perm)
+    validate_permutation(word)
     n = len(word)
     position = {v: j for j, v in enumerate(word)}
     steps = []
@@ -273,6 +276,7 @@ def fz_inverse(hw: LaguerreHistory) -> tuple[int, ...]:
     >>> fz_inverse(LaguerreHistory("UHTDUUHDD", (0, 1, 0, 0, 0, 0, 2, 1, 0)))
     (4, 3, 1, 2, 9, 6, 8, 5, 7)
     """
+    validate_laguerre(hw.steps, hw.weights)
     blocks = {"U": (_GAP, None, _GAP), "H": (None, _GAP), "D": (None,), "T": (_GAP, None)}
     tokens: list[int] = [_GAP]
     for i, (s, w) in enumerate(zip(hw.steps, hw.weights), start=1):
@@ -332,3 +336,32 @@ def lbp_to_snake(lbp: LabeledBallotPath) -> tuple[int, ...]:
     """Inverse of snake_to_lbp."""
     return psi_inverse(lbp_to_rcalt(lbp))
 
+
+# ---------------------------------------------------------------------------
+# one record per bijection
+
+@dataclasses.dataclass(frozen=True)
+class Bijection:
+    domain: str                   # a families.domain name
+    codomain: str
+    forward: Callable[[Any], Any]
+    inverse: Callable[[Any], Any]
+    trace: Callable[[Any], Iterable[tuple[str, str]]] | None = None  # object -> (label, text)
+    inverse_trace: Callable[[Any], Iterable[tuple[str, str]]] | None = None
+
+
+def _phi_lines(trace: PhiTrace) -> tuple[tuple[str, str], ...]:
+    return ("tau", format_marked(trace.tau)), ("tautilde", format_marked(trace.tau_tilde))
+
+
+# The lambdas name the maps in their bodies, so a map is looked up when it is
+# called: perfbench/tracer.py and tests rebind module functions.
+BIJECTIONS: dict[str, Bijection] = {
+    "phi": Bijection("wip3", "snakes", lambda x: phi(x), lambda y: phi_inverse(y),
+                     lambda x: _phi_lines(phi_trace(x)), lambda y: _phi_lines(phi_inverse_trace(y))),
+    "psi": Bijection("snakes", "rcalt", lambda x: psi(x), lambda y: psi_inverse(y)),
+    "fz": Bijection("perm", "laguerre", lambda x: fz(x), lambda y: fz_inverse(y)),
+    "bigpsi": Bijection("rcalt", "lbp", lambda x: rcalt_to_lbp(x), lambda y: lbp_to_rcalt(y)),
+    "snake2lbp": Bijection("snakes", "lbp", lambda x: snake_to_lbp(x), lambda y: lbp_to_snake(y)),
+    "wbar": Bijection("lbp", "lbp", lambda x: paths.wbar(x), lambda y: paths.wbar(y)),
+}

@@ -9,26 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, TextIO
+from typing import TextIO
 
-from . import bijections, families, permcore, verify
-from .paths import format_path, parse_labeled_ballot, parse_laguerre, wbar
-
-_MAP_TABLE: dict[tuple[str, bool], tuple[Callable, Callable, Callable]] = {
-    # (bijection, inverse?) -> (parse, apply, render)
-    ("phi", False): (families.parse_wip3, bijections.phi, permcore.format_signed),
-    ("phi", True): (permcore.parse_signed, bijections.phi_inverse, families.format_wip3),
-    ("psi", False): (permcore.parse_signed, bijections.psi, permcore.format_perm),
-    ("psi", True): (permcore.parse_perm, bijections.psi_inverse, permcore.format_signed),
-    ("fz", False): (permcore.parse_perm, bijections.fz, format_path),
-    ("fz", True): (parse_laguerre, bijections.fz_inverse, permcore.format_perm),
-    ("bigpsi", False): (permcore.parse_perm, bijections.rcalt_to_lbp, format_path),
-    ("bigpsi", True): (parse_labeled_ballot, bijections.lbp_to_rcalt, permcore.format_perm),
-    ("snake2lbp", False): (permcore.parse_signed, bijections.snake_to_lbp, format_path),
-    ("snake2lbp", True): (parse_labeled_ballot, bijections.lbp_to_snake, permcore.format_signed),
-    ("wbar", False): (parse_labeled_ballot, wbar, format_path),
-}
-_MAP_TABLE[("wbar", True)] = _MAP_TABLE[("wbar", False)]  # an involution
+from . import bijections, families, verify
+from .errors import NotCanonical
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,11 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--n", required=True, type=int)
 
     mp = sub.add_parser("map", help="apply a bijection to stdin lines, one object per line")
-    mp.add_argument("--bijection", required=True,
-                    choices=("phi", "psi", "fz", "bigpsi", "snake2lbp", "wbar"))
+    mp.add_argument("--bijection", required=True, choices=list(bijections.BIJECTIONS))
     mp.add_argument("--inverse", action="store_true")
+    traced = ", ".join(name for name, b in bijections.BIJECTIONS.items() if b.trace)
     mp.add_argument("--trace", action="store_true",
-                    help="with --bijection phi: print intermediate forms to stderr")
+                    help=f"with --bijection {traced}: print intermediate forms to stderr")
 
     ver = sub.add_parser("verify", help="run every documented invariant up to a bound")
     ver.add_argument("--n-max", required=True, type=int, dest="n_max")
@@ -81,25 +65,29 @@ def _cmd_enumerate(args, out: TextIO) -> int:
 
 
 def _cmd_map(args, stdin: TextIO, out: TextIO, err: TextIO) -> int:
-    parse, apply, render = _MAP_TABLE[(args.bijection, args.inverse)]
-    trace = args.trace and args.bijection == "phi"
+    bij = bijections.BIJECTIONS[args.bijection]
+    if args.inverse:
+        source, target, apply, trace = bij.codomain, bij.domain, bij.inverse, bij.inverse_trace
+    else:
+        source, target, apply, trace = bij.domain, bij.codomain, bij.forward, bij.trace
+    source, target = families.domain(source), families.domain(target)
     status = 0
     for lineno, raw in enumerate(stdin, start=1):
         line = raw.rstrip("\n")
         try:
-            obj = parse(line)
-            if trace:
-                tr = (bijections.phi_inverse_trace(obj) if args.inverse
-                      else bijections.phi_trace(obj))
-                err.write(f"trace {lineno} tau: {permcore.format_marked(tr.tau)}\n")
-                err.write(f"trace {lineno} tautilde: {permcore.format_marked(tr.tau_tilde)}\n")
+            obj = source.parse(line)
+            if source.render(obj) != line:
+                raise NotCanonical(f"{line!r} is not canonical text")
+            if args.trace and trace:
+                for label, text in trace(obj):
+                    err.write(f"trace {lineno} {label}: {text}\n")
             result = apply(obj)
         except (ValueError, AssertionError) as exc:
             reason = str(exc) or type(exc).__name__
             err.write(f"ERROR {lineno}: {type(exc).__name__}: {reason}\n")
             status = 1
             continue
-        out.write(render(result) + "\n")
+        out.write(target.render(result) + "\n")
     return status
 
 

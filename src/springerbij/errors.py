@@ -10,6 +10,10 @@ class ValidationError(ValueError):
     """An object violates one of its family invariants."""
 
 
+class NotCanonical(ValidationError):
+    """A text parses, but is not the canonical text of the object it names."""
+
+
 class HeightBelowZero(ValidationError):
     """A step word dips below the x-axis."""
 

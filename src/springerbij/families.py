@@ -27,7 +27,7 @@ import itertools
 import math
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from . import permcore
+from . import paths, permcore
 from .errors import NotAlternating, NotASnake, NotRcInvariant, OddLength, ValidationError
 from .paths import (
     _RISE,
@@ -85,7 +85,8 @@ def validate_snake(snake: Sequence[int]) -> None:
         raise NotASnake(f"not a snake: {tuple(snake)}")
 
 
-def _check_permutation(word: tuple[int, ...]) -> None:
+def validate_permutation(word: tuple[int, ...]) -> None:
+    """A permutation of 1..n."""
     if not permcore.is_permutation(word):
         raise ValidationError(f"not a permutation: {word}")
 
@@ -95,7 +96,7 @@ def validate_alternating(perm: Sequence[int]) -> None:
     word = tuple(perm)
     if not permcore.is_alternating(word):
         raise NotAlternating(f"not alternating: {word}")
-    _check_permutation(word)
+    validate_permutation(word)
 
 
 def validate_rcalt(perm: Sequence[int]) -> None:
@@ -107,7 +108,7 @@ def validate_rcalt(perm: Sequence[int]) -> None:
         raise NotAlternating(f"not alternating: {word}")
     if permcore.reverse_complement(word) != word:
         raise NotRcInvariant(f"not rc-invariant: {word}")
-    _check_permutation(word)
+    validate_permutation(word)
 
 
 # ---------------------------------------------------------------------------
@@ -320,33 +321,53 @@ class Family:
     render: Callable[[Any], str]          # object -> canonical text
     validate: Callable[[Any], object]     # object -> raises ValueError on a non-member
     oracle: Callable[[int], int]          # n -> count, closed form
+    parse: Callable[[str], Any]           # text -> object; raises ValueError on malformed text
 
 
-# The path adapters look up their validators by name on each call, so the
-# spans of perfbench/tracer.py, which rebinds module functions, still see them.
+# The adapters look up their functions by name on each call, so the spans of
+# perfbench/tracer.py, which rebinds module functions, still see them.
 FAMILIES: dict[str, Family] = {
     "snakes": Family(
         enumerate_snakes, enumerate_snakes, permcore.format_signed, validate_snake,
-        lambda n: springer_egf(n).values[n],
+        lambda n: springer_egf(n).values[n], lambda t: permcore.parse_signed(t),
     ),
     "wip3": Family(
         enumerate_wip3, enumerate_wip3, format_wip3, lambda w: validate_wip3(w.sigma, w.pi),
-        lambda n: springer_egf(n).values[n],
+        lambda n: springer_egf(n).values[n], lambda t: parse_wip3(t),
     ),
     "rcalt": Family(
         enumerate_rcalt, enumerate_rcalt, permcore.format_perm, validate_rcalt,
-        lambda n: springer_egf(n).values[n],
+        lambda n: springer_egf(n).values[n], lambda t: permcore.parse_perm(t),
     ),
     "lbp": Family(
         enumerate_lbp, enumerate_lbp, format_path,
         lambda p: validate_labeled_ballot(p.steps, p.weights), count_lbp_dp,
+        lambda t: paths.parse_labeled_ballot(t),
     ),
     "laguerre": Family(
         enumerate_laguerre, enumerate_laguerre, format_path,
         lambda h: validate_laguerre(h.steps, h.weights), math.factorial,
+        lambda t: paths.parse_laguerre(t),
     ),
     "altperm": Family(
         enumerate_alternating, enumerate_alternating, permcore.format_perm, validate_alternating,
-        lambda n: euler_sequence(n)[n],
+        lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t),
     ),
 }
+
+
+def _permutations(n: int) -> Iterator[tuple[int, ...]]:
+    return itertools.permutations(range(1, n + 1))
+
+
+# All permutations of 1..n, the domain of fz, in lexicographic order (text
+# order for n <= 9); kept out of FAMILIES, whose names are the --family choices.
+_PERM = Family(
+    _permutations, _permutations, lambda p: permcore.format_perm(p),
+    lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t),
+)
+
+
+def domain(name: str) -> Family:
+    """The record of a bijection's domain: FAMILIES[name], or "perm"."""
+    return _PERM if name == "perm" else FAMILIES[name]

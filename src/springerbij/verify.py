@@ -5,11 +5,12 @@ size up to a cap (clamped by the requested --n-max). The runner reports one
 row per property, in name order, and never stops early: all rows are always
 produced.
 
-Most rows are one of four generic checks over a domain: the name of a family
-in families.FAMILIES, or "perm" for all permutations of 1..n. A failing row
-names its first counterexample in canonical text. The checks raise instead
-of using assert, so they also check under `python -O`; and they look up the
-families and the library functions when the row runs, never at import time.
+Most rows are one of four generic checks over a domain (a family name or
+"perm", see families.domain) or over a record of bijections.BIJECTIONS. A
+failing row names its first counterexample in canonical text, also when a
+map raises. The checks raise instead of using assert, so they also check
+under `python -O`; and they look up the families and the library functions
+when the row runs, never at import time.
 """
 
 from __future__ import annotations
@@ -37,15 +38,20 @@ class Counterexample(Exception):
 
 
 def _objects(domain: str, n: int) -> Iterator:
-    if domain == "perm":
-        return itertools.permutations(range(1, n + 1))
-    return families.FAMILIES[domain].generate(n)
+    return families.domain(domain).generate(n)
 
 
 def _text(domain: str, obj) -> str:
-    if domain == "perm":
-        return permcore.format_perm(obj)
-    return families.FAMILIES[domain].render(obj)
+    return families.domain(domain).render(obj)
+
+
+def _named(domain: str, obj, fn: Callable):
+    """fn(obj); an exception from it becomes a Counterexample naming obj."""
+    try:
+        return fn(obj)
+    except Exception as exc:
+        raise Counterexample(
+            f"{domain} {_text(domain, obj)!r}: {type(exc).__name__}: {exc}") from exc
 
 
 # each check takes the clamped bound and returns a detail string (often empty);
@@ -55,27 +61,28 @@ def _holds(cap: int, domain: str, prop: Callable[..., bool]) -> str:
     """prop is true on every object of the domain."""
     for n in range(cap + 1):
         for obj in _objects(domain, n):
-            if not prop(obj):
+            if not _named(domain, obj, prop):
                 raise Counterexample(f"{domain} {_text(domain, obj)!r}")
     return ""
 
 
-def _bijective(cap: int, domain: str, codomain: str, f: Callable,
-               inverse: Callable | None = None) -> str:
-    """f maps the objects of each size of domain one-to-one onto codomain's.
+def _bijective(cap: int, name: str, inverse: bool = False) -> str:
+    """The bijection maps each size of its domain one-to-one onto its codomain.
 
     With inverse, also inverse(f(x)) == x on the domain; as f is a bijection,
     f(inverse(y)) == y on the codomain follows.
     """
+    bij = bijections.BIJECTIONS[name]
+    domain, codomain = bij.domain, bij.codomain
     for n in range(cap + 1):
         targets = set(_objects(codomain, n))
         images = set()
         for obj in _objects(domain, n):
-            image = f(obj)
+            image = _named(domain, obj, bij.forward)
             if image in images or image not in targets:
                 why = "repeats" if image in images else f"is not in {codomain}"
                 raise Counterexample(f"{domain} {_text(domain, obj)!r}: image {why}")
-            if inverse is not None and inverse(image) != obj:
+            if inverse and _named(domain, obj, lambda _: bij.inverse(image)) != obj:
                 raise Counterexample(f"{domain} {_text(domain, obj)!r}: inverse(f(x)) != x")
             images.add(image)
         if len(images) < len(targets):
@@ -84,10 +91,11 @@ def _bijective(cap: int, domain: str, codomain: str, f: Callable,
     return ""
 
 
-def _roundtrip(cap: int, domain: str, codomain: str, f: Callable, g: Callable) -> str:
-    """g undoes f on the domain, and f undoes g on the codomain."""
-    _holds(cap, domain, lambda x: g(f(x)) == x)
-    return _holds(cap, codomain, lambda y: f(g(y)) == y)
+def _roundtrip(cap: int, name: str) -> str:
+    """The inverse undoes the map on the domain, and the map the inverse on the codomain."""
+    bij = bijections.BIJECTIONS[name]
+    _holds(cap, bij.domain, lambda x: bij.inverse(bij.forward(x)) == x)
+    return _holds(cap, bij.codomain, lambda y: bij.forward(bij.inverse(y)) == y)
 
 
 def _counts(cap: int, names: Sequence[str]) -> str:
@@ -265,28 +273,23 @@ def _validator_fuzz(cap: int) -> str:
 # up when its row runs.
 PROPERTIES: list[tuple[str, int, Callable[[int], str]]] = [
     ("bijections/bars-always-consistent", 8, lambda cap: _holds(cap, "snakes", _bars_consistent)),
-    ("bijections/bigpsi-roundtrip", 6, lambda cap: _roundtrip(
-        cap, "rcalt", "lbp", bijections.rcalt_to_lbp, bijections.lbp_to_rcalt)),
-    ("bijections/fz-bijective", 7, lambda cap: _bijective(cap, "perm", "laguerre", bijections.fz)),
+    ("bijections/bigpsi-roundtrip", 6, lambda cap: _roundtrip(cap, "bigpsi")),
+    ("bijections/fz-bijective", 7, lambda cap: _bijective(cap, "fz")),
     ("bijections/fz-commutes-with-rc", 7, lambda cap: _holds(
         cap, "perm",
         lambda p: bijections.fz(permcore.reverse_complement(p)) == paths.history_rc(bijections.fz(p)))),
-    ("bijections/fz-roundtrip", 7, lambda cap: _roundtrip(
-        cap, "perm", "laguerre", bijections.fz, bijections.fz_inverse)),
+    ("bijections/fz-roundtrip", 7, lambda cap: _roundtrip(cap, "fz")),
     ("bijections/pattern-sum-matches-height", 7,
      lambda cap: _holds(cap, "perm", pattern_sum_matches_height)),
-    ("bijections/phi-bijective", 6, lambda cap: _bijective(cap, "wip3", "snakes", bijections.phi)),
-    ("bijections/phi-roundtrip", 6, lambda cap: _roundtrip(
-        cap, "wip3", "snakes", bijections.phi, bijections.phi_inverse)),
-    ("bijections/psi-bijective", 6, lambda cap: _bijective(cap, "snakes", "rcalt", bijections.psi)),
-    ("bijections/psi-roundtrip", 6, lambda cap: _roundtrip(
-        cap, "snakes", "rcalt", bijections.psi, bijections.psi_inverse)),
+    ("bijections/phi-bijective", 6, lambda cap: _bijective(cap, "phi")),
+    ("bijections/phi-roundtrip", 6, lambda cap: _roundtrip(cap, "phi")),
+    ("bijections/psi-bijective", 6, lambda cap: _bijective(cap, "psi")),
+    ("bijections/psi-roundtrip", 6, lambda cap: _roundtrip(cap, "psi")),
     ("bijections/rcalt-history-is-rc-fixed-dyck", 6,
      lambda cap: _holds(cap, "rcalt", _rcalt_image_shape)),
     ("bijections/rcalt-middle-parity", 6, lambda cap: _holds(cap, "rcalt", _middle_parity)),
     ("bijections/snake-sign-pattern", 8, lambda cap: _holds(cap, "snakes", _snake_sign_pattern)),
-    ("bijections/snake2lbp-bijective", 6, lambda cap: _bijective(
-        cap, "snakes", "lbp", bijections.snake_to_lbp, bijections.lbp_to_snake)),
+    ("bijections/snake2lbp-bijective", 6, lambda cap: _bijective(cap, "snake2lbp", inverse=True)),
     ("families/alternating-count-matches-euler", 8, lambda cap: _counts(cap, ["altperm"])),
     ("families/canonical-order", 6, _canonical_order),
     ("families/four-way-count-equality", 6,

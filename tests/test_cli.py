@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from springerbij import verify
+from springerbij import bijections, families, paths, permcore, verify
+from springerbij.bijections import BIJECTIONS
 from springerbij.cli import main
 
 SNAKES_3_LINES = [
@@ -163,31 +164,51 @@ def test_map_roundtrip_byte_exact():
     assert back == stream
 
 
-@pytest.mark.parametrize(
-    "src,bijection,dst",
-    [
-        ("wip3", "phi", "snakes"),
-        ("snakes", "psi", "rcalt"),
-        ("rcalt", "bigpsi", "lbp"),
-        ("snakes", "snake2lbp", "lbp"),
-        ("lbp", "wbar", "lbp"),
-    ],
-)
-def test_pipe_bijectivity_at_cli_level(src, bijection, dst):
+@pytest.mark.parametrize("name", list(BIJECTIONS))
+def test_map_is_a_bijection_at_cli_level(name):
+    # the inverse maps each codomain stream onto the domain, and the map
+    # brings it back byte for byte
+    bij = BIJECTIONS[name]
+    source = families.domain(bij.domain)
     for n in range(5):
-        _, domain, _ = run_cli(["enumerate", "--family", src, "--n", str(n)])
-        code, image, _ = run_cli(["map", "--bijection", bijection], domain)
+        _, image, _ = run_cli(["enumerate", "--family", bij.codomain, "--n", str(n)])
+        code, preimage, _ = run_cli(["map", "--bijection", name, "--inverse"], image)
         assert code == 0
-        _, codomain, _ = run_cli(["enumerate", "--family", dst, "--n", str(n)])
-        assert sorted(image.splitlines()) == codomain.splitlines()
+        assert sorted(preimage.splitlines()) == sorted(map(source.render, source.generate(n)))
+        code, back, _ = run_cli(["map", "--bijection", name], preimage)
+        assert code == 0 and back == image
 
 
-def test_pipe_fz_roundtrip_over_laguerre():
-    for n in range(5):
-        _, domain, _ = run_cli(["enumerate", "--family", "laguerre", "--n", str(n)])
-        _, perms, _ = run_cli(["map", "--bijection", "fz", "--inverse"], domain)
-        _, back, _ = run_cli(["map", "--bijection", "fz"], perms)
-        assert back == domain
+@pytest.mark.parametrize("argv, line", [
+    (["--bijection", "fz"], "01 2"),
+    (["--bijection", "fz"], "+1\t2"),
+    (["--bijection", "fz"], "\u0663 1 2"),  # an Arabic-Indic digit three
+    (["--bijection", "fz", "--inverse"], "UD;0, 0"),
+    (["--bijection", "phi"], "1 2/2 1"),
+    (["--bijection", "psi"], "2 1\r"),  # a CRLF line ending
+])
+def test_map_rejects_non_canonical_text(argv, line):
+    code, out, err = run_cli(["map", *argv], line + "\n")
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR 1: NotCanonical: ")
+
+
+def test_map_looks_up_library_functions_at_call_time(monkeypatch):
+    # perfbench/tracer.py rebinds module functions after springerbij.cli is
+    # imported (it is, at the top of this file); a record that bound a
+    # function object at import time would bypass the rebinding
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+    spy(bijections, "psi")
+    spy(permcore, "parse_signed")
+    spy(paths, "parse_labeled_ballot")
+    assert run_cli(["map", "--bijection", "psi"], "1\n") == (0, "2 1\n", "")
+    assert run_cli(["map", "--bijection", "wbar"], "U;0\n") == (0, "U;0\n", "")
+    assert calls == ["parse_signed", "psi", "parse_labeled_ballot"]
 
 
 # --- verify -------------------------------------------------------------------------

@@ -201,3 +201,10 @@ def test_verify_registry_all_pass_small():
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     names = [r.name for r in results]
     assert names == sorted(names)
+
+
+def test_verify_row_names_the_object_when_a_map_raises(monkeypatch):
+    monkeypatch.setattr(bijections, "rcalt_to_lbp", lambda perm: perm)
+    detail = {r.name: r.detail for r in verify.run(3)}["bijections/bigpsi-roundtrip"]
+    assert detail.startswith("Counterexample: rcalt ")
+    assert "AttributeError" in detail
