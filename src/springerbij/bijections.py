@@ -21,14 +21,13 @@ import dataclasses
 from typing import Any, Callable, Iterable, Sequence
 
 from . import paths
-from .errors import InconsistentBars, MarkNotCyclePeak, NotClosed, PlaceholderExhausted
+from .errors import InconsistentBars, MarkNotCyclePeak, NotClosed, PlaceholderExhausted, ValidationError
 from .families import ThreeWIP, validate_permutation, validate_rcalt, validate_snake, validate_wip3
 from .paths import (
     LabeledBallotPath,
     LaguerreHistory,
     extend_to_rc_fixed,
     halve_rc_fixed,
-    validate_labeled_ballot,
     validate_laguerre,
 )
 from .permcore import (
@@ -38,10 +37,7 @@ from .permcore import (
     foata,
     foata_inverse,
     format_marked,
-    is_alternating,
-    is_snake,
     left_peaks,
-    reverse_complement,
     right_valleys,
 )
 
@@ -120,7 +116,8 @@ def _place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
             last_peak_value = v
         if pos in valleys:
             # unreachable on real inputs: a valley always has a peak before it
-            assert last_peak_value is not None, "right valley with no left peak"
+            if last_peak_value is None:
+                raise ValidationError("right valley with no left peak")
             barred = last_peak_value in marks
         else:
             barred = pos % 2 == 0
@@ -143,7 +140,7 @@ def phi(wip: ThreeWIP) -> tuple[int, ...]:
     (5, -7, -1, -2, 6, 3, 8, -9, -4)
     """
     snake = phi_trace(wip).snake
-    assert is_snake(snake)
+    validate_snake(snake)
     return snake
 
 
@@ -160,7 +157,8 @@ def _unbar(snake: Sequence[int]) -> MarkedPermutation:
     bounds = list(peaks) + [len(word) + 1]
     for which, p in enumerate(peaks):
         attached = [q for q in valleys if p < q < bounds[which + 1]]
-        assert attached, "left peak with no right valley"
+        if not attached:
+            raise ValidationError("left peak with no right valley")
         flags = {snake[q - 1] < 0 for q in attached}
         if len(flags) == 2:
             raise InconsistentBars(f"valleys after peak at position {p} disagree")
@@ -184,7 +182,8 @@ def phi_inverse(snake: Sequence[int]) -> ThreeWIP:
     """
     trace = phi_inverse_trace(snake)
     wip = phi_step1_inverse(trace.tau)
-    assert phi(wip) == tuple(snake)
+    if phi(wip) != tuple(snake):
+        raise ValidationError(f"phi does not map phi_inverse's image back to {tuple(snake)}")
     return wip
 
 
@@ -208,7 +207,7 @@ def psi(snake: Sequence[int]) -> tuple[int, ...]:
     half = shifted[::-1] if n % 2 else shifted
     mirror = tuple(2 * n + 1 - v for v in reversed(half))
     full = half + mirror if n % 2 else mirror + half
-    assert is_alternating(full) and reverse_complement(full) == full
+    validate_rcalt(full)
     return full
 
 
@@ -223,7 +222,7 @@ def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
     n = len(word) // 2
     shifted = word[:n][::-1] if n % 2 else word[n:]
     snake = tuple(v - n if v > n else v - n - 1 for v in shifted)
-    assert is_snake(snake)
+    validate_snake(snake)
     return snake
 
 
@@ -316,9 +315,8 @@ def rcalt_to_lbp(perm: Sequence[int]) -> LabeledBallotPath:
 
 def lbp_to_rcalt(lbp: LabeledBallotPath) -> tuple[int, ...]:
     """Extend a labeled ballot path to its rc-fixed history and pull it back."""
-    validate_labeled_ballot(lbp.steps, lbp.weights)
     perm = fz_inverse(extend_to_rc_fixed(lbp))
-    assert is_alternating(perm) and reverse_complement(perm) == perm
+    validate_rcalt(perm)
     return perm
 
 

@@ -73,28 +73,43 @@ def _weight_cap(step: str, height: int) -> int:
     return height if step in ("U", "H") else height - 1
 
 
-def _heights(steps: str, weights: Sequence[int]) -> tuple[int, ...]:
-    """The height profile, once the word and the weights have equal length."""
+def _caps(steps: str, weights: Sequence[int], alphabet: str, closed: bool) -> list[int]:
+    """Validate a weighted path over alphabet, ending on the axis if closed, and return
+    each step's weight cap. Checks run in order: letters, lengths, axis, closure, weights."""
+    for i, s in enumerate(steps, start=1):
+        if s not in alphabet:
+            if s in _RISE:
+                raise HorizontalStepPresent(f"level step at position {i}")
+            raise ValidationError(f"unknown step letter {s!r} at step {i}")
     if len(steps) != len(weights):
         raise LengthMismatch(f"{len(steps)} steps but {len(weights)} weights")
-    return height_profile(steps)
-
-
-def _check_weights(steps: str, weights: Sequence[int], heights: Sequence[int]) -> None:
+    heights = height_profile(steps)
+    final = heights[-1] + _RISE[steps[-1]] if steps else 0
+    if closed and final != 0:
+        raise NotClosed(f"path ends at height {final}")
+    caps = []
     for i, (s, w, h) in enumerate(zip(steps, weights, heights), start=1):
         cap = _weight_cap(s, h)
         if not 0 <= w <= cap:
             raise WeightOutOfRange(i, f"weight {w} at step {i} outside 0..{cap}")
+        caps.append(cap)
+    return caps
+
+
+def _mirror(steps: str, weights: Sequence[int], caps: Sequence[int]) -> tuple[str, tuple[int, ...]]:
+    """The word reversed with U/D swapped, each weight complemented within its cap."""
+    return ("".join(_FLIP[s] for s in reversed(steps)),
+            tuple(c - w for c, w in zip(reversed(caps), reversed(weights))))
+
+
+def weight_caps(path: LabeledBallotPath | LaguerreHistory) -> list[int]:
+    """The largest weight each step of a valid path admits: h for U and H, h-1 for D and T."""
+    return _caps(path.steps, path.weights, MOTZKIN_ALPHABET, closed=False)
 
 
 def validate_labeled_ballot(steps: str, weights: Sequence[int]) -> LabeledBallotPath:
     """Validate (ballot path, weights): U at height h carries 0..h, D carries 0..h-1."""
-    for i, s in enumerate(steps, start=1):
-        if s in ("H", "T"):
-            raise HorizontalStepPresent(f"level step at position {i}")
-        if s not in BALLOT_ALPHABET:
-            raise ValidationError(f"unknown step letter {s!r} at step {i}")
-    _check_weights(steps, weights, _heights(steps, weights))
+    _caps(steps, weights, BALLOT_ALPHABET, closed=False)
     return LabeledBallotPath(str(steps), tuple(weights))
 
 
@@ -103,14 +118,7 @@ def validate_laguerre(steps: str, weights: Sequence[int]) -> LaguerreHistory:
 
     A T step on the axis is always rejected (its bound is h-1 = -1).
     """
-    for i, s in enumerate(steps, start=1):
-        if s not in MOTZKIN_ALPHABET:
-            raise ValidationError(f"unknown step letter {s!r} at step {i}")
-    heights = _heights(steps, weights)
-    final = heights[-1] + _RISE[steps[-1]] if steps else 0
-    if final != 0:
-        raise NotClosed(f"path ends at height {final}")
-    _check_weights(steps, weights, heights)
+    _caps(steps, weights, MOTZKIN_ALPHABET, closed=True)
     return LaguerreHistory(str(steps), tuple(weights))
 
 
@@ -123,29 +131,20 @@ def history_rc(hw: LaguerreHistory) -> LaguerreHistory:
     >>> history_rc(LaguerreHistory("UD", (0, 0)))
     LaguerreHistory(steps='UD', weights=(0, 0))
     """
-    n = len(hw.steps)
-    heights = height_profile(hw.steps)
-    steps = [""] * n
-    weights = [0] * n
-    for i in range(n):
-        s = hw.steps[i]
-        steps[n - 1 - i] = _FLIP[s]
-        weights[n - 1 - i] = _weight_cap(s, heights[i]) - hw.weights[i]
-    return validate_laguerre("".join(steps), weights)
+    caps = _caps(hw.steps, hw.weights, MOTZKIN_ALPHABET, closed=True)
+    return validate_laguerre(*_mirror(hw.steps, hw.weights, caps))
 
 
 def halve_rc_fixed(hw: LaguerreHistory) -> LabeledBallotPath:
     """First half of a labeled Dyck path fixed by history_rc.
 
-    The input must be level-step free, of even length, and equal to its own
+    The input must be of even length, level-step free, and equal to its own
     reverse-complement; the first half then determines the whole object.
     """
-    for i, s in enumerate(hw.steps, start=1):
-        if s in ("H", "T"):
-            raise HorizontalStepPresent(f"level step at position {i}")
     if len(hw.steps) % 2:
         raise OddLength(f"length {len(hw.steps)} is odd")
-    if history_rc(hw) != hw:
+    caps = _caps(hw.steps, hw.weights, BALLOT_ALPHABET, closed=True)
+    if _mirror(hw.steps, hw.weights, caps) != (hw.steps, hw.weights):
         raise NotRcFixed("history is not fixed by reverse-complement")
     n = len(hw.steps) // 2
     return validate_labeled_ballot(hw.steps[:n], hw.weights[:n])
@@ -158,15 +157,11 @@ def extend_to_rc_fixed(lbp: LabeledBallotPath) -> LaguerreHistory:
     step i is the complement of weight i within its range. The result always
     ends on the axis and is fixed by history_rc.
     """
-    n = len(lbp.steps)
-    heights = height_profile(lbp.steps)
-    tail_steps = "".join(_FLIP[s] for s in reversed(lbp.steps))
-    tail_weights = tuple(
-        _weight_cap(lbp.steps[i], heights[i]) - lbp.weights[i]
-        for i in reversed(range(n))
-    )
+    caps = _caps(lbp.steps, lbp.weights, BALLOT_ALPHABET, closed=False)
+    tail_steps, tail_weights = _mirror(lbp.steps, lbp.weights, caps)
     hw = validate_laguerre(lbp.steps + tail_steps, lbp.weights + tail_weights)
-    assert history_rc(hw) == hw
+    if history_rc(hw) != hw:
+        raise NotRcFixed("the extension is not fixed by reverse-complement")
     return hw
 
 
@@ -192,11 +187,9 @@ def count_lbp_dp(n: int) -> int:
 
 def wbar(lbp: LabeledBallotPath) -> LabeledBallotPath:
     """Complement every weight within its admissible range (an involution)."""
-    heights = height_profile(lbp.steps)
-    new = tuple(
-        _weight_cap(s, h) - w for s, w, h in zip(lbp.steps, lbp.weights, heights)
-    )
-    return validate_labeled_ballot(lbp.steps, new)
+    # 0 <= w <= c exactly when 0 <= c - w <= c: the image needs no second check
+    caps = _caps(lbp.steps, lbp.weights, BALLOT_ALPHABET, closed=False)
+    return LabeledBallotPath(lbp.steps, tuple(c - w for c, w in zip(caps, lbp.weights)))
 
 
 # ---------------------------------------------------------------------------

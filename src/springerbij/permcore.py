@@ -140,10 +140,9 @@ def cycle_peaks(perm: Sequence[int]) -> frozenset[int]:
 
 @dataclasses.dataclass(frozen=True)
 class CycleForm:
-    """A cycle decomposition; standard means max-first cycles listed by increasing maxima."""
+    """A cycle decomposition: max-first cycles listed by increasing maxima."""
 
     cycles: tuple[tuple[int, ...], ...]
-    standard: bool = True
 
 
 def standard_cycle_form(perm: Sequence[int]) -> CycleForm:
@@ -167,7 +166,7 @@ def standard_cycle_form(perm: Sequence[int]) -> CycleForm:
         top = cyc.index(max(cyc))
         cycles.append(tuple(cyc[top:] + cyc[:top]))
     cycles.sort(key=lambda c: c[0])
-    return CycleForm(tuple(cycles), standard=True)
+    return CycleForm(tuple(cycles))
 
 
 def permutation_from_cycles(cycles: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:

@@ -139,12 +139,10 @@ def pattern_sum_matches_height(perm: Sequence[int]) -> bool:
     """For every value i, the two straddling-descent counts add up to the
     height of i's step (U, H) or that height minus one (D, T)."""
     word = tuple(perm)
-    hw = bijections.fz(word)
-    heights = paths.height_profile(hw.steps)
+    caps = paths.weight_caps(bijections.fz(word))
     return all(
-        permcore.count_pat_31_2_at(word, i) + permcore.count_pat_2_31_at(word, i)
-        == paths._weight_cap(s, h)
-        for i, (s, h) in enumerate(zip(hw.steps, heights), start=1)
+        permcore.count_pat_31_2_at(word, i) + permcore.count_pat_2_31_at(word, i) == cap
+        for i, cap in enumerate(caps, start=1)
     )
 
 
@@ -154,8 +152,7 @@ def _wbar_involution(cap: int) -> str:
 
     def complements(lbp) -> bool:
         if lbp.steps not in caps:
-            heights = paths.height_profile(lbp.steps)
-            caps[lbp.steps] = [paths._weight_cap(s, h) for s, h in zip(lbp.steps, heights)]
+            caps[lbp.steps] = paths.weight_caps(lbp)
         image = paths.wbar(lbp)
         return (paths.wbar(image) == lbp and image.steps == lbp.steps
                 and list(map(operator.add, lbp.weights, image.weights)) == caps[lbp.steps])

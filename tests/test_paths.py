@@ -148,6 +148,19 @@ def test_count_lbp_dp_matches_enumeration():
         assert count_lbp_dp(n) == sum(1 for _ in enumerate_lbp(n))
 
 
+@pytest.mark.parametrize("fn, obj, error", [
+    (wbar, LabeledBallotPath("U", (0, 5)), LengthMismatch),
+    (history_rc, LaguerreHistory("UD", (0, 0, 7)), LengthMismatch),
+    (history_rc, LaguerreHistory("UD", (0,)), LengthMismatch),
+    (extend_to_rc_fixed, LabeledBallotPath("UH", (0, 0)), HorizontalStepPresent),
+    (halve_rc_fixed, LaguerreHistory("UU", (0,)), LengthMismatch),
+], ids=["wbar-extra-weight", "history_rc-extra-weight", "history_rc-missing-weight",
+        "extend-level-step", "halve-missing-weight"])
+def test_path_maps_reject_non_members(fn, obj, error):
+    with pytest.raises(error):
+        fn(obj)
+
+
 def test_wbar_examples():
     assert wbar(LabeledBallotPath("U", (0,))) == LabeledBallotPath("U", (0,))
     assert wbar(HALF_7) == LabeledBallotPath("UUUDDUU", (0, 1, 1, 0, 1, 1, 2))

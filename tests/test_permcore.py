@@ -219,7 +219,6 @@ def test_standard_cycle_form_shape():
     for n in range(7):
         for p in all_perms(n):
             cf = standard_cycle_form(p)
-            assert cf.standard
             values = [v for cyc in cf.cycles for v in cyc]
             assert sorted(values) == list(range(1, n + 1))
             maxima = [cyc[0] for cyc in cf.cycles]
@@ -317,4 +316,4 @@ def test_marked_format():
 def test_cycle_form_format():
     cf = standard_cycle_form((2, 6, 7, 9, 5, 3, 1, 8, 4))
     assert format_cycle_form(cf) == "(5)(7,1,2,6,3)(8)(9,4)"
-    assert format_cycle_form(CycleForm((), True)) == ""
+    assert format_cycle_form(CycleForm(())) == ""

@@ -1,4 +1,5 @@
-"""The verify registry cannot pass vacuously: no assert, and wrong maps fail rows."""
+"""The checks cannot pass vacuously: no assert anywhere in the library, so the
+self-checks and the verify rows also run under python -O, and wrong maps fail rows."""
 
 import ast
 import os
@@ -16,26 +17,46 @@ SRC = Path(springerbij.__file__).resolve().parent
 
 
 def test_verify_has_no_assert_statement():
-    # python -O strips assert, which would make every row pass
-    tree = ast.parse((SRC / "verify.py").read_text())
-    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    # python -O strips assert, which would make every verify row and every
+    # self-check of the maps pass; the test covers every module of the package
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text())
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], module.name
+
+
+def _run_optimized(code: str) -> str:
+    """stdout of code run by a python -O child that imports the package from SRC."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, check=True).stdout
 
 
 def test_faulty_bijection_fails_under_optimize_flag():
-    code = (
+    stdout = _run_optimized(
         "from springerbij import bijections, verify\n"
         "good = bijections.psi_inverse\n"
         "bijections.psi_inverse = lambda perm: good(perm)[::-1]\n"
         "for r in verify.run(3):\n"
         "    print(r.name, 'PASS' if r.passed else 'FAIL', r.detail)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-O", "-c", code],
-                            capture_output=True, text=True, env=env, check=True)
-    rows = {line.split()[0]: line for line in result.stdout.splitlines()}
+    rows = {line.split()[0]: line for line in stdout.splitlines()}
     assert rows["bijections/psi-roundtrip"].split()[1] == "FAIL"
     # the detail names the first counterexample in canonical text
     assert "Counterexample: snakes '1 -2'" in rows["bijections/psi-roundtrip"]
+
+
+def test_map_self_check_runs_under_optimize_flag():
+    # without its bars, the README's example maps to a permutation, not a snake
+    stdout = _run_optimized(
+        "from springerbij import bijections\n"
+        "from springerbij.families import ThreeWIP\n"
+        "bijections._place_bars = lambda tau_tilde: tau_tilde.perm\n"
+        "try:\n"
+        "    print(bijections.phi(ThreeWIP((1, 5, 2, 6, 7, 3, 8, 9, 4), (2, 5, 6, 3, 1, 7, 8, 4, 9))))\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    assert stdout == "NotASnake\n"
 
 
 def _reversed(obj):
