@@ -21,7 +21,7 @@ import dataclasses
 from typing import Any, Callable, Iterable, Sequence
 
 from . import paths
-from .errors import InconsistentBars, MarkNotCyclePeak, NotClosed, PlaceholderExhausted, ValidationError
+from .errors import MarkNotCyclePeak, NotClosed, PlaceholderExhausted, ValidationError
 from .families import ThreeWIP, validate_permutation, validate_rcalt, validate_snake, validate_wip3
 from .paths import (
     LabeledBallotPath,
@@ -104,24 +104,14 @@ class PhiTrace:
 
 
 def _place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
-    """Step 3 of phi: bar every non-valley in even position, and every right
-    valley whose nearest left peak to the left carries a mark."""
+    """Step 3 of phi: bar each right valley whose left peak is marked, and every
+    other entry in even position. Under p[0] = 0 and p[n+1] = +inf, left peaks and
+    right valleys alternate, starting with a peak: the k-th valley is the k-th peak's."""
     word, marks = tau_tilde.perm, tau_tilde.marks
-    peaks = set(left_peaks(word))
-    valleys = set(right_valleys(word))
-    out = []
-    last_peak_value = None
-    for pos, v in enumerate(word, start=1):
-        if pos in peaks:
-            last_peak_value = v
-        if pos in valleys:
-            # unreachable on real inputs: a valley always has a peak before it
-            if last_peak_value is None:
-                raise ValidationError("right valley with no left peak")
-            barred = last_peak_value in marks
-        else:
-            barred = pos % 2 == 0
-        out.append(-v if barred else v)
+    out = [-v if pos % 2 == 0 else v for pos, v in enumerate(word, start=1)]
+    for peak, valley in zip(left_peaks(word), right_valleys(word)):
+        v = word[valley - 1]
+        out[valley - 1] = -v if word[peak - 1] in marks else v
     return tuple(out)
 
 
@@ -145,26 +135,12 @@ def phi(wip: ThreeWIP) -> tuple[int, ...]:
 
 
 def _unbar(snake: Sequence[int]) -> MarkedPermutation:
-    """Invert step 3: read the marks off the bars sitting at right valleys.
-
-    All valleys attached to one peak must agree on their sign; disagreement
-    cannot happen for genuine snakes and raises InconsistentBars.
-    """
+    """Invert step 3: the k-th left peak is marked when the k-th right valley
+    carries a bar (left peaks and right valleys alternate, see _place_bars)."""
     word = tuple(abs(v) for v in snake)
-    peaks = left_peaks(word)
-    valleys = right_valleys(word)
-    marks = set()
-    bounds = list(peaks) + [len(word) + 1]
-    for which, p in enumerate(peaks):
-        attached = [q for q in valleys if p < q < bounds[which + 1]]
-        if not attached:
-            raise ValidationError("left peak with no right valley")
-        flags = {snake[q - 1] < 0 for q in attached}
-        if len(flags) == 2:
-            raise InconsistentBars(f"valleys after peak at position {p} disagree")
-        if flags.pop():
-            marks.add(word[p - 1])
-    return MarkedPermutation(word, frozenset(marks))
+    marks = frozenset(word[peak - 1] for peak, valley in zip(left_peaks(word), right_valleys(word))
+                      if snake[valley - 1] < 0)
+    return MarkedPermutation(word, marks)
 
 
 def phi_inverse_trace(snake: Sequence[int]) -> PhiTrace:

@@ -54,10 +54,6 @@ class NotASnake(ValidationError):
     """A signed permutation fails the snake test."""
 
 
-class InconsistentBars(ValidationError):
-    """The valleys attached to one peak carry disagreeing signs."""
-
-
 class NotRcInvariant(ValidationError):
     """A permutation is not fixed by reverse-complement."""
 

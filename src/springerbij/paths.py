@@ -131,8 +131,10 @@ def history_rc(hw: LaguerreHistory) -> LaguerreHistory:
     >>> history_rc(LaguerreHistory("UD", (0, 0)))
     LaguerreHistory(steps='UD', weights=(0, 0))
     """
+    # the mirror keeps every cap: U at h and D from h+1 are both capped at h,
+    # D at h and U from h-1 at h-1, and H and T keep their heights
     caps = _caps(hw.steps, hw.weights, MOTZKIN_ALPHABET, closed=True)
-    return validate_laguerre(*_mirror(hw.steps, hw.weights, caps))
+    return LaguerreHistory(*_mirror(hw.steps, hw.weights, caps))
 
 
 def halve_rc_fixed(hw: LaguerreHistory) -> LabeledBallotPath:
@@ -159,8 +161,8 @@ def extend_to_rc_fixed(lbp: LabeledBallotPath) -> LaguerreHistory:
     """
     caps = _caps(lbp.steps, lbp.weights, BALLOT_ALPHABET, closed=False)
     tail_steps, tail_weights = _mirror(lbp.steps, lbp.weights, caps)
-    hw = validate_laguerre(lbp.steps + tail_steps, lbp.weights + tail_weights)
-    if history_rc(hw) != hw:
+    hw = LaguerreHistory(lbp.steps + tail_steps, lbp.weights + tail_weights)
+    if history_rc(hw) != hw:  # history_rc validates hw first
         raise NotRcFixed("the extension is not fixed by reverse-complement")
     return hw
 

@@ -129,10 +129,11 @@ def _pattern_rc_duality(p) -> bool:
                for i in range(1, n + 1))
 
 
-def _peak_has_valley(p) -> bool:
-    valleys = permcore.right_valleys(p)
-    bounds = [*permcore.left_peaks(p), len(p) + 1]
-    return all(any(peak < q < bound for q in valleys) for peak, bound in zip(bounds, bounds[1:]))
+def _peaks_alternate(p) -> bool:
+    # peak, valley, peak, valley, ..., valley: the pairing of phi's step 3
+    peaks, valleys = permcore.left_peaks(p), permcore.right_valleys(p)
+    turns = [q for pair in zip(peaks, valleys) for q in pair]
+    return len(peaks) == len(valleys) and all(a < b for a, b in zip(turns, turns[1:]))
 
 
 def pattern_sum_matches_height(perm: Sequence[int]) -> bool:
@@ -181,8 +182,7 @@ def _rcalt_image_shape(p) -> bool:
 
 
 def _bars_consistent(snake) -> bool:
-    bijections.phi_inverse_trace(snake)  # raises InconsistentBars on failure
-    return True
+    return bijections._place_bars(bijections._unbar(snake)) == snake
 
 
 def _snake_sign_pattern(snake) -> bool:
@@ -303,7 +303,7 @@ PROPERTIES: list[tuple[str, int, Callable[[int], str]]] = [
     ("permcore/foata-roundtrip", 8, lambda cap: _holds(cap, "perm", _foata_roundtrip)),
     ("permcore/invert-involution", 8, lambda cap: _holds(
         cap, "perm", lambda p: permcore.invert(permcore.invert(p)) == p)),
-    ("permcore/left-peak-has-right-valley", 8, lambda cap: _holds(cap, "perm", _peak_has_valley)),
+    ("permcore/left-peak-has-right-valley", 8, lambda cap: _holds(cap, "perm", _peaks_alternate)),
     ("permcore/pattern-count-rc-duality", 8, lambda cap: _holds(cap, "perm", _pattern_rc_duality)),
     ("permcore/rc-involution", 8, lambda cap: _holds(
         cap, "perm", lambda p: permcore.reverse_complement(permcore.reverse_complement(p)) == p)),

@@ -107,7 +107,7 @@ def test_criterion_5_roundtrip_exhaustion():
         for wip in enumerate_wip3(n):
             assert phi_inverse(phi(wip)) == wip
         for snake in enumerate_snakes(n):
-            assert phi(phi_inverse(snake)) == snake  # phi_inverse never raises InconsistentBars
+            assert phi(phi_inverse(snake)) == snake
             assert psi_inverse(psi(snake)) == snake
         for perm in enumerate_rcalt(n):
             assert psi(psi_inverse(perm)) == perm

@@ -5,7 +5,7 @@ import inspect
 import json
 from pathlib import Path
 
-from springerbij import bijections, paths, permcore
+from springerbij import bijections, paths, permcore, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {"permcore": permcore, "paths": paths, "bijections": bijections}
@@ -38,3 +38,15 @@ def test_per_layer_metrics_name_public_functions_or_groups():
         assert any(_is_public(name) for name in members), metric
         checked += 1
     assert checked, "no per-layer metric names a permcore, paths or bijections function"
+
+
+def test_verify_metrics_are_the_verify_rows():
+    # the benchmark child requires "30/30 properties passed" and times each row
+    # by name: a renamed, added or removed row would fail every verify pass
+    metrics = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    timed = {m for m in metrics if m.startswith("verify.") and m.endswith(".s")}
+    assert timed == {f"verify.{name.replace('/', '.')}.s" for name, _, _ in verify.PROPERTIES}
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    rows = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["VERIFY_ROWS"])
+    assert rows == len(verify.PROPERTIES)

@@ -1,18 +1,21 @@
 """Unit tests for the bijections, pinned to worked examples and exhaustion at small n."""
 
 import itertools
+import random
 
 import pytest
 
+from springerbij import verify
 from springerbij.bijections import (
     BIJECTIONS,
+    _place_bars,
+    _unbar,
     fz,
     fz_inverse,
     lbp_to_rcalt,
     lbp_to_snake,
     phi,
     phi_inverse,
-    phi_inverse_trace,
     phi_step1,
     phi_step1_inverse,
     phi_trace,
@@ -36,7 +39,6 @@ from springerbij.families import (
     ThreeWIP,
     domain,
     enumerate_rcalt,
-    enumerate_snakes,
     enumerate_wip3,
 )
 from springerbij.paths import (
@@ -46,7 +48,13 @@ from springerbij.paths import (
     height_profile,
     history_rc,
 )
-from springerbij.permcore import format_marked, reverse_complement
+from springerbij.permcore import (
+    MarkedPermutation,
+    format_marked,
+    left_peaks,
+    reverse_complement,
+    right_valleys,
+)
 from springerbij.verify import pattern_sum_matches_height
 
 WIP9 = ThreeWIP((1, 5, 2, 6, 7, 3, 8, 9, 4), (2, 5, 6, 3, 1, 7, 8, 4, 9))
@@ -288,13 +296,51 @@ def test_bijection_exhaustive(name):
 
 
 def test_bars_always_consistent_and_sign_pattern():
-    from springerbij.permcore import right_valleys
+    # the two verify rows themselves at their bound, n <= 8; a failing row raises Counterexample
+    rows = {name: check for name, _, check in verify.PROPERTIES}
+    for name in ("bijections/bars-always-consistent", "bijections/snake-sign-pattern"):
+        rows[name](8)
 
-    for n in range(9):
-        for s in enumerate_snakes(n):
-            phi_inverse_trace(s)  # must not raise InconsistentBars
-            word = tuple(abs(v) for v in s)
-            valleys = set(right_valleys(word))
-            for pos, v in enumerate(s, start=1):
-                if pos not in valleys:
-                    assert (v > 0) == (pos % 2 == 1)
+
+def _nearest_peak(word, valley):
+    # the rule before the k-th peak / k-th valley pairing: a right valley
+    # belongs to the nearest left peak before it
+    return word[max(p for p in left_peaks(word) if p < valley) - 1]
+
+
+def _unbar_oracle(snake):
+    word = tuple(abs(v) for v in snake)
+    marks = {_nearest_peak(word, q) for q in right_valleys(word) if snake[q - 1] < 0}
+    return MarkedPermutation(word, frozenset(marks))
+
+
+def _place_bars_oracle(tau_tilde):
+    word, marks = tau_tilde.perm, tau_tilde.marks
+    valleys = set(right_valleys(word))
+    barred = [_nearest_peak(word, pos) in marks if pos in valleys else pos % 2 == 0
+              for pos in range(1, len(word) + 1)]
+    return tuple(-v if bar else v for v, bar in zip(word, barred))
+
+
+def test_step3_matches_the_nearest_peak_rule():
+    for n in range(7):
+        for perm in itertools.permutations(range(1, n + 1)):
+            for signs in itertools.product((1, -1), repeat=n):
+                signed = tuple(s * v for s, v in zip(signs, perm))
+                assert _unbar(signed) == _unbar_oracle(signed)
+            values = [perm[i - 1] for i in left_peaks(perm)]
+            for k in range(len(values) + 1):
+                for marks in itertools.combinations(values, k):
+                    tau_tilde = MarkedPermutation(perm, frozenset(marks))
+                    assert _place_bars(tau_tilde) == _place_bars_oracle(tau_tilde)
+
+
+def test_phi_roundtrip_on_random_snakes_at_n_512():
+    # bars placed on a uniform permutation with a random half of its left peaks marked
+    rng = random.Random(512)
+    for _ in range(10):
+        word = tuple(rng.sample(range(1, 513), 512))
+        marks = frozenset(word[i - 1] for i in left_peaks(word) if rng.random() < 0.5)
+        snake = _place_bars(MarkedPermutation(word, marks))
+        assert _unbar(snake) == _unbar_oracle(snake) == MarkedPermutation(word, marks)
+        assert phi(phi_inverse(snake)) == snake

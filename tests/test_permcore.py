@@ -184,13 +184,12 @@ def test_peaks_valleys_match_sentinel_oracle():
 
 
 def test_every_left_peak_has_a_right_valley_before_next_peak():
+    # exact alternation, starting with a peak and ending with a valley
     for n in range(8):
         for p in all_perms(n):
             peaks = left_peaks(p)
-            valleys = right_valleys(p)
-            bounds = list(peaks) + [n + 1]
-            for i, peak in enumerate(peaks):
-                assert any(peak < q < bounds[i + 1] for q in valleys)
+            turns = sorted([(q, "peak") for q in peaks] + [(q, "valley") for q in right_valleys(p)])
+            assert [kind for _, kind in turns] == ["peak", "valley"] * len(peaks)
 
 
 # --- cycle structure --------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 import springerbij
 from springerbij import bijections, paths, verify
 from springerbij.families import ThreeWIP
+from springerbij.permcore import MarkedPermutation, left_peaks
 
 SRC = Path(springerbij.__file__).resolve().parent
 
@@ -57,6 +58,18 @@ def test_map_self_check_runs_under_optimize_flag():
         "    print(type(exc).__name__)\n"
     )
     assert stdout == "NotASnake\n"
+
+
+def test_bar_read_at_the_peak_fails_the_bars_row(monkeypatch):
+    # phi's step 3 puts the bar on the right valley of a marked left peak, not on the peak
+    def unbar_at_peak(snake):
+        word = tuple(abs(v) for v in snake)
+        return MarkedPermutation(word, frozenset(word[p - 1] for p in left_peaks(word) if snake[p - 1] < 0))
+
+    monkeypatch.setattr(bijections, "_unbar", unbar_at_peak)
+    row = next(r for r in verify.run(4) if r.name == "bijections/bars-always-consistent")
+    assert not row.passed
+    assert "Counterexample: snakes '2 -1'" in row.detail
 
 
 def _reversed(obj):
