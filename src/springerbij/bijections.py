@@ -5,7 +5,8 @@
 * psi: snakes -> rc-invariant alternating permutations, by shifting entries
   into 1..2n and mirroring.
 * fz: permutations -> Laguerre histories (step = local shape at each value,
-  weight = straddling-descent count), with a placeholder-substitution inverse.
+  weight = runs of larger values left of it); both directions are one sweep
+  over the placeholder table _SIDES.
 * rcalt_to_lbp / lbp_to_rcalt: the restriction of fz to rc-invariant
   alternating permutations, halved to a labeled ballot path and back.
 * snake_to_lbp: the composite of psi with the halving map.
@@ -18,10 +19,11 @@ its output, so silent drift turns into loud failures.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from typing import Any, Callable, Iterable, Sequence
 
 from . import paths
-from .errors import MarkNotCyclePeak, NotClosed, PlaceholderExhausted, ValidationError
+from .errors import MarkNotCyclePeak, ValidationError
 from .families import ThreeWIP, validate_permutation, validate_rcalt, validate_snake, validate_wip3
 from .paths import (
     LabeledBallotPath,
@@ -32,7 +34,6 @@ from .paths import (
 )
 from .permcore import (
     MarkedPermutation,
-    count_pat_31_2_at,
     cycle_peaks,
     foata,
     foata_inverse,
@@ -205,13 +206,19 @@ def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # fz: permutations <-> Laguerre histories
 
+# The sides of value i that hold a placeholder once i is placed ("_ i _", "i _", "i",
+# "_ i"); in the permutation they are the sides where i's neighbour is larger.
+_SIDES = {"U": (True, True), "H": (False, True), "D": (False, False), "T": (True, False)}
+_STEP = {sides: step for step, sides in _SIDES.items()}
+
+
 def fz(perm: Sequence[int]) -> LaguerreHistory:
     """Map a permutation to its Laguerre history.
 
     The step of value i is the local shape of the word at i's position
     (valley U, peak D, double ascent H, double descent T, with the usual
-    0 / +inf end conventions); i's weight counts the adjacent descents left
-    of i's position that straddle i.
+    0 / +inf end conventions). Its weight is the number of runs of values
+    above i that end left of i: the adjacent descents there that straddle i.
 
     >>> fz((4, 3, 1, 2, 9, 6, 8, 5, 7))
     LaguerreHistory(steps='UHTDUUHDD', weights=(0, 1, 0, 0, 0, 0, 2, 1, 0))
@@ -220,25 +227,18 @@ def fz(perm: Sequence[int]) -> LaguerreHistory:
     validate_permutation(word)
     n = len(word)
     position = {v: j for j, v in enumerate(word)}
+    starts = [0]  # where each run of values >= i begins, left to right; n is the +inf end
     steps = []
     weights = []
     for i in range(1, n + 1):
         j = position[i]
-        ascends_in = j == 0 or word[j - 1] < i
-        ascends_out = j == n - 1 or word[j + 1] > i
-        if ascends_in and ascends_out:
-            steps.append("H")
-        elif ascends_in:
-            steps.append("D")
-        elif ascends_out:
-            steps.append("U")
-        else:
-            steps.append("T")
-        weights.append(count_pat_31_2_at(word, i))
+        before = j > 0 and word[j - 1] > i
+        after = j == n - 1 or word[j + 1] > i
+        k = bisect_right(starts, j) - 1
+        steps.append(_STEP[before, after])
+        weights.append(k)
+        starts[k:k + 1] = [starts[k]] * before + [j + 1] * after
     return validate_laguerre("".join(steps), weights)
-
-
-_GAP = 0  # placeholder token inside fz_inverse
 
 
 def fz_inverse(hw: LaguerreHistory) -> tuple[int, ...]:
@@ -246,30 +246,27 @@ def fz_inverse(hw: LaguerreHistory) -> tuple[int, ...]:
 
     Starting from a single placeholder, step i replaces the (w_i+1)-th
     placeholder by "_ i _" (U), "i _" (H), "i" (D) or "_ i" (T); the one
-    placeholder left at the end is dropped.
+    placeholder left at the end is dropped. At height h there are h + 1
+    placeholders, one more than the largest weight validate_laguerre admits.
 
     >>> fz_inverse(LaguerreHistory("UHTDUUHDD", (0, 1, 0, 0, 0, 0, 2, 1, 0)))
     (4, 3, 1, 2, 9, 6, 8, 5, 7)
     """
     validate_laguerre(hw.steps, hw.weights)
-    blocks = {"U": (_GAP, None, _GAP), "H": (None, _GAP), "D": (None,), "T": (_GAP, None)}
-    tokens: list[int] = [_GAP]
+    n = len(hw.steps)
+    after = [0] * (n + 1)  # the value right of v; after[0] heads the list and 0 ends it
+    gaps = [0]             # the value each (never adjacent) placeholder follows, left to right
     for i, (s, w) in enumerate(zip(hw.steps, hw.weights), start=1):
-        seen = 0
-        at = -1
-        for t, tok in enumerate(tokens):
-            if tok == _GAP:
-                seen += 1
-                if seen == w + 1:
-                    at = t
-                    break
-        if at < 0:
-            raise PlaceholderExhausted(i, f"step {i} wants placeholder {w + 1}, only {seen} exist")
-        tokens[at:at + 1] = [i if tok is None else tok for tok in blocks[s]]
-    if tokens.count(_GAP) != 1:
-        raise NotClosed(f"{tokens.count(_GAP)} placeholders remain after substitution")
-    tokens.remove(_GAP)
-    return tuple(tokens)
+        left = gaps[w]
+        after[i], after[left] = after[left], i
+        before, behind = _SIDES[s]
+        gaps[w:w + 1] = [left] * before + [i] * behind
+    perm = []
+    v = 0
+    for _ in range(n):
+        v = after[v]
+        perm.append(v)
+    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

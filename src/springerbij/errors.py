@@ -61,10 +61,3 @@ class NotRcInvariant(ValidationError):
 class NotAlternating(ValidationError):
     """A permutation fails the down-up test."""
 
-
-class PlaceholderExhausted(ValidationError):
-    """The placeholder substitution ran out of gaps at some step."""
-
-    def __init__(self, index: int, message: str | None = None):
-        super().__init__(message or f"no placeholder left for step {index}")
-        self.index = index

@@ -90,7 +90,7 @@ def _caps(steps: str, weights: Sequence[int], alphabet: str, closed: bool) -> li
     caps = []
     for i, (s, w, h) in enumerate(zip(steps, weights, heights), start=1):
         cap = _weight_cap(s, h)
-        if not 0 <= w <= cap:
+        if not (isinstance(w, int) and 0 <= w <= cap):  # fz_inverse indexes by weight
             raise WeightOutOfRange(i, f"weight {w} at step {i} outside 0..{cap}")
         caps.append(cap)
     return caps
@@ -149,7 +149,7 @@ def halve_rc_fixed(hw: LaguerreHistory) -> LabeledBallotPath:
     if _mirror(hw.steps, hw.weights, caps) != (hw.steps, hw.weights):
         raise NotRcFixed("history is not fixed by reverse-complement")
     n = len(hw.steps) // 2
-    return validate_labeled_ballot(hw.steps[:n], hw.weights[:n])
+    return LabeledBallotPath(hw.steps[:n], hw.weights[:n])  # a prefix keeps heights and caps
 
 
 def extend_to_rc_fixed(lbp: LabeledBallotPath) -> LaguerreHistory:

@@ -38,6 +38,7 @@ from springerbij.errors import (
 from springerbij.families import (
     ThreeWIP,
     domain,
+    enumerate_laguerre,
     enumerate_rcalt,
     enumerate_wip3,
 )
@@ -50,6 +51,7 @@ from springerbij.paths import (
 )
 from springerbij.permcore import (
     MarkedPermutation,
+    count_pat_31_2_at,
     format_marked,
     left_peaks,
     reverse_complement,
@@ -211,7 +213,14 @@ def test_fz_inverse_rejects_malformed():
         fz_inverse(LaguerreHistory("H", (1,)))  # an H step on the axis carries weight 0
     assert excinfo.value.index == 1
     with pytest.raises(NotClosed):
-        fz_inverse(LaguerreHistory("UU", (0, 0)))  # leftover placeholders
+        fz_inverse(LaguerreHistory("UU", (0, 0)))  # ends at height 2; validate_laguerre rejects it
+
+
+def test_fz_inverse_rejects_non_integer_weights():
+    # a float within its cap names no placeholder; validate_laguerre rejects it first
+    for hw in (LaguerreHistory("H", (0.0,)), LaguerreHistory("UHD", (0, 0.5, 0))):
+        with pytest.raises(WeightOutOfRange):
+            fz_inverse(hw)
 
 
 def test_fz_commutes_with_rc():
@@ -223,6 +232,62 @@ def test_fz_commutes_with_rc():
     for n in range(6):
         for p in itertools.permutations(range(1, n + 1)):
             assert fz(reverse_complement(p)) == history_rc(fz(p))
+
+
+_SHAPES = {(True, True): "H", (True, False): "D", (False, True): "U", (False, False): "T"}
+
+
+def _fz_oracle(word):
+    # fz before the placeholder sweep: i's step is its local shape (ascent in,
+    # ascent out) under the p[0] = 0 and p[n+1] = +inf sentinels, and its weight
+    # the straddling descents left of it, counted for each value on its own
+    padded = (0, *word, len(word) + 1)
+    steps, weights = "", []
+    for i in range(1, len(word) + 1):
+        j = padded.index(i)
+        steps += _SHAPES[padded[j - 1] < i, padded[j + 1] > i]
+        weights.append(count_pat_31_2_at(word, i))
+    return LaguerreHistory(steps, tuple(weights))
+
+
+def _fz_inverse_oracle(hw):
+    # fz_inverse before the sweep: scan the tokens for the (w+1)-th placeholder
+    # (None) and splice the step's block in, with 0 standing for the new value
+    blocks = {"U": (None, 0, None), "H": (0, None), "D": (0,), "T": (None, 0)}
+    tokens = [None]
+    for i, (s, w) in enumerate(zip(hw.steps, hw.weights), start=1):
+        at = [t for t, tok in enumerate(tokens) if tok is None][w]
+        tokens[at:at + 1] = [i if tok == 0 else tok for tok in blocks[s]]
+    tokens.remove(None)
+    assert None not in tokens
+    return tuple(tokens)
+
+
+def test_fz_matches_the_pattern_count_rule():
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert fz(p) == _fz_oracle(p)
+
+
+def test_fz_inverse_matches_the_token_scan():
+    for n in range(8):
+        for hw in enumerate_laguerre(n):
+            assert fz_inverse(hw) == _fz_inverse_oracle(hw)
+
+
+def test_fz_matches_the_old_rules_on_random_permutations_at_n_512():
+    rng = random.Random(512)
+    for _ in range(10):
+        p = tuple(rng.sample(range(1, 513), 512))
+        hw = fz(p)
+        assert hw == _fz_oracle(p)
+        assert fz_inverse(hw) == _fz_inverse_oracle(hw) == p
+
+
+def test_fz_roundtrip_at_n_4096():
+    rng = random.Random(4096)
+    p = tuple(rng.sample(range(1, 4097), 4096))
+    assert fz_inverse(fz(p)) == p
 
 
 def test_pattern_sum_matches_height_small():
