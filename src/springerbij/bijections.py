@@ -38,6 +38,7 @@ from .permcore import (
     foata,
     foata_inverse,
     format_marked,
+    invert,
     left_peaks,
     right_valleys,
 )
@@ -212,6 +213,19 @@ _SIDES = {"U": (True, True), "H": (False, True), "D": (False, False), "T": (True
 _STEP = {sides: step for step, sides in _SIDES.items()}
 
 
+def _split(slots: list[int], k: int, before: bool, after: bool, right: int) -> None:
+    """Put a value into the k-th placeholder, which slots[k] describes. What lies left
+    of the value stays a placeholder with that entry if before; what lies right of it
+    becomes one with the entry right if after."""
+    if before:
+        if after:
+            slots.insert(k + 1, right)
+    elif after:
+        slots[k] = right
+    else:
+        del slots[k]
+
+
 def fz(perm: Sequence[int]) -> LaguerreHistory:
     """Map a permutation to its Laguerre history.
 
@@ -225,19 +239,17 @@ def fz(perm: Sequence[int]) -> LaguerreHistory:
     """
     word = tuple(perm)
     validate_permutation(word)
-    n = len(word)
-    position = {v: j for j, v in enumerate(word)}
-    starts = [0]  # where each run of values >= i begins, left to right; n is the +inf end
+    padded = (0, *word, len(word) + 1)  # p[0] = 0 and p[n+1] = +inf
+    starts = [1]  # where each run of values >= i begins, left to right (1-based)
     steps = []
     weights = []
-    for i in range(1, n + 1):
-        j = position[i]
-        before = j > 0 and word[j - 1] > i
-        after = j == n - 1 or word[j + 1] > i
+    for i, j in enumerate(invert(word), start=1):
+        before = padded[j - 1] > i
+        after = padded[j + 1] > i
         k = bisect_right(starts, j) - 1
         steps.append(_STEP[before, after])
         weights.append(k)
-        starts[k:k + 1] = [starts[k]] * before + [j + 1] * after
+        _split(starts, k, before, after, j + 1)
     return validate_laguerre("".join(steps), weights)
 
 
@@ -259,8 +271,7 @@ def fz_inverse(hw: LaguerreHistory) -> tuple[int, ...]:
     for i, (s, w) in enumerate(zip(hw.steps, hw.weights), start=1):
         left = gaps[w]
         after[i], after[left] = after[left], i
-        before, behind = _SIDES[s]
-        gaps[w:w + 1] = [left] * before + [i] * behind
+        _split(gaps, w, *_SIDES[s], i)
     perm = []
     v = 0
     for _ in range(n):

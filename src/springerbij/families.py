@@ -25,15 +25,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import paths, permcore
 from .errors import NotAlternating, NotASnake, NotRcInvariant, OddLength, ValidationError
 from .paths import (
-    _RISE,
+    STEP_RULES,
     LabeledBallotPath,
     LaguerreHistory,
-    _weight_cap,
     count_lbp_dp,
     format_path,
     validate_labeled_ballot,
@@ -54,8 +54,8 @@ def is_wip3(sigma: Sequence[int], pi: Sequence[int]) -> bool:
         return False
     if not (permcore.is_permutation(sigma) and permcore.is_permutation(pi)):
         return False
-    maxima = [max(a, b) for a, b in zip(sigma, pi)]
-    return all(maxima[i] <= maxima[i + 1] for i in range(len(maxima) - 1))
+    maxima = list(map(max, sigma, pi))
+    return all(map(operator.le, maxima, maxima[1:]))
 
 
 def validate_wip3(sigma: Sequence[int], pi: Sequence[int]) -> ThreeWIP:
@@ -292,12 +292,12 @@ def _labeled_paths(n: int, alphabet: str, closed: bool, make: Callable) -> Itera
                 yield make(word, weights)
             return
         for s in alphabet:
-            cap = _weight_cap(s, h)
-            if cap < 0:
+            rise, drop = STEP_RULES[s]
+            if h < drop:
                 continue
             steps.append(s)
-            ranges.append(_in_text_order(range(cap + 1)))
-            yield from rec(h + _RISE[s])
+            ranges.append(_in_text_order(range(h - drop + 1)))
+            yield from rec(h + rise)
             ranges.pop()
             steps.pop()
 

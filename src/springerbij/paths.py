@@ -13,6 +13,7 @@ is exact integer arithmetic throughout.
 from __future__ import annotations
 
 import dataclasses
+from operator import sub
 from typing import Sequence
 
 from .errors import (
@@ -29,8 +30,10 @@ from .errors import (
 BALLOT_ALPHABET = "UD"
 MOTZKIN_ALPHABET = "UDHT"
 
-_RISE = {"U": 1, "D": -1, "H": 0, "T": 0}
-_FLIP = {"U": "D", "D": "U", "H": "H", "T": "T"}
+# letter -> (rise, cap drop): a step that starts at height h ends at h + rise
+# and carries a weight in 0..h - drop
+STEP_RULES = {"U": (1, 0), "D": (-1, 1), "H": (0, 0), "T": (0, 1)}
+_FLIP = str.maketrans("UD", "DU")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,46 +63,49 @@ def height_profile(steps: str) -> tuple[int, ...]:
     heights = []
     h = 0
     for i, s in enumerate(steps, start=1):
-        if s not in _RISE:
+        if s not in STEP_RULES:
             raise ValidationError(f"unknown step letter {s!r} at step {i}")
         heights.append(h)
-        h += _RISE[s]
+        h += STEP_RULES[s][0]
         if h < 0:
             raise HeightBelowZero(f"path dips below the axis after step {i}")
     return tuple(heights)
 
 
-def _weight_cap(step: str, height: int) -> int:
-    return height if step in ("U", "H") else height - 1
-
-
 def _caps(steps: str, weights: Sequence[int], alphabet: str, closed: bool) -> list[int]:
     """Validate a weighted path over alphabet, ending on the axis if closed, and return
     each step's weight cap. Checks run in order: letters, lengths, axis, closure, weights."""
-    for i, s in enumerate(steps, start=1):
-        if s not in alphabet:
-            if s in _RISE:
-                raise HorizontalStepPresent(f"level step at position {i}")
-            raise ValidationError(f"unknown step letter {s!r} at step {i}")
+    if not set(steps).issubset(alphabet):  # then name the first letter outside alphabet
+        for i, s in enumerate(steps, start=1):
+            if s not in alphabet:
+                if s in STEP_RULES:
+                    raise HorizontalStepPresent(f"level step at position {i}")
+                raise ValidationError(f"unknown step letter {s!r} at step {i}")
     if len(steps) != len(weights):
         raise LengthMismatch(f"{len(steps)} steps but {len(weights)} weights")
-    heights = height_profile(steps)
-    final = heights[-1] + _RISE[steps[-1]] if steps else 0
-    if closed and final != 0:
-        raise NotClosed(f"path ends at height {final}")
     caps = []
-    for i, (s, w, h) in enumerate(zip(steps, weights, heights), start=1):
-        cap = _weight_cap(s, h)
+    h = 0
+    for s in steps:
+        try:
+            rise, drop = STEP_RULES[s]
+        except KeyError:  # a non-str step sequence may hold "" or "UD", which pass the letter test
+            raise ValidationError(f"unknown step letter {s!r} at step {len(caps) + 1}") from None
+        caps.append(h - drop)
+        h += rise
+        if h < 0:
+            raise HeightBelowZero(f"path dips below the axis after step {len(caps)}")
+    if closed and h != 0:
+        raise NotClosed(f"path ends at height {h}")
+    for i, (w, cap) in enumerate(zip(weights, caps), start=1):
         if not (isinstance(w, int) and 0 <= w <= cap):  # fz_inverse indexes by weight
             raise WeightOutOfRange(i, f"weight {w} at step {i} outside 0..{cap}")
-        caps.append(cap)
     return caps
 
 
 def _mirror(steps: str, weights: Sequence[int], caps: Sequence[int]) -> tuple[str, tuple[int, ...]]:
     """The word reversed with U/D swapped, each weight complemented within its cap."""
-    return ("".join(_FLIP[s] for s in reversed(steps)),
-            tuple(c - w for c, w in zip(reversed(caps), reversed(weights))))
+    return ("".join(reversed(steps)).translate(_FLIP),
+            tuple(map(sub, reversed(caps), reversed(weights))))
 
 
 def weight_caps(path: LabeledBallotPath | LaguerreHistory) -> list[int]:
@@ -191,7 +197,7 @@ def wbar(lbp: LabeledBallotPath) -> LabeledBallotPath:
     """Complement every weight within its admissible range (an involution)."""
     # 0 <= w <= c exactly when 0 <= c - w <= c: the image needs no second check
     caps = _caps(lbp.steps, lbp.weights, BALLOT_ALPHABET, closed=False)
-    return LabeledBallotPath(lbp.steps, tuple(c - w for c, w in zip(caps, lbp.weights)))
+    return LabeledBallotPath(lbp.steps, tuple(map(sub, caps, lbp.weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +217,7 @@ def parse_path_text(text: str) -> tuple[str, tuple[int, ...]]:
     if text.count(";") != 1:
         raise ValidationError(f"expected exactly one ';' in {text!r}")
     word, _, wtxt = text.partition(";")
-    weights = tuple(int(tok) for tok in wtxt.split(",")) if wtxt else ()
+    weights = tuple(map(int, wtxt.split(","))) if wtxt else ()
     return word, weights
 
 

@@ -4,7 +4,7 @@ A permutation is a tuple of the values 1..n; a signed permutation is a tuple
 of nonzero integers whose absolute values form a permutation. All positions
 in documented statistics are 1-based, matching the text formats. Boundary
 comparisons use the conventions p[0] = 0 and p[n+1] = +infinity, realized by
-guarded comparisons rather than sentinel values.
+the comparisons themselves rather than by padding the word.
 
 Everything here is a pure function on immutable values.
 """
@@ -12,6 +12,9 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import dataclasses
+import math
+from itertools import repeat
+from operator import gt, lt, sub
 from typing import Sequence
 
 
@@ -32,7 +35,7 @@ def is_permutation(word: Sequence[int]) -> bool:
 
 def is_signed_permutation(word: Sequence[int]) -> bool:
     """Check that the absolute values form a permutation (so no entry is 0)."""
-    return is_permutation([abs(v) for v in word])
+    return is_permutation(list(map(abs, word)))
 
 
 def invert(perm: Sequence[int]) -> tuple[int, ...]:
@@ -57,18 +60,11 @@ def reverse_complement(perm: Sequence[int]) -> tuple[int, ...]:
     >>> reverse_complement((4, 1, 3, 5, 2))
     (4, 1, 3, 5, 2)
     """
-    n = len(perm)
-    return tuple(n + 1 - v for v in reversed(perm))
+    return tuple(map(sub, repeat(len(perm) + 1), reversed(perm)))
 
 
-def _is_down_up(seq: Sequence[int]) -> bool:
-    for i in range(len(seq) - 1):
-        if i % 2 == 0:
-            if seq[i] <= seq[i + 1]:
-                return False
-        elif seq[i] >= seq[i + 1]:
-            return False
-    return True
+def _is_down_up(s: Sequence[int]) -> bool:
+    return all(map(gt, s[0::2], s[1::2])) and all(map(lt, s[1::2], s[2::2]))
 
 
 def is_alternating(perm: Sequence[int]) -> bool:
@@ -100,12 +96,13 @@ def left_peaks(perm: Sequence[int]) -> tuple[int, ...]:
     >>> left_peaks((2, 1))
     (1,)
     """
-    n = len(perm)
-    return tuple(
-        i + 1
-        for i in range(n)
-        if (i == 0 or perm[i - 1] < perm[i]) and i + 1 < n and perm[i] > perm[i + 1]
-    )
+    peaks = []
+    prev, rose = -math.inf, False
+    for i, v in enumerate(perm):  # prev = p[i], v = p[i+1]; rose: p[i-1] < p[i], true at i = 1
+        if rose and prev > v:
+            peaks.append(i)
+        prev, rose = v, prev < v
+    return tuple(peaks)
 
 
 def right_valleys(perm: Sequence[int]) -> tuple[int, ...]:
@@ -116,12 +113,15 @@ def right_valleys(perm: Sequence[int]) -> tuple[int, ...]:
     >>> right_valleys((5, 7, 1, 2, 6, 3, 8, 9, 4))
     (3, 6, 9)
     """
-    n = len(perm)
-    return tuple(
-        i + 1
-        for i in range(n)
-        if i > 0 and perm[i - 1] > perm[i] and (i + 1 == n or perm[i] < perm[i + 1])
-    )
+    valleys = []
+    prev, fell = -math.inf, False
+    for i, v in enumerate(perm):  # prev = p[i], v = p[i+1]; fell: p[i-1] > p[i], false at i = 1
+        if fell and prev < v:
+            valleys.append(i)
+        prev, fell = v, prev > v
+    if fell:
+        valleys.append(len(perm))
+    return tuple(valleys)
 
 
 def cycle_peaks(perm: Sequence[int]) -> frozenset[int]:
@@ -262,7 +262,7 @@ def format_perm(perm: Sequence[int]) -> str:
 
 def parse_perm(text: str) -> tuple[int, ...]:
     """Parse space-separated values and validate them as a permutation."""
-    values = tuple(int(tok) for tok in text.split())
+    values = tuple(map(int, text.split()))
     if not is_permutation(values):
         raise ValueError(f"not a permutation: {text!r}")
     return values
@@ -275,7 +275,7 @@ def format_signed(signed: Sequence[int]) -> str:
 
 def parse_signed(text: str) -> tuple[int, ...]:
     """Parse space-separated values and validate them as a signed permutation."""
-    values = tuple(int(tok) for tok in text.split())
+    values = tuple(map(int, text.split()))
     if not is_signed_permutation(values):
         raise ValueError(f"not a signed permutation: {text!r}")
     return values

@@ -1,0 +1,310 @@
+"""The per-element kernels against the versions they replaced.
+
+paths._caps and paths._mirror, permcore._is_down_up, left_peaks, right_valleys
+and reverse_complement, families.is_wip3 and the placeholder splices of fz and
+fz_inverse are single passes over tables, slices and map. Their earlier
+versions are kept here, unchanged but for their names, as oracles. The new code
+must return the same value, or raise the same exception class with the same
+message, on every object with n <= 7, on mutants that break one or two checks
+at once (which pins the order of the checks), and on seeded random inputs at
+n = 512.
+"""
+
+import itertools
+import random
+from bisect import bisect_right
+
+import pytest
+
+from springerbij import paths, permcore
+from springerbij.bijections import fz, fz_inverse
+from springerbij.errors import (
+    HeightBelowZero,
+    HorizontalStepPresent,
+    LengthMismatch,
+    NotClosed,
+    ValidationError,
+    WeightOutOfRange,
+)
+from springerbij.families import enumerate_laguerre, enumerate_lbp, is_wip3, validate_permutation
+from springerbij.paths import BALLOT_ALPHABET, MOTZKIN_ALPHABET, validate_laguerre
+from springerbij.permcore import _is_down_up, left_peaks, reverse_complement, right_valleys
+
+# (alphabet, closed) of every caller of _caps: labeled ballot paths, halve_rc_fixed,
+# weight_caps and Laguerre histories
+CONFIGS = [(BALLOT_ALPHABET, False), (BALLOT_ALPHABET, True),
+           (MOTZKIN_ALPHABET, False), (MOTZKIN_ALPHABET, True)]
+
+
+# --- the earlier versions ----------------------------------------------------
+
+_RISE = {"U": 1, "D": -1, "H": 0, "T": 0}
+_FLIP = {"U": "D", "D": "U", "H": "H", "T": "T"}
+_SIDES = {"U": (True, True), "H": (False, True), "D": (False, False), "T": (True, False)}
+_STEP = {sides: step for step, sides in _SIDES.items()}
+
+
+def _height_profile_oracle(steps):
+    heights = []
+    h = 0
+    for i, s in enumerate(steps, start=1):
+        if s not in _RISE:
+            raise ValidationError(f"unknown step letter {s!r} at step {i}")
+        heights.append(h)
+        h += _RISE[s]
+        if h < 0:
+            raise HeightBelowZero(f"path dips below the axis after step {i}")
+    return tuple(heights)
+
+
+def _caps_oracle(steps, weights, alphabet, closed):
+    # three passes: the letters, the heights through height_profile, the weights
+    for i, s in enumerate(steps, start=1):
+        if s not in alphabet:
+            if s in _RISE:
+                raise HorizontalStepPresent(f"level step at position {i}")
+            raise ValidationError(f"unknown step letter {s!r} at step {i}")
+    if len(steps) != len(weights):
+        raise LengthMismatch(f"{len(steps)} steps but {len(weights)} weights")
+    heights = _height_profile_oracle(steps)
+    final = heights[-1] + _RISE[steps[-1]] if steps else 0
+    if closed and final != 0:
+        raise NotClosed(f"path ends at height {final}")
+    caps = []
+    for i, (s, w, h) in enumerate(zip(steps, weights, heights), start=1):
+        cap = h if s in ("U", "H") else h - 1
+        if not (isinstance(w, int) and 0 <= w <= cap):
+            raise WeightOutOfRange(i, f"weight {w} at step {i} outside 0..{cap}")
+        caps.append(cap)
+    return caps
+
+
+def _mirror_oracle(steps, weights, caps):
+    return ("".join(_FLIP[s] for s in reversed(steps)),
+            tuple(c - w for c, w in zip(reversed(caps), reversed(weights))))
+
+
+def _is_down_up_oracle(seq):
+    for i in range(len(seq) - 1):
+        if i % 2 == 0:
+            if seq[i] <= seq[i + 1]:
+                return False
+        elif seq[i] >= seq[i + 1]:
+            return False
+    return True
+
+
+def _left_peaks_oracle(perm):
+    n = len(perm)
+    return tuple(
+        i + 1
+        for i in range(n)
+        if (i == 0 or perm[i - 1] < perm[i]) and i + 1 < n and perm[i] > perm[i + 1]
+    )
+
+
+def _right_valleys_oracle(perm):
+    n = len(perm)
+    return tuple(
+        i + 1
+        for i in range(n)
+        if i > 0 and perm[i - 1] > perm[i] and (i + 1 == n or perm[i] < perm[i + 1])
+    )
+
+
+def _reverse_complement_oracle(perm):
+    n = len(perm)
+    return tuple(n + 1 - v for v in reversed(perm))
+
+
+def _is_wip3_oracle(sigma, pi):
+    if len(sigma) != len(pi):
+        return False
+    if not (permcore.is_permutation(sigma) and permcore.is_permutation(pi)):
+        return False
+    maxima = [max(a, b) for a, b in zip(sigma, pi)]
+    return all(maxima[i] <= maxima[i + 1] for i in range(len(maxima) - 1))
+
+
+def _fz_splice_oracle(perm):
+    word = tuple(perm)
+    validate_permutation(word)
+    n = len(word)
+    position = {v: j for j, v in enumerate(word)}
+    starts = [0]
+    steps = []
+    weights = []
+    for i in range(1, n + 1):
+        j = position[i]
+        before = j > 0 and word[j - 1] > i
+        after = j == n - 1 or word[j + 1] > i
+        k = bisect_right(starts, j) - 1
+        steps.append(_STEP[before, after])
+        weights.append(k)
+        starts[k:k + 1] = [starts[k]] * before + [j + 1] * after
+    return validate_laguerre("".join(steps), weights)
+
+
+def _fz_inverse_splice_oracle(hw):
+    validate_laguerre(hw.steps, hw.weights)
+    n = len(hw.steps)
+    after = [0] * (n + 1)
+    gaps = [0]
+    for i, (s, w) in enumerate(zip(hw.steps, hw.weights), start=1):
+        left = gaps[w]
+        after[i], after[left] = after[left], i
+        before, behind = _SIDES[s]
+        gaps[w:w + 1] = [left] * before + [i] * behind
+    perm = []
+    v = 0
+    for _ in range(n):
+        v = after[v]
+        perm.append(v)
+    return tuple(perm)
+
+
+# --- comparisons -------------------------------------------------------------
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+def _same_caps(steps, weights):
+    for alphabet, closed in CONFIGS:
+        got = _outcome(paths._caps, steps, weights, alphabet, closed)
+        assert got == _outcome(_caps_oracle, steps, weights, alphabet, closed), (steps, weights)
+        if isinstance(got, list):
+            assert paths._mirror(steps, weights, got) == _mirror_oracle(steps, weights, got)
+
+
+def _put(seq, i, item):
+    return seq[:i] + item + seq[i + 1:]
+
+
+def _mutants(steps, weights, caps, positions):
+    """Copies of a valid path that break one check, or two at once, at the given positions."""
+    for i in positions:
+        for letter in "UDHTX":  # a bad letter, a level step, a dip or an unclosed end
+            yield _put(steps, i, letter), weights
+        for w in (-1, caps[i] + 1, 0.5, 1.0, True, False):  # out of range, float, bool
+            yield steps, _put(weights, i, (w,))
+            yield _put(steps, 0, "D"), _put(weights, i, (w,))  # a dip and a bad weight
+            yield steps + "U", _put(weights, i, (w,)) + (0,)   # unclosed and a bad weight
+        if i:
+            yield _put(_put(steps, 0, "D"), i, "X"), weights   # a dip and a bad letter
+            yield _put(_put(steps, i, "D"), 0, "H"), weights   # a level step and a dip
+    yield steps, weights[:-1]                                  # lengths
+    yield steps + "X", weights                                 # lengths and a bad letter
+
+
+def _random_ballot(rng, n):
+    steps, weights, h = "", [], 0
+    for _ in range(n):
+        step = "U" if h == 0 or rng.random() < 0.55 else "D"
+        cap = h if step == "U" else h - 1
+        steps += step
+        weights.append(rng.randint(0, cap))
+        h += 1 if step == "U" else -1
+    return steps, tuple(weights)
+
+
+def test_caps_and_mirror_match_the_oracles_on_every_path_up_to_n_7():
+    for n in range(8):
+        for obj in itertools.chain(enumerate_lbp(n), enumerate_laguerre(n)):
+            _same_caps(obj.steps, obj.weights)
+
+
+def test_caps_matches_the_oracle_on_every_short_word():
+    values = (-1, 0, 1, 2, 0.5, 1.0, True)
+    for n in range(4):
+        for letters in itertools.product("UDHTX", repeat=n):
+            steps = "".join(letters)
+            for weights in itertools.product(values, repeat=n):
+                _same_caps(steps, weights)
+            _same_caps(steps, (0,) * (n + 1))
+            _same_caps(steps, (0,) * (n - 1) if n else ())
+
+
+def test_caps_matches_the_oracle_on_step_sequences_that_are_not_strings():
+    # a list or tuple of letters; "" and "UD" pass the letter test as substrings
+    for n in range(4):
+        for letters in itertools.product(["U", "D", "H", "X", "", "UD"], repeat=n):
+            for weights in itertools.product((0, 1), repeat=n):
+                _same_caps(list(letters), weights)
+                _same_caps(letters, weights)
+
+
+def test_caps_matches_the_oracle_on_mutants_that_break_one_or_two_checks():
+    for n in range(1, 5):
+        for obj in itertools.chain(enumerate_lbp(n), enumerate_laguerre(n)):
+            caps = _caps_oracle(obj.steps, obj.weights, MOTZKIN_ALPHABET, False)
+            for steps, weights in _mutants(obj.steps, obj.weights, caps, range(n)):
+                _same_caps(steps, weights)
+
+
+def test_caps_matches_the_oracle_at_n_512():
+    rng = random.Random(512)
+    for _ in range(5):
+        p = tuple(rng.sample(range(1, 513), 512))
+        for steps, weights in (_random_ballot(rng, 512), (fz(p).steps, fz(p).weights)):
+            _same_caps(steps, weights)
+            caps = _caps_oracle(steps, weights, MOTZKIN_ALPHABET, False)
+            for mutant in _mutants(steps, weights, caps, rng.sample(range(512), 3)):
+                _same_caps(*mutant)
+
+
+def _words(n):
+    # permutations, signed permutations and words with ties or entries below 1
+    yield from itertools.permutations(range(1, n + 1))
+    if n <= 5:
+        for perm in itertools.permutations(range(1, n + 1)):
+            for signs in itertools.product((1, -1), repeat=n):
+                yield tuple(s * v for s, v in zip(signs, perm))
+        yield from itertools.product((-1, 0, 1, 2), repeat=n)
+
+
+@pytest.mark.parametrize("new, old", [
+    (_is_down_up, _is_down_up_oracle),
+    (left_peaks, _left_peaks_oracle),
+    (right_valleys, _right_valleys_oracle),
+    (reverse_complement, _reverse_complement_oracle),
+])
+def test_one_line_kernels_match_the_oracles(new, old):
+    for n in range(8):
+        for word in _words(n):
+            assert new(word) == old(word), word
+            assert new(list(word)) == old(word), word
+    rng = random.Random(512)
+    for _ in range(10):
+        perm = rng.sample(range(1, 513), 512)
+        for i in range(511):  # a random down-up word: swap each pair out of shape
+            if (perm[i] < perm[i + 1]) == (i % 2 == 0):
+                perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        for word in (tuple(perm), tuple(rng.sample(range(1, 513), 512))):
+            assert new(word) == old(word)
+
+
+def test_is_wip3_matches_the_oracle():
+    for n in range(5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for sigma, pi in itertools.product(perms, repeat=2):
+            assert is_wip3(sigma, pi) == _is_wip3_oracle(sigma, pi)
+    assert is_wip3((1, 2), (1,)) == _is_wip3_oracle((1, 2), (1,)) is False
+    assert is_wip3((1, 1), (1, 2)) == _is_wip3_oracle((1, 1), (1, 2)) is False
+
+
+def test_fz_splices_match_the_slice_oracles():
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert fz(p) == _fz_splice_oracle(p)
+        for hw in enumerate_laguerre(n):
+            assert fz_inverse(hw) == _fz_inverse_splice_oracle(hw)
+    rng = random.Random(512)
+    for _ in range(10):
+        p = tuple(rng.sample(range(1, 513), 512))
+        hw = fz(p)
+        assert hw == _fz_splice_oracle(p)
+        assert fz_inverse(hw) == _fz_inverse_splice_oracle(hw) == p
