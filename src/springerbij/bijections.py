@@ -311,12 +311,12 @@ def snake_to_lbp(snake: Sequence[int]) -> LabeledBallotPath:
     >>> format_path(snake_to_lbp((2, -1, 5, 4, 7, -6, -3)))
     'UUUDDUU;0,0,1,2,0,0,0'
     """
-    return rcalt_to_lbp(psi(snake))
+    return halve_rc_fixed(fz(psi(snake)))  # psi checks its output as rcalt_to_lbp would
 
 
 def lbp_to_snake(lbp: LabeledBallotPath) -> tuple[int, ...]:
     """Inverse of snake_to_lbp."""
-    return psi_inverse(lbp_to_rcalt(lbp))
+    return psi_inverse(fz_inverse(extend_to_rc_fixed(lbp)))  # psi_inverse checks its input
 
 
 # ---------------------------------------------------------------------------

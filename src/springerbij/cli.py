@@ -59,8 +59,9 @@ def _cmd_count(args, out: TextIO) -> int:
 
 def _cmd_enumerate(args, out: TextIO) -> int:
     fam = families.FAMILIES[args.family]
+    render, write = fam.render, out.write
     for obj in fam.enumerate(args.n):
-        out.write(fam.render(obj) + "\n")
+        write(render(obj) + "\n")
     return 0
 
 
@@ -131,6 +132,11 @@ def main(argv=None, stdin: TextIO | None = None,
     if args.command in ("count", "enumerate") and args.n < 0:
         stderr.write("n must be >= 0\n")
         return 2
+    if args.command == "enumerate" or args.command == "count" and args.method == "enumerate":
+        ceiling = families.FAMILIES[args.family].ceiling
+        if args.n > ceiling:
+            stderr.write(f"n must be <= {ceiling} to enumerate {args.family} (at most 10^9 objects)\n")
+            return 2
     if args.command in ("verify", "springer") and args.n_max < 0:
         stderr.write("n-max must be >= 0\n")
         return 2

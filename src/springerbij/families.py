@@ -189,30 +189,34 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     """Words w of length n with 0 < w1 > w2 < w3 > ..., in text order.
 
     Entries come from values; no two share a slot(v) in 1..n. The last entry
-    must also pass last_ok.
+    must also pass last_ok. Each previous entry p (0 before the first) has its
+    text-ordered candidates above p (odd positions) and below p (even ones)
+    in a table, the last position's already filtered by last_ok, so the
+    search only tests whether a slot is taken.
     """
     order = [(v, slot(v)) for v in _in_text_order(values)]
+    prevs = (0, *(v for v, _ in order))
+    tables = ({p: [(v, s) for v, s in order if v > p] for p in prevs},
+              {p: [(v, s) for v, s in order if v < p] for p in prevs})
+    last = {p: [(v, s) for v, s in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
     word: list[int] = []
     used = [False] * (n + 1)
 
-    def rec():
-        i = len(word)
-        if i == n:
-            yield tuple(word)
+    def rec(i: int, prev: int):
+        if i == n - 1:  # the leaves: no generator per word
+            for v, s in last[prev]:
+                if not used[s]:
+                    yield (*word, v)
             return
-        prev = word[-1] if word else 0
-        for v, s in order:
-            if used[s] or (v < prev if i % 2 == 0 else v > prev):
-                continue
-            if i == n - 1 and not last_ok(v):
-                continue
-            used[s] = True
-            word.append(v)
-            yield from rec()
-            word.pop()
-            used[s] = False
+        for v, s in tables[i % 2][prev]:
+            if not used[s]:
+                used[s] = True
+                word.append(v)
+                yield from rec(i + 1, v)
+                word.pop()
+                used[s] = False
 
-    return rec()
+    return rec(0, 0) if n else iter([()])
 
 
 def enumerate_snakes(n: int) -> Iterator[tuple[int, ...]]:
@@ -235,7 +239,8 @@ def enumerate_rcalt(n: int) -> Iterator[tuple[int, ...]]:
     size = 2 * n
     halves = _zigzags(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
                       lambda v: (2 * v > size + 1) == (n % 2 == 1))
-    return (half + tuple(size + 1 - v for v in reversed(half)) for half in halves)
+    return (half + tuple(map(operator.sub, itertools.repeat(size + 1), reversed(half)))
+            for half in halves)
 
 
 def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
@@ -247,14 +252,19 @@ def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
     n - j + 1 columns from j on all need an entry >= m_j, and only
     2 (n - m_j + 1) entries are that large.
     """
+    if n == 0:
+        yield ThreeWIP((), ())
+        return
     order = _in_text_order(range(1, n + 1))
     pi: list[int] = []
     used = [False] * (n + 1)
 
     def rec(sigma: tuple[int, ...], floor: int):
         i = len(pi)
-        if i == n:
-            yield ThreeWIP(sigma, tuple(pi))
+        if i == n - 1:  # the leaves: no generator per pair
+            for b in order:
+                if not used[b] and max(sigma[i], b) >= floor:
+                    yield ThreeWIP(sigma, (*pi, b))
             return
         for b in order:
             top = max(sigma[i], b)
@@ -322,6 +332,8 @@ class Family:
     validate: Callable[[Any], object]     # object -> raises ValueError on a non-member
     oracle: Callable[[int], int]          # n -> count, closed form
     parse: Callable[[str], Any]           # text -> object; raises ValueError on malformed text
+    ceiling: int                          # largest n whose oracle count is at most 10**9;
+                                          # the CLI refuses to enumerate above it
 
 
 # The adapters look up their functions by name on each call, so the spans of
@@ -329,29 +341,29 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "snakes": Family(
         enumerate_snakes, enumerate_snakes, permcore.format_signed, validate_snake,
-        lambda n: springer_egf(n).values[n], lambda t: permcore.parse_signed(t),
+        lambda n: springer_egf(n).values[n], lambda t: permcore.parse_signed(t), 11,
     ),
     "wip3": Family(
         enumerate_wip3, enumerate_wip3, format_wip3, lambda w: validate_wip3(w.sigma, w.pi),
-        lambda n: springer_egf(n).values[n], lambda t: parse_wip3(t),
+        lambda n: springer_egf(n).values[n], lambda t: parse_wip3(t), 11,
     ),
     "rcalt": Family(
         enumerate_rcalt, enumerate_rcalt, permcore.format_perm, validate_rcalt,
-        lambda n: springer_egf(n).values[n], lambda t: permcore.parse_perm(t),
+        lambda n: springer_egf(n).values[n], lambda t: permcore.parse_perm(t), 11,
     ),
     "lbp": Family(
         enumerate_lbp, enumerate_lbp, format_path,
         lambda p: validate_labeled_ballot(p.steps, p.weights), count_lbp_dp,
-        lambda t: paths.parse_labeled_ballot(t),
+        lambda t: paths.parse_labeled_ballot(t), 11,
     ),
     "laguerre": Family(
         enumerate_laguerre, enumerate_laguerre, format_path,
         lambda h: validate_laguerre(h.steps, h.weights), math.factorial,
-        lambda t: paths.parse_laguerre(t),
+        lambda t: paths.parse_laguerre(t), 12,
     ),
     "altperm": Family(
         enumerate_alternating, enumerate_alternating, permcore.format_perm, validate_alternating,
-        lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t),
+        lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t), 14,
     ),
 }
 
@@ -364,7 +376,7 @@ def _permutations(n: int) -> Iterator[tuple[int, ...]]:
 # order for n <= 9); kept out of FAMILIES, whose names are the --family choices.
 _PERM = Family(
     _permutations, _permutations, lambda p: permcore.format_perm(p),
-    lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t),
+    lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t), 12,
 )
 
 

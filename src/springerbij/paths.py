@@ -116,7 +116,7 @@ def weight_caps(path: LabeledBallotPath | LaguerreHistory) -> list[int]:
 def validate_labeled_ballot(steps: str, weights: Sequence[int]) -> LabeledBallotPath:
     """Validate (ballot path, weights): U at height h carries 0..h, D carries 0..h-1."""
     _caps(steps, weights, BALLOT_ALPHABET, closed=False)
-    return LabeledBallotPath(str(steps), tuple(weights))
+    return LabeledBallotPath("".join(steps), tuple(weights))  # _caps checked each letter
 
 
 def validate_laguerre(steps: str, weights: Sequence[int]) -> LaguerreHistory:
@@ -125,7 +125,7 @@ def validate_laguerre(steps: str, weights: Sequence[int]) -> LaguerreHistory:
     A T step on the axis is always rejected (its bound is h-1 = -1).
     """
     _caps(steps, weights, MOTZKIN_ALPHABET, closed=True)
-    return LaguerreHistory(str(steps), tuple(weights))
+    return LaguerreHistory("".join(steps), tuple(weights))
 
 
 def history_rc(hw: LaguerreHistory) -> LaguerreHistory:
@@ -209,7 +209,7 @@ def format_path(obj: LabeledBallotPath | LaguerreHistory) -> str:
     >>> format_path(LabeledBallotPath("UUUDDUU", (0, 0, 1, 2, 0, 0, 0)))
     'UUUDDUU;0,0,1,2,0,0,0'
     """
-    return obj.steps + ";" + ",".join(map(str, obj.weights))
+    return obj.steps + ";" + ",".join(["%d"] * len(obj.weights)) % tuple(obj.weights)
 
 
 def parse_path_text(text: str) -> tuple[str, tuple[int, ...]]:

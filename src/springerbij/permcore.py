@@ -256,8 +256,12 @@ class MarkedPermutation:
 # text formats (bit-exact wire formats used by the CLI)
 
 def format_perm(perm: Sequence[int]) -> str:
-    """Space-separated decimal values; the empty permutation is the empty string."""
-    return " ".join(map(str, perm))
+    """Space-separated decimals, with a leading '-' on negative entries; the empty
+    permutation is the empty string. Also the text of signed permutations."""
+    return " ".join(["%d"] * len(perm)) % tuple(perm)
+
+
+format_signed = format_perm
 
 
 def parse_perm(text: str) -> tuple[int, ...]:
@@ -266,11 +270,6 @@ def parse_perm(text: str) -> tuple[int, ...]:
     if not is_permutation(values):
         raise ValueError(f"not a permutation: {text!r}")
     return values
-
-
-def format_signed(signed: Sequence[int]) -> str:
-    """Space-separated decimals with a leading '-' on negative entries."""
-    return " ".join(map(str, signed))
 
 
 def parse_signed(text: str) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import dataclasses
 import io
 import subprocess
 import sys
@@ -100,6 +101,35 @@ def test_enumerate_line_count_matches_count():
             assert len(lines.splitlines()) == int(count)
 
 
+CEILINGS = {"snakes": 11, "wip3": 11, "rcalt": 11, "lbp": 11, "laguerre": 12, "altperm": 14}
+
+
+def test_enumeration_ceilings_are_the_last_n_with_at_most_a_billion_objects():
+    assert {name: fam.ceiling for name, fam in families.FAMILIES.items()} == CEILINGS
+    for fam in [*families.FAMILIES.values(), families.domain("perm")]:
+        assert fam.oracle(fam.ceiling) <= 10**9 < fam.oracle(fam.ceiling + 1)
+
+
+def _refuse_to_run(n):
+    raise AssertionError(f"enumeration at n = {n} started")
+
+
+@pytest.mark.parametrize("family", sorted(CEILINGS))
+@pytest.mark.parametrize("command", [["enumerate"], ["count", "--method", "enumerate"]],
+                         ids=["enumerate", "count-enumerate"])
+def test_enumeration_above_the_ceiling_is_a_usage_error(monkeypatch, family, command):
+    # the generators are replaced, so a missing check fails here instead of running
+    fam = families.FAMILIES[family]
+    monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(
+        fam, enumerate=_refuse_to_run, generate=_refuse_to_run))
+    n = str(CEILINGS[family] + 1)
+    code, out, err = run_cli([*command, "--family", family, "--n", n])
+    assert code == 2 and out == ""
+    assert err == f"n must be <= {CEILINGS[family]} to enumerate {family} (at most 10^9 objects)\n"
+    # the oracle count has no ceiling
+    assert run_cli(["count", "--family", family, "--n", n]) == (0, f"{fam.oracle(int(n))}\n", "")
+
+
 # --- map --------------------------------------------------------------------------
 
 def test_map_phi():
@@ -124,6 +154,20 @@ def test_map_phi_trace():
 def test_map_snake2lbp():
     code, out, _ = run_cli(["map", "--bijection", "snake2lbp"], "2 -1 5 4 7 -6 -3\n")
     assert code == 0 and out == "UUUDDUU;0,0,1,2,0,0,0\n"
+
+
+def test_map_snake2lbp_checks_each_permutation_once(monkeypatch):
+    # the lengths of the words is_permutation checks: the snake's parse and psi's
+    # input check, then psi's output check and fz's; inverse, psi_inverse's two
+    lengths = []
+    real = permcore.is_permutation
+    monkeypatch.setattr(permcore, "is_permutation", lambda word: lengths.append(len(word)) or real(word))
+    snake, lbp = "2 -1 5 4 7 -6 -3\n", "UUUDDUU;0,0,1,2,0,0,0\n"
+    assert run_cli(["map", "--bijection", "snake2lbp"], snake) == (0, lbp, "")
+    assert lengths == [7, 7, 14, 14]
+    lengths.clear()
+    assert run_cli(["map", "--bijection", "snake2lbp", "--inverse"], lbp) == (0, snake, "")
+    assert lengths == [14, 7]
 
 
 def test_map_fz_inverse():

@@ -1,4 +1,4 @@
-"""The per-element kernels against the versions they replaced.
+"""The per-element and enumeration kernels against the versions they replaced.
 
 paths._caps and paths._mirror, permcore._is_down_up, left_peaks, right_valleys
 and reverse_complement, families.is_wip3 and the placeholder splices of fz and
@@ -8,8 +8,14 @@ must return the same value, or raise the same exception class with the same
 message, on every object with n <= 7, on mutants that break one or two checks
 at once (which pins the order of the checks), and on seeded random inputs at
 n = 512.
+
+The generators search candidate tables and fill the last position without a
+generator of its own, and the renderers format with '%d'. Their earlier
+versions (a generator per position, map(str)) are oracles as well: the same
+objects in the same order, and the same text.
 """
 
+import io
 import itertools
 import random
 from bisect import bisect_right
@@ -18,6 +24,7 @@ import pytest
 
 from springerbij import paths, permcore
 from springerbij.bijections import fz, fz_inverse
+from springerbij.cli import main
 from springerbij.errors import (
     HeightBelowZero,
     HorizontalStepPresent,
@@ -26,9 +33,30 @@ from springerbij.errors import (
     ValidationError,
     WeightOutOfRange,
 )
-from springerbij.families import enumerate_laguerre, enumerate_lbp, is_wip3, validate_permutation
-from springerbij.paths import BALLOT_ALPHABET, MOTZKIN_ALPHABET, validate_laguerre
-from springerbij.permcore import _is_down_up, left_peaks, reverse_complement, right_valleys
+from springerbij.families import (
+    FAMILIES,
+    ThreeWIP,
+    enumerate_laguerre,
+    enumerate_lbp,
+    is_wip3,
+    validate_permutation,
+)
+from springerbij.paths import (
+    BALLOT_ALPHABET,
+    MOTZKIN_ALPHABET,
+    LabeledBallotPath,
+    LaguerreHistory,
+    format_path,
+    validate_laguerre,
+)
+from springerbij.permcore import (
+    _is_down_up,
+    format_perm,
+    format_signed,
+    left_peaks,
+    reverse_complement,
+    right_valleys,
+)
 
 # (alphabet, closed) of every caller of _caps: labeled ballot paths, halve_rc_fixed,
 # weight_caps and Laguerre histories
@@ -161,6 +189,106 @@ def _fz_inverse_splice_oracle(hw):
         v = after[v]
         perm.append(v)
     return tuple(perm)
+
+
+def _zigzags_oracle(n, values, slot, last_ok=lambda v: True):
+    order = [(v, slot(v)) for v in sorted(values, key=str)]
+    word = []
+    used = [False] * (n + 1)
+
+    def rec():
+        i = len(word)
+        if i == n:
+            yield tuple(word)
+            return
+        prev = word[-1] if word else 0
+        for v, s in order:
+            if used[s] or (v < prev if i % 2 == 0 else v > prev):
+                continue
+            if i == n - 1 and not last_ok(v):
+                continue
+            used[s] = True
+            word.append(v)
+            yield from rec()
+            word.pop()
+            used[s] = False
+
+    return rec()
+
+
+def _snakes_oracle(n):
+    return _zigzags_oracle(n, [*range(-n, 0), *range(1, n + 1)], abs)
+
+
+def _alternating_oracle(n):
+    return _zigzags_oracle(n, range(1, n + 1), lambda v: v)
+
+
+def _rcalt_oracle(n):
+    size = 2 * n
+    halves = _zigzags_oracle(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
+                             lambda v: (2 * v > size + 1) == (n % 2 == 1))
+    return (half + tuple(size + 1 - v for v in reversed(half)) for half in halves)
+
+
+def _wip3_oracle(n):
+    order = sorted(range(1, n + 1), key=str)
+    pi = []
+    used = [False] * (n + 1)
+
+    def rec(sigma, floor):
+        i = len(pi)
+        if i == n:
+            yield ThreeWIP(sigma, tuple(pi))
+            return
+        for b in order:
+            top = max(sigma[i], b)
+            if used[b] or top < floor:
+                continue
+            used[b] = True
+            pi.append(b)
+            yield from rec(sigma, top)
+            pi.pop()
+            used[b] = False
+
+    for sigma in itertools.permutations(order):
+        maxima = itertools.accumulate(sigma, max)
+        if all(2 * m <= n + j + 1 for j, m in enumerate(maxima, start=1)):
+            yield from rec(sigma, 0)
+
+
+def _format_perm_oracle(perm):
+    return " ".join(map(str, perm))
+
+
+def _format_path_oracle(obj):
+    return obj.steps + ";" + ",".join(map(str, obj.weights))
+
+
+def _paths_oracle(n, alphabet, closed, make):
+    # the path generator's order has no earlier version to compare with: every
+    # valid weighted path, by brute force, sorted by its text
+    objects = []
+    for letters in itertools.product(alphabet, repeat=n):
+        steps = "".join(letters)
+        try:
+            caps = _caps_oracle(steps, (0,) * n, alphabet, closed)
+        except ValueError:
+            continue
+        objects += [make(steps, w) for w in itertools.product(*(range(c + 1) for c in caps))]
+    return sorted(objects, key=_format_path_oracle)
+
+
+# family -> (generator oracle, renderer oracle, largest n compared)
+GENERATORS = {
+    "snakes": (_snakes_oracle, _format_perm_oracle, 7),
+    "wip3": (_wip3_oracle, lambda w: _format_perm_oracle(w.sigma) + " / " + _format_perm_oracle(w.pi), 7),
+    "rcalt": (_rcalt_oracle, _format_perm_oracle, 7),
+    "lbp": (lambda n: _paths_oracle(n, BALLOT_ALPHABET, False, LabeledBallotPath), _format_path_oracle, 7),
+    "laguerre": (lambda n: _paths_oracle(n, MOTZKIN_ALPHABET, True, LaguerreHistory),
+                 _format_path_oracle, 7),
+    "altperm": (_alternating_oracle, _format_perm_oracle, 9),
+}
 
 
 # --- comparisons -------------------------------------------------------------
@@ -308,3 +436,41 @@ def test_fz_splices_match_the_slice_oracles():
         hw = fz(p)
         assert hw == _fz_splice_oracle(p)
         assert fz_inverse(hw) == _fz_inverse_splice_oracle(hw) == p
+
+
+def _run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    return main(argv, stdout=stdout, stderr=stderr), stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_generators_and_enumerate_match_the_oracles(family):
+    generate, render, n_max = GENERATORS[family]
+    for n in range(n_max + 1):
+        want = list(generate(n))
+        assert list(FAMILIES[family].enumerate(n)) == want, n
+        code, out, err = _run(["enumerate", "--family", family, "--n", str(n)])
+        assert (code, out, err) == (0, "".join(render(obj) + "\n" for obj in want), ""), n
+
+
+def test_renderers_match_the_map_str_oracles():
+    rng = random.Random(512)
+    words = [()]
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(1, n + 1)):
+            words += (tuple(s * v for s, v in zip(signs, perm))
+                      for signs in itertools.product((1, -1), repeat=n))
+    for _ in range(10):
+        perm = rng.sample(range(1, 513), 512)
+        words += [tuple(perm), tuple(v if rng.random() < 0.5 else -v for v in perm)]
+    for word in words:
+        for seq in (word, list(word)):
+            assert format_perm(seq) == format_signed(seq) == _format_perm_oracle(word)
+    objects = [LabeledBallotPath("", ()), LaguerreHistory("", ())]
+    for n in range(1, 6):
+        objects += [*enumerate_lbp(n), *enumerate_laguerre(n)]
+    for _ in range(10):
+        objects += [LabeledBallotPath(*_random_ballot(rng, 512)), fz(rng.sample(range(1, 513), 512))]
+    for obj in objects:
+        for weights in (obj.weights, list(obj.weights)):
+            assert format_path(type(obj)(obj.steps, weights)) == _format_path_oracle(obj)

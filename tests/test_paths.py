@@ -92,6 +92,18 @@ def test_validate_laguerre():
         validate_laguerre("HH", (0,))
 
 
+@pytest.mark.parametrize("validate, steps, weights", [
+    (validate_labeled_ballot, "UUD", (0, 1, 1)),
+    (validate_labeled_ballot, "", ()),
+    (validate_laguerre, "UHTD", (0, 1, 0, 0)),
+])
+def test_step_word_given_as_a_list_or_tuple_of_letters_gives_the_same_record(validate, steps, weights):
+    # the record's step word is the letters joined, never the repr of a list
+    want = validate(steps, weights)
+    assert want.steps == steps
+    assert validate(list(steps), weights) == validate(tuple(steps), weights) == want
+
+
 def test_history_rc_examples():
     assert history_rc(LaguerreHistory("UD", (0, 0))) == LaguerreHistory("UD", (0, 0))
     # computed two independent ways: the indexwise formula below, and the image
