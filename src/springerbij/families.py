@@ -8,16 +8,17 @@ counted by n!; alternating permutations by the Euler numbers.
 Each family has one backtracking generator, with family-specific pruning,
 that yields its objects in strictly increasing order of their canonical
 text straight from the search: nothing is collected or sorted, and the
-working memory depends on n only (O(n), or O(n^2) for the weight ranges of
-the path families). The order rests on one rule. All objects of one size
-render to the same number of tokens (decimals, or the letters of a step
-word of fixed length), and the separators that end a token, ' ' and ',',
-sort below '-' and the digits; ';' and '/' sit at fixed places (after the
-step word, after the ' ' that ends sigma) and never decide a comparison.
-So text order is lexicographic order of the token sequence with tokens
-compared as strings (-1 < -2 < 1 < 10 < 2, D < H < T < U), and a search
-that fills positions in text order and tries each position's candidates
-in that order yields text order (Knuth, TAOCP 4A, 7.2.1.2).
+working memory depends on n only (O(n^2) for the candidate tables of the
+zigzag families and the weight ranges of the path families, O(n) for wip3).
+The order rests on one rule. All objects of one size render to the same
+number of tokens (decimals, or the letters of a step word of fixed length),
+and the separators that end a token, ' ' and ',', sort below '-' and the
+digits; ';' and '/' sit at fixed places (after the step word, after the ' '
+that ends sigma) and never decide a comparison. So text order is
+lexicographic order of the token sequence with tokens compared as strings
+(-1 < -2 < 1 < 10 < 2, D < H < T < U), and a search that fills positions in
+text order and tries each position's candidates in that order yields text
+order (Knuth, TAOCP 4A, 7.2.1.2).
 """
 
 from __future__ import annotations
