@@ -39,8 +39,7 @@ from .permcore import (
     foata_inverse,
     format_marked,
     invert,
-    left_peaks,
-    right_valleys,
+    peak_valley_pairs,
 )
 
 
@@ -111,7 +110,7 @@ def _place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
     right valleys alternate, starting with a peak: the k-th valley is the k-th peak's."""
     word, marks = tau_tilde.perm, tau_tilde.marks
     out = [-v if pos % 2 == 0 else v for pos, v in enumerate(word, start=1)]
-    for peak, valley in zip(left_peaks(word), right_valleys(word)):
+    for peak, valley in peak_valley_pairs(word):
         v = word[valley - 1]
         out[valley - 1] = -v if word[peak - 1] in marks else v
     return tuple(out)
@@ -140,7 +139,7 @@ def _unbar(snake: Sequence[int]) -> MarkedPermutation:
     """Invert step 3: the k-th left peak is marked when the k-th right valley
     carries a bar (left peaks and right valleys alternate, see _place_bars)."""
     word = tuple(abs(v) for v in snake)
-    marks = frozenset(word[peak - 1] for peak, valley in zip(left_peaks(word), right_valleys(word))
+    marks = frozenset(word[peak - 1] for peak, valley in peak_valley_pairs(word)
                       if snake[valley - 1] < 0)
     return MarkedPermutation(word, marks)
 
@@ -239,6 +238,10 @@ def fz(perm: Sequence[int]) -> LaguerreHistory:
     """
     word = tuple(perm)
     validate_permutation(word)
+    return _fz(word)
+
+
+def _fz(word: Sequence[int]) -> LaguerreHistory:  # word is known to be a permutation
     padded = (0, *word, len(word) + 1)  # p[0] = 0 and p[n+1] = +inf
     starts = [1]  # where each run of values >= i begins, left to right (1-based)
     steps = []
@@ -294,7 +297,7 @@ def rcalt_to_lbp(perm: Sequence[int]) -> LabeledBallotPath:
     'UUUDDUU;0,0,1,2,0,0,0'
     """
     validate_rcalt(perm)
-    return halve_rc_fixed(fz(perm))
+    return halve_rc_fixed(_fz(perm))
 
 
 def lbp_to_rcalt(lbp: LabeledBallotPath) -> tuple[int, ...]:
@@ -311,7 +314,7 @@ def snake_to_lbp(snake: Sequence[int]) -> LabeledBallotPath:
     >>> format_path(snake_to_lbp((2, -1, 5, 4, 7, -6, -3)))
     'UUUDDUU;0,0,1,2,0,0,0'
     """
-    return halve_rc_fixed(fz(psi(snake)))  # psi checks its output as rcalt_to_lbp would
+    return halve_rc_fixed(_fz(psi(snake)))  # psi checks its output as rcalt_to_lbp would
 
 
 def lbp_to_snake(lbp: LabeledBallotPath) -> tuple[int, ...]:

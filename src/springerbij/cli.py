@@ -8,6 +8,7 @@ trace lines go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import TextIO
 
@@ -117,15 +118,17 @@ def _cmd_springer(args, out: TextIO) -> int:
     return 0
 
 
+_parser = functools.cache(build_parser)  # one parser per process, built by the first main call
+
+
 def main(argv=None, stdin: TextIO | None = None,
          stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
 
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code) if exc.code is not None else 0
 

@@ -10,6 +10,8 @@ that yields its objects in strictly increasing order of their canonical
 text straight from the search: nothing is collected or sorted, and the
 working memory depends on n only (O(n^2) for the candidate tables of the
 zigzag families and the weight ranges of the path families, O(n) for wip3).
+The searches keep one candidate iterator per position on an explicit stack
+(Knuth, TAOCP 4A, 7.2.2, Algorithm B): an object costs one resumption.
 The order rests on one rule. All objects of one size render to the same
 number of tokens (decimals, or the letters of a step word of fixed length),
 and the separators that end a token, ' ' and ',', sort below '-' and the
@@ -200,24 +202,30 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     tables = ({p: [(v, s) for v, s in order if v > p] for p in prevs},
               {p: [(v, s) for v, s in order if v < p] for p in prevs})
     last = {p: [(v, s) for v, s in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
-    word: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec(i: int, prev: int):
-        if i == n - 1:  # the leaves: no generator per word
-            for v, s in last[prev]:
-                if not used[s]:
-                    yield (*word, v)
-            return
-        for v, s in tables[i % 2][prev]:
+    if n < 3:
+        yield from ([()], [(v,) for v, _ in last[0]],
+                    [(u, w) for u, r in tables[0][0] for w, t in last[u] if r != t])[n]
+        return
+    word, used = [], [False] * (n + 1)
+    stack = [(iter(tables[0][0]), 0)]  # the candidates left for an entry, the slot before it
+    while stack:
+        for v, s in stack[-1][0]:
             if not used[s]:
-                used[s] = True
-                word.append(v)
-                yield from rec(i + 1, v)
-                word.pop()
-                used[s] = False
-
-    return rec(0, 0) if n else iter([()])
+                break
+        else:  # exhausted: back up and free the slot before (0, a spare, at the first entry)
+            used[stack.pop()[1]] = False
+            del word[-1:]
+            continue
+        if len(stack) < n - 2:
+            used[s] = True
+            word.append(v)
+            stack.append((iter(tables[len(stack) % 2][v]), s))
+            continue
+        for u, r in tables[n % 2][v]:  # v is w_n-2: the last two entries in nested loops
+            if not (used[r] or r == s):
+                for w, t in last[u]:
+                    if not (used[t] or t == r or t == s):
+                        yield (*word, v, u, w)
 
 
 def enumerate_snakes(n: int) -> Iterator[tuple[int, ...]]:
@@ -240,8 +248,8 @@ def enumerate_rcalt(n: int) -> Iterator[tuple[int, ...]]:
     size = 2 * n
     halves = _zigzags(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
                       lambda v: (2 * v > size + 1) == (n % 2 == 1))
-    return (half + tuple(map(operator.sub, itertools.repeat(size + 1), reversed(half)))
-            for half in halves)
+    mirror = [size + 1 - v for v in range(size + 1)].__getitem__
+    return ((*half, *map(mirror, reversed(half))) for half in halves)
 
 
 def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
@@ -252,35 +260,40 @@ def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
     prefix maximum m_j = max(sigma_1..sigma_j) has 2 m_j > n + j + 1: the
     n - j + 1 columns from j on all need an entry >= m_j, and only
     2 (n - m_j + 1) entries are that large.
+
+    pi_j = b makes top = max(sigma_j, b) the floor of the later columns, and each
+    with sigma below top needs a pi entry >= top. All entries so far are <= top,
+    so the branch is dead when fewer unused values, n - top + 1 - [top in pi_1..j],
+    are >= top than columns, top - 1 - j + [top in sigma_1..j], need one.
     """
+    order = _in_text_order(range(1, n + 1))
     if n == 0:
         yield ThreeWIP((), ())
         return
-    order = _in_text_order(range(1, n + 1))
-    pi: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec(sigma: tuple[int, ...], floor: int):
-        i = len(pi)
-        if i == n - 1:  # the leaves: no generator per pair
-            for b in order:
-                if not used[b] and max(sigma[i], b) >= floor:
-                    yield ThreeWIP(sigma, (*pi, b))
-            return
-        for b in order:
-            top = max(sigma[i], b)
-            if used[b] or top < floor:
+    bounds, used = [(n + j + 1) // 2 for j in range(1, n + 1)], [False] * (n + 1)
+    for sigma in itertools.permutations(order):
+        maxima = list(itertools.accumulate(sigma, max))
+        if not all(map(operator.le, maxima, bounds)):
+            continue
+        pi, stack = [], [(iter(order), 0, 0)]  # the candidates left for pi_j+1, its floor, pi_j
+        while stack:
+            j = len(pi)
+            candidates, floor, _ = stack[-1]
+            for b in candidates:
+                top = b if b > sigma[j] else sigma[j]
+                if not (used[b] or top < floor
+                        or 2 * top + (top == maxima[j]) + (top == b or used[top]) > n + j + 3):
+                    break
+            else:  # exhausted: back up and free the entry before (0, a spare, at pi_1)
+                used[stack.pop()[2]] = False
+                del pi[-1:]
+                continue
+            if j == n - 1:
+                yield ThreeWIP(sigma, (*pi, b))
                 continue
             used[b] = True
             pi.append(b)
-            yield from rec(sigma, top)
-            pi.pop()
-            used[b] = False
-
-    for sigma in itertools.permutations(order):
-        maxima = itertools.accumulate(sigma, max)
-        if all(2 * m <= n + j + 1 for j, m in enumerate(maxima, start=1)):
-            yield from rec(sigma, 0)
+            stack.append((iter(order), top, b))
 
 
 def _labeled_paths(n: int, alphabet: str, closed: bool, make: Callable) -> Iterator:
@@ -290,29 +303,28 @@ def _labeled_paths(n: int, alphabet: str, closed: bool, make: Callable) -> Itera
     product of its text-ordered weight ranges. A step whose range is empty
     (D or T on the axis) is never taken; closed paths must end on the axis.
     """
-    steps: list[str] = []
-    ranges: list[list[int]] = []
-
-    def rec(h: int):
-        remaining = n - len(steps)
-        if closed and h > remaining:
-            return
-        if remaining == 0:
-            word = "".join(steps)
-            for weights in itertools.product(*ranges):
-                yield make(word, weights)
-            return
-        for s in alphabet:
-            rise, drop = STEP_RULES[s]
-            if h < drop:
-                continue
+    if n == 0:
+        yield make("", ())
+        return
+    # moves[h]: (letter, height after it, weights) of each step open at height h
+    moves = [[(s, h + rise, tuple(_in_text_order(range(h - drop + 1)))) for s in alphabet
+              for rise, drop in [STEP_RULES[s]] if h >= drop] for h in range(n)]
+    steps, ranges, stack = [], [], [iter(moves[0])]  # stack[i]: the steps left for step i + 1
+    while stack:
+        for s, h, weights in stack[-1]:
+            if not closed or h < n - len(steps):  # a closed path must get back to the axis
+                break
+        else:  # exhausted: back up
+            stack.pop()
+            del steps[-1:], ranges[-1:]
+            continue
+        if len(steps) < n - 1:
             steps.append(s)
-            ranges.append(_in_text_order(range(h - drop + 1)))
-            yield from rec(h + rise)
-            ranges.pop()
-            steps.pop()
-
-    return rec(0)
+            ranges.append(weights)
+            stack.append(iter(moves[h]))
+            continue
+        yield from map(make, itertools.repeat("".join(steps) + s),
+                       itertools.product(*ranges, weights))
 
 
 def enumerate_lbp(n: int) -> Iterator[LabeledBallotPath]:

@@ -124,6 +124,18 @@ def right_valleys(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(valleys)
 
 
+def peak_valley_pairs(perm: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """zip(left_peaks(perm), right_valleys(perm)) in one pass, for distinct entries."""
+    pairs, peak, prev, rose = [], 0, -math.inf, True
+    for i, v in enumerate((*perm, math.inf)):  # prev = p[i], v = p[i+1]; rose: p[i-1] < p[i]
+        if rose and prev > v:
+            peak = i
+        elif not rose and prev < v:
+            pairs.append((peak, i))
+        prev, rose = v, prev < v
+    return tuple(pairs)
+
+
 def cycle_peaks(perm: Sequence[int]) -> frozenset[int]:
     """Values k whose two cycle neighbours are both smaller: p^-1[k] < k > p[k].
 

@@ -158,16 +158,25 @@ def test_map_snake2lbp():
 
 def test_map_snake2lbp_checks_each_permutation_once(monkeypatch):
     # the lengths of the words is_permutation checks: the snake's parse and psi's
-    # input check, then psi's output check and fz's; inverse, psi_inverse's two
+    # input check, then psi's output check, which fz's stands in for; inverse,
+    # psi_inverse's two. bigpsi: the parse, then rcalt_to_lbp's one check, which
+    # fz's stands in for; inverse, lbp_to_rcalt's output check
     lengths = []
     real = permcore.is_permutation
     monkeypatch.setattr(permcore, "is_permutation", lambda word: lengths.append(len(word)) or real(word))
     snake, lbp = "2 -1 5 4 7 -6 -3\n", "UUUDDUU;0,0,1,2,0,0,0\n"
     assert run_cli(["map", "--bijection", "snake2lbp"], snake) == (0, lbp, "")
-    assert lengths == [7, 7, 14, 14]
+    assert lengths == [7, 7, 14]
     lengths.clear()
     assert run_cli(["map", "--bijection", "snake2lbp", "--inverse"], lbp) == (0, snake, "")
     assert lengths == [14, 7]
+    rcalt = "5 2 14 11 12 7 9 6 8 3 4 1 13 10\n"
+    lengths.clear()
+    assert run_cli(["map", "--bijection", "bigpsi"], rcalt) == (0, lbp, "")
+    assert lengths == [14, 14]
+    lengths.clear()
+    assert run_cli(["map", "--bijection", "bigpsi", "--inverse"], lbp) == (0, rcalt, "")
+    assert lengths == [14]
 
 
 def test_map_fz_inverse():

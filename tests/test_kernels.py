@@ -13,11 +13,19 @@ The generators search candidate tables and fill the last position without a
 generator of its own, and the renderers format with '%d'. Their earlier
 versions (a generator per position, map(str)) are oracles as well: the same
 objects in the same order, and the same text.
+
+The generators then became flat searches, one candidate iterator per position
+on an explicit stack, with a pruned pi search for wip3. Their recursive
+versions (a generator frame per level, the object passed up a yield-from chain)
+are oracles too, and a profile hook counts the Python frames started or resumed
+per object. permcore.peak_valley_pairs must equal zip(left_peaks, right_valleys).
 """
 
 import io
 import itertools
+import operator
 import random
+import sys
 from bisect import bisect_right
 
 import pytest
@@ -44,6 +52,7 @@ from springerbij.families import (
 from springerbij.paths import (
     BALLOT_ALPHABET,
     MOTZKIN_ALPHABET,
+    STEP_RULES,
     LabeledBallotPath,
     LaguerreHistory,
     format_path,
@@ -54,6 +63,7 @@ from springerbij.permcore import (
     format_perm,
     format_signed,
     left_peaks,
+    peak_valley_pairs,
     reverse_complement,
     right_valleys,
 )
@@ -291,6 +301,108 @@ GENERATORS = {
 }
 
 
+def _zigzags_recursive(n, values, slot, last_ok=lambda v: True):
+    order = [(v, slot(v)) for v in sorted(values, key=str)]
+    prevs = (0, *(v for v, _ in order))
+    tables = ({p: [(v, s) for v, s in order if v > p] for p in prevs},
+              {p: [(v, s) for v, s in order if v < p] for p in prevs})
+    last = {p: [(v, s) for v, s in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
+    word = []
+    used = [False] * (n + 1)
+
+    def rec(i, prev):
+        if i == n - 1:
+            for v, s in last[prev]:
+                if not used[s]:
+                    yield (*word, v)
+            return
+        for v, s in tables[i % 2][prev]:
+            if not used[s]:
+                used[s] = True
+                word.append(v)
+                yield from rec(i + 1, v)
+                word.pop()
+                used[s] = False
+
+    return rec(0, 0) if n else iter([()])
+
+
+def _rcalt_recursive(n):
+    size = 2 * n
+    halves = _zigzags_recursive(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
+                                lambda v: (2 * v > size + 1) == (n % 2 == 1))
+    return (half + tuple(map(operator.sub, itertools.repeat(size + 1), reversed(half)))
+            for half in halves)
+
+
+def _wip3_recursive(n):
+    if n == 0:
+        yield ThreeWIP((), ())
+        return
+    order = sorted(range(1, n + 1), key=str)
+    pi = []
+    used = [False] * (n + 1)
+
+    def rec(sigma, floor):
+        i = len(pi)
+        if i == n - 1:
+            for b in order:
+                if not used[b] and max(sigma[i], b) >= floor:
+                    yield ThreeWIP(sigma, (*pi, b))
+            return
+        for b in order:
+            top = max(sigma[i], b)
+            if used[b] or top < floor:
+                continue
+            used[b] = True
+            pi.append(b)
+            yield from rec(sigma, top)
+            pi.pop()
+            used[b] = False
+
+    for sigma in itertools.permutations(order):
+        maxima = itertools.accumulate(sigma, max)
+        if all(2 * m <= n + j + 1 for j, m in enumerate(maxima, start=1)):
+            yield from rec(sigma, 0)
+
+
+def _labeled_paths_recursive(n, alphabet, closed, make):
+    steps = []
+    ranges = []
+
+    def rec(h):
+        remaining = n - len(steps)
+        if closed and h > remaining:
+            return
+        if remaining == 0:
+            word = "".join(steps)
+            for weights in itertools.product(*ranges):
+                yield make(word, weights)
+            return
+        for s in alphabet:
+            rise, drop = STEP_RULES[s]
+            if h < drop:
+                continue
+            steps.append(s)
+            ranges.append(sorted(range(h - drop + 1), key=str))
+            yield from rec(h + rise)
+            ranges.pop()
+            steps.pop()
+
+    return rec(0)
+
+
+# family -> (recursive generator, largest n compared)
+RECURSIVE = {
+    "snakes": (lambda n: _zigzags_recursive(n, [*range(-n, 0), *range(1, n + 1)], abs), 7),
+    "wip3": (_wip3_recursive, 7),
+    "rcalt": (_rcalt_recursive, 7),
+    "lbp": (lambda n: _labeled_paths_recursive(n, "DU", False, LabeledBallotPath), 7),
+    "laguerre": (lambda n: _labeled_paths_recursive(n, "DHTU", True, LaguerreHistory), 7),
+    "altperm": (lambda n: _zigzags_recursive(n, range(1, n + 1), lambda v: v), 9),
+}
+
+
 # --- comparisons -------------------------------------------------------------
 
 def _outcome(fn, *args):
@@ -474,3 +586,49 @@ def test_renderers_match_the_map_str_oracles():
     for obj in objects:
         for weights in (obj.weights, list(obj.weights)):
             assert format_path(type(obj)(obj.steps, weights)) == _format_path_oracle(obj)
+
+
+@pytest.mark.parametrize("family", sorted(RECURSIVE))
+def test_flat_generators_match_the_recursive_ones(family):
+    recursive, n_max = RECURSIVE[family]
+    for n in range(n_max + 1):
+        flat = FAMILIES[family].generate(n)
+        for count, (new, old) in enumerate(itertools.zip_longest(flat, recursive(n)), start=1):
+            assert new == old and type(new) is type(old), (n, count, new, old)
+
+
+# the enumerate workload's n per family
+WORKLOAD_N = {"snakes": 8, "wip3": 7, "rcalt": 8, "lbp": 8, "laguerre": 8, "altperm": 11}
+
+
+@pytest.mark.parametrize("family", sorted(WORKLOAD_N))
+def test_generators_start_at_most_three_frames_per_object(family):
+    # each object may cost one resumption of the search and a record's __init__
+    # (rcalt: the mirroring generator expression); the recursive searches cost 9-17
+    objects = iter(FAMILIES[family].generate(WORKLOAD_N[family]))
+    next(objects)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for _ in itertools.islice(objects, 2000):
+            pass
+    finally:
+        sys.setprofile(None)
+    assert calls <= 3 * 2000, calls / 2000
+
+
+def test_peak_valley_pairs_match_left_peaks_zipped_with_right_valleys():
+    words = [perm for n in range(9) for perm in itertools.permutations(range(1, n + 1))]
+    for n in range(6):  # signed permutations: distinct entries, as _unbar passes them
+        words += [tuple(s * v for s, v in zip(signs, perm))
+                  for perm in itertools.permutations(range(1, n + 1))
+                  for signs in itertools.product((1, -1), repeat=n)]
+    rng = random.Random(512)
+    words += [tuple(rng.sample(range(1, 513), 512)) for _ in range(10)]
+    for word in words:
+        assert peak_valley_pairs(word) == tuple(zip(left_peaks(word), right_valleys(word))), word
