@@ -613,12 +613,13 @@ def test_generators_start_at_most_three_frames_per_object(family):
         nonlocal calls
         calls += event == "call"
 
+    previous = sys.getprofile()
     sys.setprofile(count)
     try:
         for _ in itertools.islice(objects, 2000):
             pass
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     assert calls <= 3 * 2000, calls / 2000
 
 
