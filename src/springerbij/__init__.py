@@ -22,7 +22,6 @@ from .bijections import (
 )
 from .families import (
     FAMILIES,
-    SpringerTable,
     ThreeWIP,
     enumerate_alternating,
     enumerate_laguerre,
@@ -36,7 +35,6 @@ from .families import (
     parse_wip3,
     springer_dp,
     springer_egf,
-    springer_enumeration,
     validate_wip3,
 )
 from .paths import (
@@ -65,7 +63,6 @@ from .permcore import (
     format_cycle_form,
     format_marked,
     format_perm,
-    format_signed,
     invert,
     is_alternating,
     is_permutation,

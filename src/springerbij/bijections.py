@@ -104,7 +104,7 @@ class PhiTrace:
     snake: tuple[int, ...]
 
 
-def _place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
+def place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
     """Step 3 of phi: bar each right valley whose left peak is marked, and every
     other entry in even position. Under p[0] = 0 and p[n+1] = +inf, left peaks and
     right valleys alternate, starting with a peak: the k-th valley is the k-th peak's."""
@@ -121,7 +121,7 @@ def phi_trace(wip: ThreeWIP) -> PhiTrace:
     validate_wip3(wip.sigma, wip.pi)
     tau = phi_step1(wip)
     tau_tilde = MarkedPermutation(foata(tau.perm), tau.marks)
-    return PhiTrace(tau, tau_tilde, _place_bars(tau_tilde))
+    return PhiTrace(tau, tau_tilde, place_bars(tau_tilde))
 
 
 def phi(wip: ThreeWIP) -> tuple[int, ...]:
@@ -135,9 +135,9 @@ def phi(wip: ThreeWIP) -> tuple[int, ...]:
     return snake
 
 
-def _unbar(snake: Sequence[int]) -> MarkedPermutation:
+def unbar(snake: Sequence[int]) -> MarkedPermutation:
     """Invert step 3: the k-th left peak is marked when the k-th right valley
-    carries a bar (left peaks and right valleys alternate, see _place_bars)."""
+    carries a bar (left peaks and right valleys alternate, see place_bars)."""
     word = tuple(abs(v) for v in snake)
     marks = frozenset(word[peak - 1] for peak, valley in peak_valley_pairs(word)
                       if snake[valley - 1] < 0)
@@ -146,7 +146,7 @@ def _unbar(snake: Sequence[int]) -> MarkedPermutation:
 
 def phi_inverse_trace(snake: Sequence[int]) -> PhiTrace:
     validate_snake(snake)
-    tau_tilde = _unbar(snake)
+    tau_tilde = unbar(snake)
     tau = MarkedPermutation(foata_inverse(tau_tilde.perm), tau_tilde.marks)
     return PhiTrace(tau, tau_tilde, tuple(snake))
 

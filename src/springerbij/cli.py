@@ -109,13 +109,32 @@ def _cmd_verify(args, out: TextIO) -> int:
 
 
 def _cmd_springer(args, out: TextIO) -> int:
-    table = families.springer_egf(args.n_max)
+    values = families.springer_egf(args.n_max)
     check = families.springer_dp(min(args.n_max, 12))
-    if table.values[: len(check.values)] != check.values:
+    if values[: len(check)] != check:
         raise RuntimeError("the EGF and the DP give different Springer numbers")
-    for value in table.values:
+    for value in values:
         out.write(f"{value}\n")
     return 0
+
+
+ORACLE_N_MAX = 1000  # the largest n of count --method oracle and springer: about 0.5 s each
+
+
+def _usage_error(args) -> str:
+    """Why the arguments ask for too much or make no sense, or "" to run them."""
+    if args.command == "map":
+        return ""
+    name, n = ("n", args.n) if args.command in ("count", "enumerate") else ("n-max", args.n_max)
+    if n < 0:
+        return f"{name} must be >= 0"
+    if args.command == "enumerate" or args.command == "count" and args.method == "enumerate":
+        ceiling = families.FAMILIES[args.family].ceiling
+        if n > ceiling:
+            return f"n must be <= {ceiling} to enumerate {args.family} (at most 10^9 objects)"
+    elif args.command != "verify" and n > ORACLE_N_MAX:
+        return f"{name} must be <= {ORACLE_N_MAX}"
+    return ""
 
 
 _parser = functools.cache(build_parser)  # one parser per process, built by the first main call
@@ -132,16 +151,9 @@ def main(argv=None, stdin: TextIO | None = None,
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code) if exc.code is not None else 0
 
-    if args.command in ("count", "enumerate") and args.n < 0:
-        stderr.write("n must be >= 0\n")
-        return 2
-    if args.command == "enumerate" or args.command == "count" and args.method == "enumerate":
-        ceiling = families.FAMILIES[args.family].ceiling
-        if args.n > ceiling:
-            stderr.write(f"n must be <= {ceiling} to enumerate {args.family} (at most 10^9 objects)\n")
-            return 2
-    if args.command in ("verify", "springer") and args.n_max < 0:
-        stderr.write("n-max must be >= 0\n")
+    error = _usage_error(args)
+    if error:
+        stderr.write(error + "\n")
         return 2
 
     if args.command == "count":

@@ -34,6 +34,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from . import paths, permcore
 from .errors import NotAlternating, NotASnake, NotRcInvariant, OddLength, ValidationError
 from .paths import (
+    BALLOT_ALPHABET,
+    MOTZKIN_ALPHABET,
     STEP_RULES,
     LabeledBallotPath,
     LaguerreHistory,
@@ -115,68 +117,47 @@ def validate_rcalt(perm: Sequence[int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sequence oracles
+# sequence oracles: derivative polynomials (Hoffman, Amer. Math. Monthly 102
+# (1995) 23-30) evaluated at u = 1
 
-@dataclasses.dataclass(frozen=True)
-class SpringerTable:
-    """Springer numbers S_0..S_m with a tag recording how they were computed."""
-
-    values: tuple[int, ...]
-    method: str  # "egf" | "dp" | "enumeration"
-
-
-# k-th derivative of cos - sin at 0, by k mod 4
-_COS_MINUS_SIN = (1, -1, -1, 1)
-# k-th derivative of cos at 0 and of 1 + sin at 0, by k mod 4
-_COS = (1, 0, -1, 0)
-_ONE_PLUS_SIN = (0, 1, 0, -1)
+def _at_one(m: int, p: list[int], shift: int) -> tuple[int, ...]:
+    """p_0(1)..p_m(1) for p_k+1 = (1 + u^2) p_k' + shift u p_k, p_0 = p (coefficients,
+    constant term first): the coefficient of u^j in p_k+1 is (j+1) c_j+1 + (j-1+shift) c_j-1."""
+    values = []
+    for _ in range(m + 1):
+        values.append(sum(p))
+        c = [0, *p, 0, 0]  # c[j + 1] is the coefficient of u^j
+        p = [(j + 1) * c[j + 2] + (j - 1 + shift) * c[j] for j in range(len(p) + 1)]
+    return tuple(values)
 
 
-def springer_egf(m: int) -> SpringerTable:
-    """S_0..S_m from the reciprocal of cos - sin, as exact integers.
+def springer_egf(m: int) -> tuple[int, ...]:
+    """S_0..S_m, the Taylor coefficients of 1/(cos - sin), as exact integers.
 
-    The product rule for exponential generating functions turns
-    (cos - sin) * S = 1 into S_n = -sum_{k=1..n} C(n,k) c_k S_{n-k} with
-    c_k the k-th derivative of cos - sin at 0.
+    sec^(n) = sec Q_n(tan) with Q_0 = 1, Q_n+1 = (1 + u^2) Q_n' + u Q_n, and
+    1/(cos x - sin x) = sec(x + pi/4) / sqrt 2, so S_n = Q_n(1).
 
-    >>> springer_egf(6).values
+    >>> springer_egf(6)
     (1, 1, 3, 11, 57, 361, 2763)
     """
-    values = [1]
-    for n in range(1, m + 1):
-        acc = 0
-        for k in range(1, n + 1):
-            acc += math.comb(n, k) * _COS_MINUS_SIN[k % 4] * values[n - k]
-        values.append(-acc)
-    return SpringerTable(tuple(values), "egf")
+    return _at_one(m, [1], 1)
 
 
-def springer_dp(m: int) -> SpringerTable:
+def springer_dp(m: int) -> tuple[int, ...]:
     """S_0..S_m via the weighted ballot-path dynamic program (independent oracle)."""
-    return SpringerTable(tuple(count_lbp_dp(n) for n in range(m + 1)), "dp")
-
-
-def springer_enumeration(m: int) -> SpringerTable:
-    """S_0..S_m by brute-force snake counting (desk-scale only)."""
-    return SpringerTable(
-        tuple(sum(1 for _ in enumerate_snakes(n)) for n in range(m + 1)), "enumeration"
-    )
+    return tuple(count_lbp_dp(n) for n in range(m + 1))
 
 
 def euler_sequence(m: int) -> tuple[int, ...]:
-    """E_0..E_m from (tan + sec) * cos = 1 + sin, as exact integers.
+    """E_0..E_m, the Taylor coefficients of tan + sec, as exact integers.
+
+    tan^(n) = P_n(tan) with P_0 = u, P_n+1 = (1 + u^2) P_n', and
+    tan(x + pi/4) = tan 2x + sec 2x, so E_n = P_n(1) / 2^n.
 
     >>> euler_sequence(6)
     (1, 1, 1, 2, 5, 16, 61)
     """
-    values = [1]
-    for n in range(1, m + 1):
-        rhs = _ONE_PLUS_SIN[n % 4]
-        acc = sum(
-            math.comb(n, k) * _COS[k % 4] * values[n - k] for k in range(1, n + 1)
-        )
-        values.append(rhs - acc)
-    return tuple(values)
+    return tuple(v >> n for n, v in enumerate(_at_one(m, [0, 1], 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +278,7 @@ def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
 
 
 def _labeled_paths(n: int, alphabet: str, closed: bool, make: Callable) -> Iterator:
-    """Weighted paths of length n over alphabet (given in letter order), in text order.
+    """Weighted paths of length n over alphabet, in text order.
 
     Step words come in letter order; each word's weight vectors follow as the
     product of its text-ordered weight ranges. A step whose range is empty
@@ -307,7 +288,7 @@ def _labeled_paths(n: int, alphabet: str, closed: bool, make: Callable) -> Itera
         yield make("", ())
         return
     # moves[h]: (letter, height after it, weights) of each step open at height h
-    moves = [[(s, h + rise, tuple(_in_text_order(range(h - drop + 1)))) for s in alphabet
+    moves = [[(s, h + rise, tuple(_in_text_order(range(h - drop + 1)))) for s in sorted(alphabet)
               for rise, drop in [STEP_RULES[s]] if h >= drop] for h in range(n)]
     steps, ranges, stack = [], [], [iter(moves[0])]  # stack[i]: the steps left for step i + 1
     while stack:
@@ -329,12 +310,12 @@ def _labeled_paths(n: int, alphabet: str, closed: bool, make: Callable) -> Itera
 
 def enumerate_lbp(n: int) -> Iterator[LabeledBallotPath]:
     """All labeled ballot paths of length n (S_n many)."""
-    return _labeled_paths(n, "DU", False, LabeledBallotPath)
+    return _labeled_paths(n, BALLOT_ALPHABET, False, LabeledBallotPath)
 
 
 def enumerate_laguerre(n: int) -> Iterator[LaguerreHistory]:
     """All restricted Laguerre histories of length n (n! many)."""
-    return _labeled_paths(n, "DHTU", True, LaguerreHistory)
+    return _labeled_paths(n, MOTZKIN_ALPHABET, True, LaguerreHistory)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -345,38 +326,41 @@ class Family:
     validate: Callable[[Any], object]     # object -> raises ValueError on a non-member
     oracle: Callable[[int], int]          # n -> count, closed form
     parse: Callable[[str], Any]           # text -> object; raises ValueError on malformed text
-    ceiling: int                          # largest n whose oracle count is at most 10**9;
-                                          # the CLI refuses to enumerate above it
+
+    @property
+    def ceiling(self) -> int:
+        """The largest n whose oracle count is at most 10**9; the CLI enumerates no further."""
+        return next(n for n in itertools.count() if self.oracle(n + 1) > 10**9)
 
 
 # The adapters look up their functions by name on each call, so the spans of
 # perfbench/tracer.py, which rebinds module functions, still see them.
 FAMILIES: dict[str, Family] = {
     "snakes": Family(
-        enumerate_snakes, enumerate_snakes, permcore.format_signed, validate_snake,
-        lambda n: springer_egf(n).values[n], lambda t: permcore.parse_signed(t), 11,
+        enumerate_snakes, enumerate_snakes, permcore.format_perm, validate_snake,
+        lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t),
     ),
     "wip3": Family(
         enumerate_wip3, enumerate_wip3, format_wip3, lambda w: validate_wip3(w.sigma, w.pi),
-        lambda n: springer_egf(n).values[n], lambda t: parse_wip3(t), 11,
+        lambda n: springer_egf(n)[n], lambda t: parse_wip3(t),
     ),
     "rcalt": Family(
         enumerate_rcalt, enumerate_rcalt, permcore.format_perm, validate_rcalt,
-        lambda n: springer_egf(n).values[n], lambda t: permcore.parse_perm(t), 11,
+        lambda n: springer_egf(n)[n], lambda t: permcore.parse_perm(t),
     ),
     "lbp": Family(
         enumerate_lbp, enumerate_lbp, format_path,
         lambda p: validate_labeled_ballot(p.steps, p.weights), count_lbp_dp,
-        lambda t: paths.parse_labeled_ballot(t), 11,
+        lambda t: paths.parse_labeled_ballot(t),
     ),
     "laguerre": Family(
         enumerate_laguerre, enumerate_laguerre, format_path,
         lambda h: validate_laguerre(h.steps, h.weights), math.factorial,
-        lambda t: paths.parse_laguerre(t), 12,
+        lambda t: paths.parse_laguerre(t),
     ),
     "altperm": Family(
         enumerate_alternating, enumerate_alternating, permcore.format_perm, validate_alternating,
-        lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t), 14,
+        lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t),
     ),
 }
 
@@ -389,7 +373,7 @@ def _permutations(n: int) -> Iterator[tuple[int, ...]]:
 # order for n <= 9); kept out of FAMILIES, whose names are the --family choices.
 _PERM = Family(
     _permutations, _permutations, lambda p: permcore.format_perm(p),
-    lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t), 12,
+    lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t),
 )
 
 

@@ -63,13 +63,9 @@ def reverse_complement(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(sub, repeat(len(perm) + 1), reversed(perm)))
 
 
-def _is_down_up(s: Sequence[int]) -> bool:
-    return all(map(gt, s[0::2], s[1::2])) and all(map(lt, s[1::2], s[2::2]))
-
-
 def is_alternating(perm: Sequence[int]) -> bool:
-    """Down-up test: p1 > p2 < p3 > p4 < ... (vacuously true for n <= 1)."""
-    return _is_down_up(perm)
+    """Down-up test: p1 > p2 < p3 > p4 < ... (vacuously true for n <= 1), signed entries too."""
+    return all(map(gt, perm[0::2], perm[1::2])) and all(map(lt, perm[1::2], perm[2::2]))
 
 
 def is_snake(signed: Sequence[int]) -> bool:
@@ -82,7 +78,7 @@ def is_snake(signed: Sequence[int]) -> bool:
     """
     if len(signed) == 0:
         return True
-    return signed[0] > 0 and _is_down_up(signed)
+    return signed[0] > 0 and is_alternating(signed)
 
 
 def left_peaks(perm: Sequence[int]) -> tuple[int, ...]:
@@ -271,9 +267,6 @@ def format_perm(perm: Sequence[int]) -> str:
     """Space-separated decimals, with a leading '-' on negative entries; the empty
     permutation is the empty string. Also the text of signed permutations."""
     return " ".join(["%d"] * len(perm)) % tuple(perm)
-
-
-format_signed = format_perm
 
 
 def parse_perm(text: str) -> tuple[int, ...]:

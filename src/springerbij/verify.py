@@ -182,7 +182,7 @@ def _rcalt_image_shape(p) -> bool:
 
 
 def _bars_consistent(snake) -> bool:
-    return bijections._place_bars(bijections._unbar(snake)) == snake
+    return bijections.place_bars(bijections.unbar(snake)) == snake
 
 
 def _snake_sign_pattern(snake) -> bool:
@@ -194,8 +194,7 @@ def _snake_sign_pattern(snake) -> bool:
 # rows over all families
 
 def _lbp_dp_vs_egf(cap: int) -> str:
-    egf = families.springer_egf(cap).values
-    dp = families.springer_dp(cap).values
+    egf, dp = families.springer_egf(cap), families.springer_dp(cap)
     if egf != dp:
         n = next(n for n, (a, b) in enumerate(zip(egf, dp)) if a != b)
         raise Counterexample(f"n={n}: egf {egf[n]}, dp {dp[n]}")
@@ -203,40 +202,35 @@ def _lbp_dp_vs_egf(cap: int) -> str:
 
 
 def _canonical_order(cap: int) -> str:
-    for name, fam in families.FAMILIES.items():
+    for name in families.FAMILIES:
         for n in range(cap + 1):
             previous = None
-            for obj in fam.enumerate(n):
-                text = fam.render(obj)
+            for obj in _objects(name, n):
+                text = _text(name, obj)
                 if previous is not None and previous >= text:
                     raise Counterexample(f"{name} n={n}: {previous!r} !< {text!r}")
                 previous = text
     return ""
 
 
-def _swaps(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """word with two entries exchanged, each pair once."""
-    for i, j in itertools.combinations(range(len(word)), 2):
-        mutated = list(word)
-        mutated[i], mutated[j] = mutated[j], mutated[i]
-        yield tuple(mutated)
-
-
-def _mutations(name: str, obj):
-    """One-step mutations of an enumerated object, per its family's shape."""
-    if name in ("snakes", "rcalt", "altperm"):
-        yield from _swaps(obj)
-        if name == "snakes":
-            for i in range(len(obj)):
-                yield obj[:i] + (-obj[i],) + obj[i + 1:]
-    elif name == "wip3":
-        for sigma in _swaps(obj.sigma):
-            yield families.ThreeWIP(sigma, obj.pi)
-        for pi in _swaps(obj.pi):
-            yield families.ThreeWIP(obj.sigma, pi)
-    else:  # lbp, laguerre: bump one weight
-        for i, w in enumerate(obj.weights):
-            yield type(obj)(obj.steps, obj.weights[:i] + (w + 1,) + obj.weights[i + 1:])
+def _mutations(obj) -> Iterator:
+    """One-step mutations of an object, by its type: a step word gets one letter
+    replaced by each other step letter; an int tuple gets two entries swapped, or
+    one entry negated or raised by one; a record gets one field mutated."""
+    if isinstance(obj, str):
+        for i, s in enumerate(obj):
+            yield from (obj[:i] + t + obj[i + 1:] for t in paths.STEP_RULES if t != s)
+    elif isinstance(obj, tuple):
+        for i, j in itertools.combinations(range(len(obj)), 2):
+            mutated = list(obj)
+            mutated[i], mutated[j] = mutated[j], mutated[i]
+            yield tuple(mutated)
+        for i, v in enumerate(obj):
+            yield from (obj[:i] + (w,) + obj[i + 1:] for w in (-v, v + 1))
+    else:
+        for field in dataclasses.fields(obj):
+            for value in _mutations(getattr(obj, field.name)):
+                yield dataclasses.replace(obj, **{field.name: value})
 
 
 def _validates(name: str, obj) -> bool:
@@ -248,20 +242,19 @@ def _validates(name: str, obj) -> bool:
 
 
 def _validator_fuzz(cap: int) -> str:
-    for name, fam in families.FAMILIES.items():
+    """Each family's validator accepts exactly its enumerated objects among them
+    and their one-step mutations."""
+    for name in families.FAMILIES:
         for n in range(cap + 1):
-            members = set()
-            objects = []
-            for obj in fam.generate(n):
-                if not _validates(name, obj):
-                    raise Counterexample(f"{name} emitted invalid {fam.render(obj)!r}")
-                members.add(fam.render(obj))
-                objects.append(obj)
+            objects = list(_objects(name, n))
+            members = {_text(name, obj) for obj in objects}
             for obj in objects:
-                for mutated in _mutations(name, obj):
-                    if _validates(name, mutated) != (fam.render(mutated) in members):
+                if not _validates(name, obj):
+                    raise Counterexample(f"{name} emitted invalid {_text(name, obj)!r}")
+                for mutated in _mutations(obj):
+                    if _validates(name, mutated) != (_text(name, mutated) in members):
                         raise Counterexample(
-                            f"{name}: validator disagrees with membership on {fam.render(mutated)!r}")
+                            f"{name}: validator disagrees with membership on {_text(name, mutated)!r}")
     return ""
 
 

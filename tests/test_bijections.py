@@ -8,8 +8,6 @@ import pytest
 from springerbij import verify
 from springerbij.bijections import (
     BIJECTIONS,
-    _place_bars,
-    _unbar,
     fz,
     fz_inverse,
     lbp_to_rcalt,
@@ -19,10 +17,12 @@ from springerbij.bijections import (
     phi_step1,
     phi_step1_inverse,
     phi_trace,
+    place_bars,
     psi,
     psi_inverse,
     rcalt_to_lbp,
     snake_to_lbp,
+    unbar,
 )
 from springerbij.errors import (
     HorizontalStepPresent,
@@ -392,12 +392,12 @@ def test_step3_matches_the_nearest_peak_rule():
         for perm in itertools.permutations(range(1, n + 1)):
             for signs in itertools.product((1, -1), repeat=n):
                 signed = tuple(s * v for s, v in zip(signs, perm))
-                assert _unbar(signed) == _unbar_oracle(signed)
+                assert unbar(signed) == _unbar_oracle(signed)
             values = [perm[i - 1] for i in left_peaks(perm)]
             for k in range(len(values) + 1):
                 for marks in itertools.combinations(values, k):
                     tau_tilde = MarkedPermutation(perm, frozenset(marks))
-                    assert _place_bars(tau_tilde) == _place_bars_oracle(tau_tilde)
+                    assert place_bars(tau_tilde) == _place_bars_oracle(tau_tilde)
 
 
 def test_phi_roundtrip_on_random_snakes_at_n_512():
@@ -406,6 +406,6 @@ def test_phi_roundtrip_on_random_snakes_at_n_512():
     for _ in range(10):
         word = tuple(rng.sample(range(1, 513), 512))
         marks = frozenset(word[i - 1] for i in left_peaks(word) if rng.random() < 0.5)
-        snake = _place_bars(MarkedPermutation(word, marks))
-        assert _unbar(snake) == _unbar_oracle(snake) == MarkedPermutation(word, marks)
+        snake = place_bars(MarkedPermutation(word, marks))
+        assert unbar(snake) == _unbar_oracle(snake) == MarkedPermutation(word, marks)
         assert phi(phi_inverse(snake)) == snake

@@ -106,6 +106,7 @@ CEILINGS = {"snakes": 11, "wip3": 11, "rcalt": 11, "lbp": 11, "laguerre": 12, "a
 
 def test_enumeration_ceilings_are_the_last_n_with_at_most_a_billion_objects():
     assert {name: fam.ceiling for name, fam in families.FAMILIES.items()} == CEILINGS
+    assert families.domain("perm").ceiling == 12
     for fam in [*families.FAMILIES.values(), families.domain("perm")]:
         assert fam.oracle(fam.ceiling) <= 10**9 < fam.oracle(fam.ceiling + 1)
 
@@ -126,8 +127,22 @@ def test_enumeration_above_the_ceiling_is_a_usage_error(monkeypatch, family, com
     code, out, err = run_cli([*command, "--family", family, "--n", n])
     assert code == 2 and out == ""
     assert err == f"n must be <= {CEILINGS[family]} to enumerate {family} (at most 10^9 objects)\n"
-    # the oracle count has no ceiling
+    # the oracle count is bounded by cli.ORACLE_N_MAX, not by the enumeration ceiling
     assert run_cli(["count", "--family", family, "--n", n]) == (0, f"{fam.oracle(int(n))}\n", "")
+
+
+def _refuse_to_count(n):
+    raise AssertionError(f"a count up to n = {n} started")
+
+
+@pytest.mark.parametrize("family", sorted(CEILINGS))
+def test_oracle_count_above_1000_is_a_usage_error(monkeypatch, family):
+    # the oracle is replaced, so a missing check fails here instead of running
+    fam = families.FAMILIES[family]
+    monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(fam, oracle=_refuse_to_count))
+    assert run_cli(["count", "--family", family, "--n", "1001"]) == (2, "", "n must be <= 1000\n")
+    monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(fam, oracle=lambda n: -n))
+    assert run_cli(["count", "--family", family, "--n", "1000"]) == (0, "-1000\n", "")
 
 
 # --- map --------------------------------------------------------------------------
@@ -309,6 +324,15 @@ def test_springer_output():
 def test_springer_negative_is_usage_error():
     code, _, err = run_cli(["springer", "--n-max", "-3"])
     assert code == 2 and "n-max" in err
+
+
+def test_springer_above_1000_is_a_usage_error(monkeypatch):
+    monkeypatch.setattr(families, "springer_egf", _refuse_to_count)
+    monkeypatch.setattr(families, "springer_dp", _refuse_to_count)
+    assert run_cli(["springer", "--n-max", "1001"]) == (2, "", "n-max must be <= 1000\n")
+    monkeypatch.setattr(families, "springer_egf", lambda m: (0,) * (m + 1))
+    monkeypatch.setattr(families, "springer_dp", lambda m: (0,) * (m + 1))
+    assert run_cli(["springer", "--n-max", "1000"]) == (0, "0\n" * 1001, "")
 
 
 # --- usage errors and the installed script -------------------------------------------

@@ -22,7 +22,6 @@ from springerbij.families import (
     parse_wip3,
     springer_dp,
     springer_egf,
-    springer_enumeration,
     validate_wip3,
 )
 from springerbij.paths import LabeledBallotPath, LaguerreHistory, format_path
@@ -35,17 +34,14 @@ SNAKES_3 = {
 
 
 def test_springer_egf_values():
-    assert springer_egf(6).values == (1, 1, 3, 11, 57, 361, 2763)
-    assert springer_egf(0).values == (1,)
-    assert springer_egf(7).values[7] == 24611
-    assert springer_egf(6).method == "egf"
+    assert springer_egf(6) == (1, 1, 3, 11, 57, 361, 2763)
+    assert springer_egf(0) == (1,)
+    assert springer_egf(7)[7] == 24611
 
 
 def test_springer_methods_agree():
-    assert springer_egf(9).values == springer_dp(9).values
-    table = springer_enumeration(5)
-    assert table.method == "enumeration"
-    assert table.values == springer_egf(5).values
+    assert springer_egf(9) == springer_dp(9)
+    assert springer_egf(5) == tuple(sum(1 for _ in enumerate_snakes(n)) for n in range(6))
 
 
 def test_euler_sequence_values():
@@ -179,7 +175,7 @@ def test_text_order_of_tokens():
 
 def test_four_way_count_equality():
     for n in range(6):
-        expected = springer_egf(n).values[n]
+        expected = springer_egf(n)[n]
         assert sum(1 for _ in enumerate_snakes(n)) == expected
         assert sum(1 for _ in enumerate_wip3(n)) == expected
         assert sum(1 for _ in enumerate_rcalt(n)) == expected

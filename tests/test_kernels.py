@@ -1,6 +1,6 @@
 """The per-element and enumeration kernels against the versions they replaced.
 
-paths._caps and paths._mirror, permcore._is_down_up, left_peaks, right_valleys
+paths._caps and paths._mirror, permcore.is_alternating, left_peaks, right_valleys
 and reverse_complement, families.is_wip3 and the placeholder splices of fz and
 fz_inverse are single passes over tables, slices and map. Their earlier
 versions are kept here, unchanged but for their names, as oracles. The new code
@@ -19,10 +19,15 @@ on an explicit stack, with a pruned pi search for wip3. Their recursive
 versions (a generator frame per level, the object passed up a yield-from chain)
 are oracles too, and a profile hook counts the Python frames started or resumed
 per object. permcore.peak_valley_pairs must equal zip(left_peaks, right_valleys).
+
+The Springer and Euler numbers come from derivative polynomials at u = 1; the
+binomial recurrences of the exponential generating functions they replaced are
+oracles for every m <= 300.
 """
 
 import io
 import itertools
+import math
 import operator
 import random
 import sys
@@ -46,7 +51,9 @@ from springerbij.families import (
     ThreeWIP,
     enumerate_laguerre,
     enumerate_lbp,
+    euler_sequence,
     is_wip3,
+    springer_egf,
     validate_permutation,
 )
 from springerbij.paths import (
@@ -59,9 +66,8 @@ from springerbij.paths import (
     validate_laguerre,
 )
 from springerbij.permcore import (
-    _is_down_up,
     format_perm,
-    format_signed,
+    is_alternating,
     left_peaks,
     peak_valley_pairs,
     reverse_complement,
@@ -122,7 +128,7 @@ def _mirror_oracle(steps, weights, caps):
             tuple(c - w for c, w in zip(reversed(caps), reversed(weights))))
 
 
-def _is_down_up_oracle(seq):
+def _is_alternating_oracle(seq):
     for i in range(len(seq) - 1):
         if i % 2 == 0:
             if seq[i] <= seq[i + 1]:
@@ -403,6 +409,36 @@ RECURSIVE = {
 }
 
 
+# k-th derivative of cos - sin at 0, by k mod 4
+_COS_MINUS_SIN = (1, -1, -1, 1)
+# k-th derivative of cos at 0 and of 1 + sin at 0, by k mod 4
+_COS = (1, 0, -1, 0)
+_ONE_PLUS_SIN = (0, 1, 0, -1)
+
+
+def _springer_egf_oracle(m):
+    # (cos - sin) * S = 1: S_n = -sum_{k=1..n} C(n,k) c_k S_{n-k}
+    values = [1]
+    for n in range(1, m + 1):
+        acc = 0
+        for k in range(1, n + 1):
+            acc += math.comb(n, k) * _COS_MINUS_SIN[k % 4] * values[n - k]
+        values.append(-acc)
+    return tuple(values)
+
+
+def _euler_sequence_oracle(m):
+    # (tan + sec) * cos = 1 + sin
+    values = [1]
+    for n in range(1, m + 1):
+        rhs = _ONE_PLUS_SIN[n % 4]
+        acc = sum(
+            math.comb(n, k) * _COS[k % 4] * values[n - k] for k in range(1, n + 1)
+        )
+        values.append(rhs - acc)
+    return tuple(values)
+
+
 # --- comparisons -------------------------------------------------------------
 
 def _outcome(fn, *args):
@@ -507,7 +543,7 @@ def _words(n):
 
 
 @pytest.mark.parametrize("new, old", [
-    (_is_down_up, _is_down_up_oracle),
+    (is_alternating, _is_alternating_oracle),
     (left_peaks, _left_peaks_oracle),
     (right_valleys, _right_valleys_oracle),
     (reverse_complement, _reverse_complement_oracle),
@@ -525,6 +561,15 @@ def test_one_line_kernels_match_the_oracles(new, old):
                 perm[i], perm[i + 1] = perm[i + 1], perm[i]
         for word in (tuple(perm), tuple(rng.sample(range(1, 513), 512))):
             assert new(word) == old(word)
+
+
+def test_derivative_polynomials_match_the_egf_recurrences():
+    # S_m and E_m for every m <= 300, and tables of m + 1 values
+    assert springer_egf(300) == _springer_egf_oracle(300)
+    assert euler_sequence(300) == _euler_sequence_oracle(300)
+    for m in range(13):
+        assert springer_egf(m) == _springer_egf_oracle(m)
+        assert euler_sequence(m) == _euler_sequence_oracle(m)
 
 
 def test_is_wip3_matches_the_oracle():
@@ -577,7 +622,7 @@ def test_renderers_match_the_map_str_oracles():
         words += [tuple(perm), tuple(v if rng.random() < 0.5 else -v for v in perm)]
     for word in words:
         for seq in (word, list(word)):
-            assert format_perm(seq) == format_signed(seq) == _format_perm_oracle(word)
+            assert format_perm(seq) == _format_perm_oracle(word)
     objects = [LabeledBallotPath("", ()), LaguerreHistory("", ())]
     for n in range(1, 6):
         objects += [*enumerate_lbp(n), *enumerate_laguerre(n)]

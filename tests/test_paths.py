@@ -132,6 +132,17 @@ def test_halve_rc_fixed():
         halve_rc_fixed(LaguerreHistory("UUDD", (0, 1, 1, 0)))
 
 
+def test_history_rc_and_halve_rc_fixed_name_an_open_path_not_closed():
+    # exactly NotClosed: an open path checked as closed=False would raise nothing
+    # (history_rc) or NotRcFixed (halve_rc_fixed)
+    with pytest.raises(NotClosed) as excinfo:
+        history_rc(LaguerreHistory("UU", (0, 1)))
+    assert excinfo.type is NotClosed
+    with pytest.raises(NotClosed) as excinfo:
+        halve_rc_fixed(LaguerreHistory("UU", (0, 0)))
+    assert excinfo.type is NotClosed
+
+
 def test_extend_to_rc_fixed():
     assert extend_to_rc_fixed(LabeledBallotPath("U", (0,))) == LaguerreHistory("UD", (0, 0))
     assert extend_to_rc_fixed(HALF_7) == FULL_14

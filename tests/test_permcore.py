@@ -16,7 +16,6 @@ from springerbij.permcore import (
     format_cycle_form,
     format_marked,
     format_perm,
-    format_signed,
     invert,
     is_alternating,
     is_permutation,
@@ -300,7 +299,7 @@ def test_perm_text_roundtrip():
 
 def test_signed_text_roundtrip():
     text = "2 -1 5 4 7 -6 -3"
-    assert format_signed(parse_signed(text)) == text
+    assert format_perm(parse_signed(text)) == text
     with pytest.raises(ValueError):
         parse_signed("1 -1")
     with pytest.raises(ValueError):

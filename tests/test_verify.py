@@ -2,6 +2,7 @@
 self-checks and the verify rows also run under python -O, and wrong maps fail rows."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import springerbij
-from springerbij import bijections, paths, verify
+from springerbij import bijections, families, paths, verify
 from springerbij.families import ThreeWIP
 from springerbij.permcore import MarkedPermutation, left_peaks
 
@@ -51,7 +52,7 @@ def test_map_self_check_runs_under_optimize_flag():
     stdout = _run_optimized(
         "from springerbij import bijections\n"
         "from springerbij.families import ThreeWIP\n"
-        "bijections._place_bars = lambda tau_tilde: tau_tilde.perm\n"
+        "bijections.place_bars = lambda tau_tilde: tau_tilde.perm\n"
         "try:\n"
         "    print(bijections.phi(ThreeWIP((1, 5, 2, 6, 7, 3, 8, 9, 4), (2, 5, 6, 3, 1, 7, 8, 4, 9))))\n"
         "except ValueError as exc:\n"
@@ -66,10 +67,25 @@ def test_bar_read_at_the_peak_fails_the_bars_row(monkeypatch):
         word = tuple(abs(v) for v in snake)
         return MarkedPermutation(word, frozenset(word[p - 1] for p in left_peaks(word) if snake[p - 1] < 0))
 
-    monkeypatch.setattr(bijections, "_unbar", unbar_at_peak)
+    monkeypatch.setattr(bijections, "unbar", unbar_at_peak)
     row = next(r for r in verify.run(4) if r.name == "bijections/bars-always-consistent")
     assert not row.passed
     assert "Counterexample: snakes '2 -1'" in row.detail
+
+
+def _open_path_validator(path):
+    # admits open paths and level steps: right for neither lbp nor laguerre
+    paths._caps(path.steps, path.weights, paths.MOTZKIN_ALPHABET, closed=False)
+
+
+@pytest.mark.parametrize("family, mutant", [("laguerre", "U;0"), ("lbp", "H;0")])
+def test_open_path_validator_fails_the_fuzz_row(monkeypatch, family, mutant):
+    # a step-letter mutation of the member H;0 (laguerre) or U;0 (lbp) is accepted
+    monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(
+        families.FAMILIES[family], validate=_open_path_validator))
+    with pytest.raises(verify.Counterexample) as excinfo:
+        verify._validator_fuzz(4)
+    assert str(excinfo.value) == f"{family}: validator disagrees with membership on {mutant!r}"
 
 
 def _reversed(obj):
