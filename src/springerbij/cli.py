@@ -10,10 +10,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import islice
 from typing import TextIO
 
 from . import bijections, families, verify
-from .errors import NotCanonical
+from .errors import LineTooLong, NotCanonical
+
+ENUMERATE_CHUNK = 1024  # objects per write; the lines of a chunk are filled into one template
+MAP_LINE_MAX = 2**20    # characters in a map line, its newline not counted; longer lines are refused
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,9 +64,9 @@ def _cmd_count(args, out: TextIO) -> int:
 
 def _cmd_enumerate(args, out: TextIO) -> int:
     fam = families.FAMILIES[args.family]
-    render, write = fam.render, out.write
-    for obj in fam.enumerate(args.n):
-        write(render(obj) + "\n")
+    objects = fam.enumerate(args.n)
+    for chunk in iter(lambda: list(islice(objects, ENUMERATE_CHUNK)), []):
+        out.write(fam.lines(chunk))
     return 0
 
 
@@ -73,10 +77,15 @@ def _cmd_map(args, stdin: TextIO, out: TextIO, err: TextIO) -> int:
     else:
         source, target, apply, trace = bij.domain, bij.codomain, bij.forward, bij.trace
     source, target = families.domain(source), families.domain(target)
-    status = 0
-    for lineno, raw in enumerate(stdin, start=1):
-        line = raw.rstrip("\n")
+    status, lineno = 0, 0
+    while raw := stdin.readline(MAP_LINE_MAX + 1):
+        lineno += 1
         try:
+            if len(raw) > MAP_LINE_MAX and raw[-1] != "\n":
+                while stdin.readline(MAP_LINE_MAX + 1)[-1:] not in ("\n", ""):
+                    pass  # drop the rest of the line, read in pieces of the same size
+                raise LineTooLong(f"line longer than {MAP_LINE_MAX} characters")
+            line = raw.rstrip("\n")
             obj = source.parse(line)
             if source.render(obj) != line:
                 raise NotCanonical(f"{line!r} is not canonical text")

@@ -14,6 +14,10 @@ class NotCanonical(ValidationError):
     """A text parses, but is not the canonical text of the object it names."""
 
 
+class LineTooLong(ValidationError):
+    """An input line is longer than the CLI reads."""
+
+
 class HeightBelowZero(ValidationError):
     """A step word dips below the x-axis."""
 

@@ -41,6 +41,7 @@ from .paths import (
     LaguerreHistory,
     count_lbp_dp,
     format_path,
+    format_paths,
     validate_labeled_ballot,
     validate_laguerre,
 )
@@ -69,9 +70,20 @@ def validate_wip3(sigma: Sequence[int], pi: Sequence[int]) -> ThreeWIP:
     return ThreeWIP(tuple(sigma), tuple(pi))
 
 
+def _wip3_template(m: int, n: int) -> str:
+    return permcore.perm_template(m) + " / " + permcore.perm_template(n)
+
+
 def format_wip3(wip: ThreeWIP) -> str:
     """Both rows in permutation format, joined by ' / '."""
-    return permcore.format_perm(wip.sigma) + " / " + permcore.format_perm(wip.pi)
+    return _wip3_template(len(wip.sigma), len(wip.pi)) % (*wip.sigma, *wip.pi)
+
+
+def format_wip3s(wips: Sequence[ThreeWIP]) -> str:
+    """The format_wip3 lines of 3-WIPs of one length, each ended by a newline, in one %."""
+    n = len(wips[0].sigma) if wips else 0
+    rows = itertools.chain.from_iterable(map(operator.attrgetter("sigma", "pi"), wips))
+    return (_wip3_template(n, n) + "\n") * len(wips) % tuple(itertools.chain.from_iterable(rows))
 
 
 def parse_wip3(text: str) -> ThreeWIP:
@@ -323,6 +335,7 @@ class Family:
     enumerate: Callable[[int], Iterator]  # n -> objects in canonical text order
     generate: Callable[[int], Iterator]   # = enumerate; perfbench/tracer.py wraps both by name
     render: Callable[[Any], str]          # object -> canonical text
+    lines: Callable[[Sequence], str]      # objects of one size -> their texts, each ended by "\n"
     validate: Callable[[Any], object]     # object -> raises ValueError on a non-member
     oracle: Callable[[int], int]          # n -> count, closed form
     parse: Callable[[str], Any]           # text -> object; raises ValueError on malformed text
@@ -337,30 +350,30 @@ class Family:
 # perfbench/tracer.py, which rebinds module functions, still see them.
 FAMILIES: dict[str, Family] = {
     "snakes": Family(
-        enumerate_snakes, enumerate_snakes, permcore.format_perm, validate_snake,
+        enumerate_snakes, enumerate_snakes, permcore.format_perm, permcore.format_perms, validate_snake,
         lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t),
     ),
     "wip3": Family(
-        enumerate_wip3, enumerate_wip3, format_wip3, lambda w: validate_wip3(w.sigma, w.pi),
-        lambda n: springer_egf(n)[n], lambda t: parse_wip3(t),
+        enumerate_wip3, enumerate_wip3, format_wip3, format_wip3s,
+        lambda w: validate_wip3(w.sigma, w.pi), lambda n: springer_egf(n)[n], lambda t: parse_wip3(t),
     ),
     "rcalt": Family(
-        enumerate_rcalt, enumerate_rcalt, permcore.format_perm, validate_rcalt,
+        enumerate_rcalt, enumerate_rcalt, permcore.format_perm, permcore.format_perms, validate_rcalt,
         lambda n: springer_egf(n)[n], lambda t: permcore.parse_perm(t),
     ),
     "lbp": Family(
-        enumerate_lbp, enumerate_lbp, format_path,
+        enumerate_lbp, enumerate_lbp, format_path, format_paths,
         lambda p: validate_labeled_ballot(p.steps, p.weights), count_lbp_dp,
         lambda t: paths.parse_labeled_ballot(t),
     ),
     "laguerre": Family(
-        enumerate_laguerre, enumerate_laguerre, format_path,
+        enumerate_laguerre, enumerate_laguerre, format_path, format_paths,
         lambda h: validate_laguerre(h.steps, h.weights), math.factorial,
         lambda t: paths.parse_laguerre(t),
     ),
     "altperm": Family(
-        enumerate_alternating, enumerate_alternating, permcore.format_perm, validate_alternating,
-        lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t),
+        enumerate_alternating, enumerate_alternating, permcore.format_perm, permcore.format_perms,
+        validate_alternating, lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t),
     ),
 }
 
@@ -372,7 +385,7 @@ def _permutations(n: int) -> Iterator[tuple[int, ...]]:
 # All permutations of 1..n, the domain of fz, in lexicographic order (text
 # order for n <= 9); kept out of FAMILIES, whose names are the --family choices.
 _PERM = Family(
-    _permutations, _permutations, lambda p: permcore.format_perm(p),
+    _permutations, _permutations, lambda p: permcore.format_perm(p), lambda c: permcore.format_perms(c),
     lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t),
 )
 

@@ -13,6 +13,8 @@ is exact integer arithmetic throughout.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from itertools import chain
 from operator import sub
 from typing import Sequence
 
@@ -203,13 +205,25 @@ def wbar(lbp: LabeledBallotPath) -> LabeledBallotPath:
 # ---------------------------------------------------------------------------
 # text formats
 
+@functools.lru_cache(maxsize=64)  # bounded: map lines may have any length
+def _template(n: int) -> str:
+    """The %-template of an n-step path's text: the step word, ';', n '%d' joined by ','."""
+    return "%s;" + ",".join(["%d"] * n)
+
+
 def format_path(obj: LabeledBallotPath | LaguerreHistory) -> str:
     """Wire format: step word, ';', comma-separated weights. Empty object is ';'.
 
     >>> format_path(LabeledBallotPath("UUUDDUU", (0, 0, 1, 2, 0, 0, 0)))
     'UUUDDUU;0,0,1,2,0,0,0'
     """
-    return obj.steps + ";" + ",".join(["%d"] * len(obj.weights)) % tuple(obj.weights)
+    return _template(len(obj.weights)) % (obj.steps, *obj.weights)
+
+
+def format_paths(objs: Sequence[LabeledBallotPath | LaguerreHistory]) -> str:
+    """The format_path lines of paths of one length, each ended by a newline, in one %."""
+    line = _template(len(objs[0].weights) if objs else 0) + "\n"
+    return line * len(objs) % tuple(chain.from_iterable((p.steps, *p.weights) for p in objs))
 
 
 def parse_path_text(text: str) -> tuple[str, tuple[int, ...]]:

@@ -12,8 +12,9 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from operator import gt, lt, sub
 from typing import Sequence
 
@@ -263,10 +264,22 @@ class MarkedPermutation:
 # ---------------------------------------------------------------------------
 # text formats (bit-exact wire formats used by the CLI)
 
+@functools.lru_cache(maxsize=64)  # bounded: map lines may have any length
+def perm_template(n: int) -> str:
+    """The %-template of an n-entry permutation's text: n '%d' joined by ' '."""
+    return " ".join(["%d"] * n)
+
+
 def format_perm(perm: Sequence[int]) -> str:
     """Space-separated decimals, with a leading '-' on negative entries; the empty
     permutation is the empty string. Also the text of signed permutations."""
-    return " ".join(["%d"] * len(perm)) % tuple(perm)
+    return perm_template(len(perm)) % tuple(perm)
+
+
+def format_perms(perms: Sequence[Sequence[int]]) -> str:
+    """The format_perm lines of permutations of one length, each ended by a newline, in one %."""
+    line = perm_template(len(perms[0]) if perms else 0) + "\n"
+    return line * len(perms) % tuple(chain.from_iterable(perms))
 
 
 def parse_perm(text: str) -> tuple[int, ...]:

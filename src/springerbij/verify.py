@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
+import os
 import time
 from typing import Callable, Iterator, Sequence
 
@@ -202,14 +203,18 @@ def _lbp_dp_vs_egf(cap: int) -> str:
 
 
 def _canonical_order(cap: int) -> str:
+    """Each size's texts strictly increase, and lines() writes them, one per line."""
     for name in families.FAMILIES:
         for n in range(cap + 1):
-            previous = None
-            for obj in _objects(name, n):
-                text = _text(name, obj)
-                if previous is not None and previous >= text:
+            objects = list(_objects(name, n))
+            texts = [_text(name, obj) for obj in objects]
+            for previous, text in zip(texts, texts[1:]):
+                if previous >= text:
                     raise Counterexample(f"{name} n={n}: {previous!r} !< {text!r}")
-                previous = text
+            got, want = families.FAMILIES[name].lines(objects), "".join(t + "\n" for t in texts)
+            if got != want:
+                first = texts[min(os.path.commonprefix([got, want]).count("\n"), len(texts) - 1)]
+                raise Counterexample(f"{name} n={n}: lines() differs from render at {first!r}")
     return ""
 
 
@@ -305,6 +310,8 @@ PROPERTIES: list[tuple[str, int, Callable[[int], str]]] = [
 
 def run(n_max: int) -> list[PropertyResult]:
     """Run every property with its cap clamped to n_max; rows in name order."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     results = []
     for name, cap, check in sorted(PROPERTIES):
         bound = min(cap, n_max)

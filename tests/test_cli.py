@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from springerbij import bijections, families, paths, permcore, verify
+from springerbij import bijections, cli, families, paths, permcore, verify
 from springerbij.bijections import BIJECTIONS
 from springerbij.cli import main
 
@@ -99,6 +99,16 @@ def test_enumerate_line_count_matches_count():
             _, lines, _ = run_cli(["enumerate", "--family", family, "--n", str(n)])
             _, count, _ = run_cli(["count", "--family", family, "--n", str(n)])
             assert len(lines.splitlines()) == int(count)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, cli.ENUMERATE_CHUNK])
+def test_enumerate_chunks_write_the_rendered_objects(monkeypatch, chunk):
+    # chunk boundaries, a last partial chunk and the one empty object of n = 0
+    monkeypatch.setattr(cli, "ENUMERATE_CHUNK", chunk)
+    for family, fam in families.FAMILIES.items():
+        for n in range(6):
+            want = "".join(fam.render(obj) + "\n" for obj in fam.generate(n))
+            assert run_cli(["enumerate", "--family", family, "--n", str(n)]) == (0, want, ""), (family, n)
 
 
 CEILINGS = {"snakes": 11, "wip3": 11, "rcalt": 11, "lbp": 11, "laguerre": 12, "altperm": 14}
@@ -220,6 +230,27 @@ def test_map_bad_line_continues_and_exits_1():
     assert err.startswith("ERROR 2:")
 
 
+def test_map_refuses_a_line_one_character_over_the_bound():
+    # the over-long line is read in bounded pieces and dropped; the next lines still map
+    text = "1" * (cli.MAP_LINE_MAX + 1) + "\n2 1\n1"
+    code, out, err = run_cli(["map", "--bijection", "psi"], text)
+    assert (code, out) == (1, "2 1 4 3\n2 1\n")
+    assert err == f"ERROR 1: LineTooLong: line longer than {cli.MAP_LINE_MAX} characters\n"
+
+
+@pytest.mark.parametrize("tail", ["", "\n"])
+def test_map_line_bound_counts_characters_without_the_newline(monkeypatch, tail):
+    # at a bound of 7, "1 -2 3 " (not canonical) and the last line are read whole, the
+    # 8-character "1 -2 -3 " is refused, and so is a 30-character line read in 4 pieces
+    monkeypatch.setattr(cli, "MAP_LINE_MAX", 7)
+    code, out, err = run_cli(["map", "--bijection", "psi"],
+                             "1 -2 3 \n1 -2 -3 \n" + "1 " * 15 + "\n2 -3 -1" + tail)
+    assert (code, out) == (1, "3 1 5 2 6 4\n")
+    assert err.splitlines() == ["ERROR 1: NotCanonical: '1 -2 3 ' is not canonical text",
+                                "ERROR 2: LineTooLong: line longer than 7 characters",
+                                "ERROR 3: LineTooLong: line longer than 7 characters"]
+
+
 def test_map_empty_line_is_the_empty_object():
     code, out, _ = run_cli(["map", "--bijection", "psi"], "\n")
     assert code == 0 and out == "\n"
@@ -293,6 +324,10 @@ def test_verify_small():
 def test_verify_n0():
     code, out, _ = run_cli(["verify", "--n-max", "0"])
     assert code == 0 and "FAIL" not in out
+
+
+def test_verify_negative_is_usage_error():
+    assert run_cli(["verify", "--n-max", "-1"]) == (2, "", "n-max must be >= 0\n")
 
 
 def test_verify_table_aligns_mixed_bounds(monkeypatch):

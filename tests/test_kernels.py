@@ -20,6 +20,10 @@ versions (a generator frame per level, the object passed up a yield-from chain)
 are oracles too, and a profile hook counts the Python frames started or resumed
 per object. permcore.peak_valley_pairs must equal zip(left_peaks, right_valleys).
 
+The batch formatters (format_perms, format_paths, format_wip3s) fill one
+template per batch of objects of one size; the single formatters, joined line
+by line, are their oracles.
+
 The Springer and Euler numbers come from derivative polynomials at u = 1; the
 binomial recurrences of the exponential generating functions they replaced are
 oracles for every m <= 300.
@@ -52,6 +56,8 @@ from springerbij.families import (
     enumerate_laguerre,
     enumerate_lbp,
     euler_sequence,
+    format_wip3,
+    format_wip3s,
     is_wip3,
     springer_egf,
     validate_permutation,
@@ -631,6 +637,25 @@ def test_renderers_match_the_map_str_oracles():
     for obj in objects:
         for weights in (obj.weights, list(obj.weights)):
             assert format_path(type(obj)(obj.steps, weights)) == _format_path_oracle(obj)
+
+
+def test_batch_formatters_match_the_single_ones():
+    # one template filled by one % per batch, against one render per object
+    rng = random.Random(4096)
+    batches = {permcore.format_perms: [[perm] * 3 for perm in ((), (1,), (-2, 1))],
+               paths.format_paths: [[LabeledBallotPath("", ())], [LaguerreHistory("UD", (0, 0))] * 2],
+               format_wip3s: [[ThreeWIP((), ())]]}
+    for fam in FAMILIES.values():
+        batches[fam.lines] += [list(fam.generate(n)) for n in range(6)]
+    batches[permcore.format_perms].append([tuple(rng.sample(range(1, 513), 512)) for _ in range(5)])
+    batches[paths.format_paths].append([fz(rng.sample(range(1, 513), 512)) for _ in range(5)])
+    for lines, render in [(permcore.format_perms, format_perm), (paths.format_paths, format_path),
+                          (format_wip3s, format_wip3)]:
+        assert lines([]) == ""
+        for objects in batches[lines]:
+            assert lines(objects) == "".join(render(obj) + "\n" for obj in objects)
+    # format_wip3 also renders rows of unequal lengths
+    assert format_wip3(ThreeWIP((1, 2), (1,))) == "1 2 / 1"
 
 
 @pytest.mark.parametrize("family", sorted(RECURSIVE))

@@ -88,6 +88,24 @@ def test_open_path_validator_fails_the_fuzz_row(monkeypatch, family, mutant):
     assert str(excinfo.value) == f"{family}: validator disagrees with membership on {mutant!r}"
 
 
+def test_negative_bound_is_refused():
+    # at n_max < 0 every row would pass without checking an object
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        verify.run(-1)
+
+
+@pytest.mark.parametrize("family", sorted(families.FAMILIES))
+def test_faulty_lines_fails_the_canonical_order_row(monkeypatch, family):
+    # a batch formatter that drops the last newline of its chunk
+    fam = families.FAMILIES[family]
+    monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(
+        fam, lines=lambda objects: fam.lines(objects)[:-1]))
+    row = next(r for r in verify.run(2) if r.name == "families/canonical-order")
+    last = fam.render(list(fam.generate(0))[-1])
+    assert not row.passed
+    assert row.detail == f"Counterexample: {family} n=0: lines() differs from render at {last!r}"
+
+
 def _reversed(obj):
     if isinstance(obj, ThreeWIP):
         return ThreeWIP(obj.sigma[::-1], obj.pi[::-1])
