@@ -6,14 +6,16 @@
   into 1..2n and mirroring.
 * fz: permutations -> Laguerre histories (step = local shape at each value,
   weight = runs of larger values left of it); both directions are one sweep
-  over the placeholder table _SIDES.
+  over a list of placeholders, which each value splits according to its step.
 * rcalt_to_lbp / lbp_to_rcalt: the restriction of fz to rc-invariant
   alternating permutations, halved to a labeled ballot path and back.
 * snake_to_lbp: the composite of psi with the halving map.
 
-BIJECTIONS holds one record per bijection of the CLI. Every map here rejects
-a non-member of its domain and cheaply checks what the theorems guarantee of
-its output, so silent drift turns into loud failures.
+BIJECTIONS holds one record per bijection of the CLI. Every public map here
+checks its input once and its output once: it rejects a non-member of its
+domain and checks what the theorems guarantee of its output, so silent drift
+turns into loud failures. Composites and self-checks run the unchecked cores
+(_phi_trace, _fz, _fz_inverse) where a neighbouring check already covers them.
 """
 
 from __future__ import annotations
@@ -119,6 +121,10 @@ def place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
 def phi_trace(wip: ThreeWIP) -> PhiTrace:
     """Run phi and keep the intermediates (used by the CLI --trace mode)."""
     validate_wip3(wip.sigma, wip.pi)
+    return _phi_trace(wip)
+
+
+def _phi_trace(wip: ThreeWIP) -> PhiTrace:  # wip is known to be a 3-WIP
     tau = phi_step1(wip)
     tau_tilde = MarkedPermutation(foata(tau.perm), tau.marks)
     return PhiTrace(tau, tau_tilde, place_bars(tau_tilde))
@@ -158,9 +164,9 @@ def phi_inverse(snake: Sequence[int]) -> ThreeWIP:
     (1, 5, 2, 6, 7, 3, 8, 9, 4)
     """
     trace = phi_inverse_trace(snake)
-    wip = phi_step1_inverse(trace.tau)
-    if phi(wip) != tuple(snake):
-        raise ValidationError(f"phi does not map phi_inverse's image back to {tuple(snake)}")
+    wip = phi_step1_inverse(trace.tau)  # checks the 3-WIP, so the round trip may skip it
+    if _phi_trace(wip).snake != trace.snake:
+        raise ValidationError(f"phi does not map phi_inverse's image back to {trace.snake}")
     return wip
 
 
@@ -206,24 +212,9 @@ def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # fz: permutations <-> Laguerre histories
 
-# The sides of value i that hold a placeholder once i is placed ("_ i _", "i _", "i",
-# "_ i"); in the permutation they are the sides where i's neighbour is larger.
-_SIDES = {"U": (True, True), "H": (False, True), "D": (False, False), "T": (True, False)}
-_STEP = {sides: step for step, sides in _SIDES.items()}
-
-
-def _split(slots: list[int], k: int, before: bool, after: bool, right: int) -> None:
-    """Put a value into the k-th placeholder, which slots[k] describes. What lies left
-    of the value stays a placeholder with that entry if before; what lies right of it
-    becomes one with the entry right if after."""
-    if before:
-        if after:
-            slots.insert(k + 1, right)
-    elif after:
-        slots[k] = right
-    else:
-        del slots[k]
-
+# Value i fills the k-th placeholder and leaves one on each side where its neighbour
+# in the permutation is larger: "_ i _" (U), "i _" (H), "i" (D) or "_ i" (T). So U
+# inserts a placeholder right of the k-th, H replaces it, D deletes it and T keeps it.
 
 def fz(perm: Sequence[int]) -> LaguerreHistory:
     """Map a permutation to its Laguerre history.
@@ -238,7 +229,8 @@ def fz(perm: Sequence[int]) -> LaguerreHistory:
     """
     word = tuple(perm)
     validate_permutation(word)
-    return _fz(word)
+    hw = _fz(word)
+    return validate_laguerre(hw.steps, hw.weights)
 
 
 def _fz(word: Sequence[int]) -> LaguerreHistory:  # word is known to be a permutation
@@ -247,13 +239,21 @@ def _fz(word: Sequence[int]) -> LaguerreHistory:  # word is known to be a permut
     steps = []
     weights = []
     for i, j in enumerate(invert(word), start=1):
-        before = padded[j - 1] > i
-        after = padded[j + 1] > i
         k = bisect_right(starts, j) - 1
-        steps.append(_STEP[before, after])
         weights.append(k)
-        _split(starts, k, before, after, j + 1)
-    return validate_laguerre("".join(steps), weights)
+        if padded[j - 1] > i:
+            if padded[j + 1] > i:
+                steps.append("U")
+                starts.insert(k + 1, j + 1)
+            else:
+                steps.append("T")
+        elif padded[j + 1] > i:
+            steps.append("H")
+            starts[k] = j + 1
+        else:
+            steps.append("D")
+            del starts[k]
+    return LaguerreHistory("".join(steps), tuple(weights))
 
 
 def fz_inverse(hw: LaguerreHistory) -> tuple[int, ...]:
@@ -268,13 +268,22 @@ def fz_inverse(hw: LaguerreHistory) -> tuple[int, ...]:
     (4, 3, 1, 2, 9, 6, 8, 5, 7)
     """
     validate_laguerre(hw.steps, hw.weights)
+    return _fz_inverse(hw)
+
+
+def _fz_inverse(hw: LaguerreHistory) -> tuple[int, ...]:  # hw is known to be a history
     n = len(hw.steps)
     after = [0] * (n + 1)  # the value right of v; after[0] heads the list and 0 ends it
     gaps = [0]             # the value each (never adjacent) placeholder follows, left to right
     for i, (s, w) in enumerate(zip(hw.steps, hw.weights), start=1):
         left = gaps[w]
         after[i], after[left] = after[left], i
-        _split(gaps, w, *_SIDES[s], i)
+        if s == "U":
+            gaps.insert(w + 1, i)
+        elif s == "H":
+            gaps[w] = i
+        elif s == "D":
+            del gaps[w]
     perm = []
     v = 0
     for _ in range(n):
@@ -297,12 +306,12 @@ def rcalt_to_lbp(perm: Sequence[int]) -> LabeledBallotPath:
     'UUUDDUU;0,0,1,2,0,0,0'
     """
     validate_rcalt(perm)
-    return halve_rc_fixed(_fz(perm))
+    return halve_rc_fixed(_fz(perm))  # halve_rc_fixed checks the history, as a ballot word
 
 
 def lbp_to_rcalt(lbp: LabeledBallotPath) -> tuple[int, ...]:
     """Extend a labeled ballot path to its rc-fixed history and pull it back."""
-    perm = fz_inverse(extend_to_rc_fixed(lbp))
+    perm = _fz_inverse(extend_to_rc_fixed(lbp))  # extend_to_rc_fixed checks the history
     validate_rcalt(perm)
     return perm
 
@@ -319,7 +328,7 @@ def snake_to_lbp(snake: Sequence[int]) -> LabeledBallotPath:
 
 def lbp_to_snake(lbp: LabeledBallotPath) -> tuple[int, ...]:
     """Inverse of snake_to_lbp."""
-    return psi_inverse(fz_inverse(extend_to_rc_fixed(lbp)))  # psi_inverse checks its input
+    return psi_inverse(_fz_inverse(extend_to_rc_fixed(lbp)))  # psi_inverse checks its input
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from springerbij import verify
+from springerbij import bijections, verify
 from springerbij.bijections import (
     BIJECTIONS,
     fz,
@@ -130,6 +130,16 @@ def test_phi_inverse_examples():
     assert phi_inverse((2, -1)) == ThreeWIP((2, 1), (1, 2))
     with pytest.raises(NotASnake):
         phi_inverse((1, 2))
+
+
+def test_phi_inverse_rechecks_its_image_under_phi(monkeypatch):
+    # a step 1 inverse that returns another valid 3-WIP of the same size must not
+    # pass: phi_inverse's round trip is the only check that catches it
+    other = ThreeWIP(tuple(range(1, 10)), tuple(range(1, 10)))
+    assert phi(other) != SNAKE9
+    monkeypatch.setattr(bijections, "phi_step1_inverse", lambda tau: other)
+    with pytest.raises(ValidationError, match=r"^phi does not map phi_inverse's image back to \(5, -7,"):
+        phi_inverse(SNAKE9)
 
 
 # --- psi --------------------------------------------------------------------

@@ -185,23 +185,42 @@ def test_map_snake2lbp_checks_each_permutation_once(monkeypatch):
     # the lengths of the words is_permutation checks: the snake's parse and psi's
     # input check, then psi's output check, which fz's stands in for; inverse,
     # psi_inverse's two. bigpsi: the parse, then rcalt_to_lbp's one check, which
-    # fz's stands in for; inverse, lbp_to_rcalt's output check
-    lengths = []
-    real = permcore.is_permutation
+    # fz's stands in for; inverse, lbp_to_rcalt's output check. The step lengths
+    # of the paths paths._caps checks: forward, halve_rc_fixed's check of the
+    # history; inverse, the parse, then extend_to_rc_fixed's check of its input
+    # and of the history, which fz_inverse's stands in for
+    lengths, steps = [], []
+    real, real_caps = permcore.is_permutation, paths._caps
     monkeypatch.setattr(permcore, "is_permutation", lambda word: lengths.append(len(word)) or real(word))
+    monkeypatch.setattr(paths, "_caps", lambda s, *a, **k: steps.append(len(s)) or real_caps(s, *a, **k))
+
+    def run(argv, text):
+        lengths.clear()
+        steps.clear()
+        return run_cli(["map", "--bijection", *argv], text)
+
     snake, lbp = "2 -1 5 4 7 -6 -3\n", "UUUDDUU;0,0,1,2,0,0,0\n"
-    assert run_cli(["map", "--bijection", "snake2lbp"], snake) == (0, lbp, "")
-    assert lengths == [7, 7, 14]
-    lengths.clear()
-    assert run_cli(["map", "--bijection", "snake2lbp", "--inverse"], lbp) == (0, snake, "")
-    assert lengths == [14, 7]
+    assert run(["snake2lbp"], snake) == (0, lbp, "")
+    assert (lengths, steps) == ([7, 7, 14], [14])
+    assert run(["snake2lbp", "--inverse"], lbp) == (0, snake, "")
+    assert (lengths, steps) == ([14, 7], [7, 7, 14])
     rcalt = "5 2 14 11 12 7 9 6 8 3 4 1 13 10\n"
-    lengths.clear()
-    assert run_cli(["map", "--bijection", "bigpsi"], rcalt) == (0, lbp, "")
-    assert lengths == [14, 14]
-    lengths.clear()
-    assert run_cli(["map", "--bijection", "bigpsi", "--inverse"], lbp) == (0, rcalt, "")
-    assert lengths == [14]
+    assert run(["bigpsi"], rcalt) == (0, lbp, "")
+    assert (lengths, steps) == ([14, 14], [14])
+    assert run(["bigpsi", "--inverse"], lbp) == (0, rcalt, "")
+    assert (lengths, steps) == ([14], [7, 7, 14])
+    # fz: the parse and fz's input check, then fz's output check; inverse, the
+    # parse and fz_inverse's input check
+    perm, history = "4 3 1 2 9 6 8 5 7\n", "UHTDUUHDD;0,1,0,0,0,0,2,1,0\n"
+    assert run(["fz"], perm) == (0, history, "")
+    assert (lengths, steps) == ([9, 9], [9])
+    assert run(["fz", "--inverse"], history) == (0, perm, "")
+    assert (lengths, steps) == ([], [9, 9])
+    # phi inverse: the snake's parse and phi_inverse's input check, then
+    # phi_step1_inverse's check of both rows; the round trip re-checks nothing
+    wip, snake9 = "1 5 2 6 7 3 8 9 4 / 2 5 6 3 1 7 8 4 9\n", "5 -7 -1 -2 6 3 8 -9 -4\n"
+    assert run(["phi", "--inverse"], snake9) == (0, wip, "")
+    assert (lengths, steps) == ([9, 9, 9, 9], [])
 
 
 def test_map_fz_inverse():

@@ -7,7 +7,8 @@ versions are kept here, unchanged but for their names, as oracles. The new code
 must return the same value, or raise the same exception class with the same
 message, on every object with n <= 7, on mutants that break one or two checks
 at once (which pins the order of the checks), and on seeded random inputs at
-n = 512.
+n = 512. The fz sweeps are compared up to n = 4096, through the public maps and
+through the unchecked cores that the composites call.
 
 The generators search candidate tables and fill the last position without a
 generator of its own, and the renderers format with '%d'. Their earlier
@@ -39,7 +40,7 @@ from bisect import bisect_right
 
 import pytest
 
-from springerbij import paths, permcore
+from springerbij import bijections, paths, permcore
 from springerbij.bijections import fz, fz_inverse
 from springerbij.cli import main
 from springerbij.errors import (
@@ -588,17 +589,25 @@ def test_is_wip3_matches_the_oracle():
 
 
 def test_fz_splices_match_the_slice_oracles():
+    # the public maps, their unchecked cores and the oracles, on every object with
+    # n <= 7 and on seeded random permutations, uniform and down-up, up to n = 4096
     for n in range(8):
         for p in itertools.permutations(range(1, n + 1)):
-            assert fz(p) == _fz_splice_oracle(p)
+            assert fz(p) == bijections._fz(p) == _fz_splice_oracle(p)
         for hw in enumerate_laguerre(n):
-            assert fz_inverse(hw) == _fz_inverse_splice_oracle(hw)
+            assert fz_inverse(hw) == bijections._fz_inverse(hw) == _fz_inverse_splice_oracle(hw)
     rng = random.Random(512)
-    for _ in range(10):
-        p = tuple(rng.sample(range(1, 513), 512))
-        hw = fz(p)
-        assert hw == _fz_splice_oracle(p)
-        assert fz_inverse(hw) == _fz_inverse_splice_oracle(hw) == p
+    for n, count in ((512, 10), (4096, 2)):
+        for _ in range(count):
+            uniform = rng.sample(range(1, n + 1), n)
+            down_up = sorted(uniform[:2])[::-1] + uniform[2:]
+            for i in range(1, n - 1):  # swap each pair out of down-up shape
+                if (down_up[i] < down_up[i + 1]) == (i % 2 == 0):
+                    down_up[i], down_up[i + 1] = down_up[i + 1], down_up[i]
+            for p in (tuple(uniform), tuple(down_up)):
+                hw = bijections._fz(p)
+                assert fz(p) == hw == _fz_splice_oracle(p)
+                assert fz_inverse(hw) == bijections._fz_inverse(hw) == _fz_inverse_splice_oracle(hw) == p
 
 
 def _run(argv):
