@@ -187,8 +187,8 @@ def test_map_snake2lbp_checks_each_permutation_once(monkeypatch):
     # psi_inverse's two. bigpsi: the parse, then rcalt_to_lbp's one check, which
     # fz's stands in for; inverse, lbp_to_rcalt's output check. The step lengths
     # of the paths paths._caps checks: forward, halve_rc_fixed's check of the
-    # history; inverse, the parse, then extend_to_rc_fixed's check of its input
-    # and of the history, which fz_inverse's stands in for
+    # history; inverse, the parse, then extend_to_rc_fixed's checks of its input
+    # and of the history (the latter stands in for fz_inverse's)
     lengths, steps = [], []
     real, real_caps = permcore.is_permutation, paths._caps
     monkeypatch.setattr(permcore, "is_permutation", lambda word: lengths.append(len(word)) or real(word))
