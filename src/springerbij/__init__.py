@@ -53,14 +53,12 @@ from .paths import (
     wbar,
 )
 from .permcore import (
-    CycleForm,
     MarkedPermutation,
     count_pat_2_31_at,
     count_pat_31_2_at,
     cycle_peaks,
     foata,
     foata_inverse,
-    format_cycle_form,
     format_marked,
     format_perm,
     invert,
@@ -73,7 +71,6 @@ from .permcore import (
     parse_signed,
     reverse_complement,
     right_valleys,
-    standard_cycle_form,
 )
 
 __version__ = "0.1.0"

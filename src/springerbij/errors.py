@@ -29,8 +29,8 @@ class HorizontalStepPresent(ValidationError):
 class WeightOutOfRange(ValidationError):
     """A weight exceeds the range allowed by its step's starting height."""
 
-    def __init__(self, index: int, message: str | None = None):
-        super().__init__(message or f"weight at step {index} out of range")
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
         self.index = index
 
 

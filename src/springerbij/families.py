@@ -55,18 +55,22 @@ class ThreeWIP:
     pi: tuple[int, ...]
 
 
-def is_wip3(sigma: Sequence[int], pi: Sequence[int]) -> bool:
-    if len(sigma) != len(pi):
-        return False
-    if not (permcore.is_permutation(sigma) and permcore.is_permutation(pi)):
-        return False
+_NOT_WIP3 = "columnwise maxima are not weakly increasing over two permutations"
+
+
+def _maxima_rise(sigma: Sequence[int], pi: Sequence[int]) -> bool:
     maxima = list(map(max, sigma, pi))
     return all(map(operator.le, maxima, maxima[1:]))
 
 
+def is_wip3(sigma: Sequence[int], pi: Sequence[int]) -> bool:
+    return (len(sigma) == len(pi) and permcore.is_permutation(sigma)
+            and permcore.is_permutation(pi) and _maxima_rise(sigma, pi))
+
+
 def validate_wip3(sigma: Sequence[int], pi: Sequence[int]) -> ThreeWIP:
     if not is_wip3(sigma, pi):
-        raise ValueError("columnwise maxima are not weakly increasing over two permutations")
+        raise ValueError(_NOT_WIP3)
     return ThreeWIP(tuple(sigma), tuple(pi))
 
 
@@ -90,7 +94,10 @@ def parse_wip3(text: str) -> ThreeWIP:
     head, sep, tail = text.partition("/")
     if not sep:
         raise ValueError(f"expected 'sigma / pi' in {text!r}")
-    return validate_wip3(permcore.parse_perm(head), permcore.parse_perm(tail))
+    sigma, pi = permcore.parse_perm(head), permcore.parse_perm(tail)  # checks both rows
+    if len(sigma) != len(pi) or not _maxima_rise(sigma, pi):
+        raise ValueError(_NOT_WIP3)
+    return ThreeWIP(sigma, pi)
 
 
 # ---------------------------------------------------------------------------

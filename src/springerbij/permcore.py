@@ -3,8 +3,9 @@
 A permutation is a tuple of the values 1..n; a signed permutation is a tuple
 of nonzero integers whose absolute values form a permutation. All positions
 in documented statistics are 1-based, matching the text formats. Boundary
-comparisons use the conventions p[0] = 0 and p[n+1] = +infinity, realized by
-the comparisons themselves rather than by padding the word.
+comparisons use the conventions p[0] = 0 and p[n+1] = +infinity. left_peaks and
+right_valleys realize them by their comparisons alone; peak_valley_pairs pads
+the word with +infinity.
 
 Everything here is a pure function on immutable values.
 """
@@ -147,79 +148,52 @@ def cycle_peaks(perm: Sequence[int]) -> frozenset[int]:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class CycleForm:
-    """A cycle decomposition: max-first cycles listed by increasing maxima."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-
-def standard_cycle_form(perm: Sequence[int]) -> CycleForm:
-    """Cycle decomposition, each cycle rotated so its maximum leads, cycles by increasing maxima.
-
-    >>> standard_cycle_form((2, 6, 7, 9, 5, 3, 1, 8, 4)).cycles
-    ((5,), (7, 1, 2, 6, 3), (8,), (9, 4))
-    """
-    n = len(perm)
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cyc = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(v)
-            v = perm[v - 1]
-        top = cyc.index(max(cyc))
-        cycles.append(tuple(cyc[top:] + cyc[:top]))
-    cycles.sort(key=lambda c: c[0])
-    return CycleForm(tuple(cycles))
-
-
-def permutation_from_cycles(cycles: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
-    """Rebuild one-line notation from disjoint cycles read as value -> next value."""
-    out = [0] * n
-    for cyc in cycles:
-        for i, a in enumerate(cyc):
-            out[a - 1] = cyc[(i + 1) % len(cyc)]
-    return tuple(out)
-
-
 def foata(perm: Sequence[int]) -> tuple[int, ...]:
-    """Erase the parentheses of the standard cycle form.
+    """Erase the parentheses of the standard cycle form (max-first cycles by increasing maxima).
 
     A bijection on permutations of n; it sends the cycle peaks of the input to
-    the values sitting at the left-peak positions of the output.
+    the values sitting at the left-peak positions of the output. Counting down
+    from n, each value not yet seen is its cycle's maximum, so each walk comes
+    out max-first and the walks come out by decreasing maxima.
 
     >>> foata((2, 6, 7, 9, 5, 3, 1, 8, 4))
     (5, 7, 1, 2, 6, 3, 8, 9, 4)
     """
-    out: list[int] = []
-    for cyc in standard_cycle_form(perm).cycles:
-        out.extend(cyc)
-    return tuple(out)
+    seen = [False] * (len(perm) + 1)
+    walks = []
+    for top in range(len(perm), 0, -1):
+        if seen[top]:
+            continue
+        walk, v = [], top
+        while not seen[v]:  # not `v != top`: on a non-permutation that may never hold
+            seen[v] = True
+            walk.append(v)
+            v = perm[v - 1]
+        walks.append(walk)
+    return tuple(chain.from_iterable(reversed(walks)))
 
 
 def foata_inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    """Cut before each left-to-right maximum and read the pieces as cycles.
+    """Read the word as cycles, each opened by a left-to-right maximum.
 
     The cycle heads of a standard cycle form are exactly the left-to-right
-    maxima of its concatenation, so this inverts foata.
+    maxima of its concatenation, so this inverts foata: each entry maps to the
+    next, and the last entry of a cycle maps to the cycle's head.
 
     >>> foata_inverse((5, 7, 1, 2, 6, 3, 8, 9, 4))
     (2, 6, 7, 9, 5, 3, 1, 8, 4)
     """
-    pieces: list[list[int]] = []
-    best = 0
+    out = [0] * (len(perm) + 1)  # out[0] takes the link into the first entry
+    head = prev = 0
     for v in perm:
-        if v > best:
-            pieces.append([v])
-            best = v
+        if v > head:
+            out[prev] = head
+            head = v
         else:
-            pieces[-1].append(v)
-    return permutation_from_cycles(pieces, len(perm))
+            out[prev] = v
+        prev = v
+    out[prev] = head
+    return tuple(out[1:])
 
 
 def count_pat_31_2_at(perm: Sequence[int], value: int) -> int:
@@ -305,12 +279,3 @@ def format_marked(mp: MarkedPermutation) -> str:
     '5 7^ 1 2 6 3 8 9^ 4'
     """
     return " ".join(f"{v}^" if v in mp.marks else str(v) for v in mp.perm)
-
-
-def format_cycle_form(cf: CycleForm) -> str:
-    """Debug format: parenthesized comma-separated cycles.
-
-    >>> format_cycle_form(standard_cycle_form((2, 6, 7, 9, 5, 3, 1, 8, 4)))
-    '(5)(7,1,2,6,3)(8)(9,4)'
-    """
-    return "".join("(" + ",".join(map(str, cyc)) + ")" for cyc in cf.cycles)

@@ -39,6 +39,7 @@ from springerbij.families import (
     ThreeWIP,
     domain,
     enumerate_laguerre,
+    enumerate_lbp,
     enumerate_rcalt,
     enumerate_wip3,
 )
@@ -368,6 +369,17 @@ def test_bijection_exhaustive(name):
         assert len(set(images)) == len(images)
         assert set(images) == set(domain(bij.codomain).generate(n))
         assert [bij.inverse(y) for y in images] == objects
+
+
+def test_the_paper_chain_maps_the_3wips_onto_the_labeled_ballot_paths():
+    # wip3 -> snakes -> lbp (phi, then snake2lbp) is one-to-one onto the labeled
+    # ballot paths at every n <= 6, and lbp_to_snake then phi_inverse undo it
+    for n in range(7):
+        wips = list(enumerate_wip3(n))
+        images = [snake_to_lbp(phi(wip)) for wip in wips]
+        assert len(set(images)) == len(images)
+        assert set(images) == set(enumerate_lbp(n))
+        assert [phi_inverse(lbp_to_snake(path)) for path in images] == wips
 
 
 def test_bars_always_consistent_and_sign_pattern():

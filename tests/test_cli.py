@@ -216,9 +216,13 @@ def test_map_snake2lbp_checks_each_permutation_once(monkeypatch):
     assert (lengths, steps) == ([9, 9], [9])
     assert run(["fz", "--inverse"], history) == (0, perm, "")
     assert (lengths, steps) == ([], [9, 9])
+    # phi: the parse of both rows (the 3-WIP check re-checks neither), phi's
+    # input check of both rows, then its output check of the snake
+    wip, snake9 = "1 5 2 6 7 3 8 9 4 / 2 5 6 3 1 7 8 4 9\n", "5 -7 -1 -2 6 3 8 -9 -4\n"
+    assert run(["phi"], wip) == (0, snake9, "")
+    assert (lengths, steps) == ([9, 9, 9, 9, 9], [])
     # phi inverse: the snake's parse and phi_inverse's input check, then
     # phi_step1_inverse's check of both rows; the round trip re-checks nothing
-    wip, snake9 = "1 5 2 6 7 3 8 9 4 / 2 5 6 3 1 7 8 4 9\n", "5 -7 -1 -2 6 3 8 -9 -4\n"
     assert run(["phi", "--inverse"], snake9) == (0, wip, "")
     assert (lengths, steps) == ([9, 9, 9, 9], [])
 

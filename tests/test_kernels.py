@@ -28,6 +28,12 @@ by line, are their oracles.
 The Springer and Euler numbers come from derivative polynomials at u = 1; the
 binomial recurrences of the exponential generating functions they replaced are
 oracles for every m <= 300.
+
+permcore.foata walks each cycle once from its maximum, counting down from n,
+and foata_inverse links each entry to the next in one pass. Their cycle-form
+versions (rotate each cycle to its maximum, sort the cycles, rebuild from
+pieces) are oracles on every permutation with n <= 8 and at n = 512 and 4096.
+Neither may hang on a word that is not a permutation.
 """
 
 import io
@@ -35,6 +41,7 @@ import itertools
 import math
 import operator
 import random
+import signal
 import sys
 from bisect import bisect_right
 
@@ -73,6 +80,8 @@ from springerbij.paths import (
     validate_laguerre,
 )
 from springerbij.permcore import (
+    foata,
+    foata_inverse,
     format_perm,
     is_alternating,
     left_peaks,
@@ -212,6 +221,53 @@ def _fz_inverse_splice_oracle(hw):
         v = after[v]
         perm.append(v)
     return tuple(perm)
+
+
+def _standard_cycle_form_oracle(perm):
+    # the cycles field of the CycleForm record it returned
+    n = len(perm)
+    seen = [False] * (n + 1)
+    cycles = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cyc = []
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            cyc.append(v)
+            v = perm[v - 1]
+        top = cyc.index(max(cyc))
+        cycles.append(tuple(cyc[top:] + cyc[:top]))
+    cycles.sort(key=lambda c: c[0])
+    return tuple(cycles)
+
+
+def _permutation_from_cycles_oracle(cycles, n):
+    out = [0] * n
+    for cyc in cycles:
+        for i, a in enumerate(cyc):
+            out[a - 1] = cyc[(i + 1) % len(cyc)]
+    return tuple(out)
+
+
+def _foata_oracle(perm):
+    out = []
+    for cyc in _standard_cycle_form_oracle(perm):
+        out.extend(cyc)
+    return tuple(out)
+
+
+def _foata_inverse_oracle(perm):
+    pieces = []
+    best = 0
+    for v in perm:
+        if v > best:
+            pieces.append([v])
+            best = v
+        else:
+            pieces[-1].append(v)
+    return _permutation_from_cycles_oracle(pieces, len(perm))
 
 
 def _zigzags_oracle(n, values, slot, last_ok=lambda v: True):
@@ -712,3 +768,47 @@ def test_peak_valley_pairs_match_left_peaks_zipped_with_right_valleys():
     words += [tuple(rng.sample(range(1, 513), 512)) for _ in range(10)]
     for word in words:
         assert peak_valley_pairs(word) == tuple(zip(left_peaks(word), right_valleys(word))), word
+
+
+def test_foata_walks_match_the_cycle_form_oracles():
+    # every permutation with n <= 8, then seeded uniform ones at n = 512 and 4096;
+    # for n <= 6 the oracle's cycle form is held to its shape as well
+    for n in range(9):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert foata(p) == _foata_oracle(p), p
+            assert foata_inverse(p) == _foata_inverse_oracle(p), p
+            if n <= 6:
+                cycles = _standard_cycle_form_oracle(p)
+                assert sorted(v for cyc in cycles for v in cyc) == list(range(1, n + 1))
+                assert all(cyc[0] == max(cyc) for cyc in cycles)
+                assert [cyc[0] for cyc in cycles] == sorted(cyc[0] for cyc in cycles)
+    rng = random.Random(512)
+    for n, count in ((512, 10), (4096, 2)):
+        for _ in range(count):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            assert foata(p) == _foata_oracle(p)
+            assert foata_inverse(p) == _foata_inverse_oracle(p)
+            assert foata_inverse(foata(p)) == p
+
+
+def test_foata_walks_end_on_words_that_are_not_permutations():
+    # every word over 1..n with n <= 4: each call returns n entries or raises
+    # ValueError, within a budget that a walk looping back to a value it never
+    # revisits would exceed
+    def expire(signum, frame):
+        raise TimeoutError("a foata walk did not end")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        for n in range(5):
+            for word in itertools.product(range(1, n + 1), repeat=n):
+                for fn in (foata, foata_inverse):
+                    try:
+                        out = fn(word)
+                    except ValueError:
+                        continue
+                    assert isinstance(out, tuple) and len(out) == n, (fn.__name__, word)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

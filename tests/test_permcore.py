@@ -6,14 +6,12 @@ import math
 import pytest
 
 from springerbij.permcore import (
-    CycleForm,
     MarkedPermutation,
     count_pat_2_31_at,
     count_pat_31_2_at,
     cycle_peaks,
     foata,
     foata_inverse,
-    format_cycle_form,
     format_marked,
     format_perm,
     invert,
@@ -26,7 +24,6 @@ from springerbij.permcore import (
     parse_signed,
     reverse_complement,
     right_valleys,
-    standard_cycle_form,
 )
 
 
@@ -205,33 +202,19 @@ def test_cycle_peaks_match_oracle():
             assert cycle_peaks(p) == oracle_cycle_peaks(p)
 
 
-def test_standard_cycle_form_examples():
-    assert standard_cycle_form((2, 6, 7, 9, 5, 3, 1, 8, 4)).cycles == (
-        (5,), (7, 1, 2, 6, 3), (8,), (9, 4),
-    )
-    assert standard_cycle_form((1, 2, 3)).cycles == ((1,), (2,), (3,))
-    assert standard_cycle_form((2, 1)).cycles == ((2, 1),)
-
-
-def test_standard_cycle_form_shape():
-    for n in range(7):
-        for p in all_perms(n):
-            cf = standard_cycle_form(p)
-            values = [v for cyc in cf.cycles for v in cyc]
-            assert sorted(values) == list(range(1, n + 1))
-            maxima = [cyc[0] for cyc in cf.cycles]
-            assert all(cyc[0] == max(cyc) for cyc in cf.cycles)
-            assert maxima == sorted(maxima)
-
-
 def test_foata_examples():
+    # standard cycle form (5)(7,1,2,6,3)(8)(9,4): max-first, by increasing maxima
     assert foata((2, 6, 7, 9, 5, 3, 1, 8, 4)) == (5, 7, 1, 2, 6, 3, 8, 9, 4)
+    assert foata((3, 1, 2)) == (3, 2, 1)          # (3,2,1)
+    assert foata((3, 4, 1, 2)) == (3, 1, 4, 2)    # (3,1)(4,2)
     assert foata((1, 2, 3)) == (1, 2, 3)
     assert foata((2, 1)) == (2, 1)
 
 
 def test_foata_inverse_examples():
     assert foata_inverse((5, 7, 1, 2, 6, 3, 8, 9, 4)) == (2, 6, 7, 9, 5, 3, 1, 8, 4)
+    assert foata_inverse((3, 2, 1)) == (3, 1, 2)
+    assert foata_inverse((3, 1, 4, 2)) == (3, 4, 1, 2)
     assert foata_inverse((1, 2, 3)) == (1, 2, 3)
     assert foata_inverse((2, 1)) == (2, 1)
 
@@ -310,8 +293,3 @@ def test_marked_format():
     mp = MarkedPermutation((5, 7, 1, 2, 6, 3, 8, 9, 4), frozenset({7, 9}))
     assert format_marked(mp) == "5 7^ 1 2 6 3 8 9^ 4"
 
-
-def test_cycle_form_format():
-    cf = standard_cycle_form((2, 6, 7, 9, 5, 3, 1, 8, 4))
-    assert format_cycle_form(cf) == "(5)(7,1,2,6,3)(8)(9,4)"
-    assert format_cycle_form(CycleForm(())) == ""
