@@ -202,6 +202,32 @@ def test_cycle_peaks_match_oracle():
             assert cycle_peaks(p) == oracle_cycle_peaks(p)
 
 
+def cut_at_left_to_right_maxima(word):
+    """Split a word before each left-to-right maximum."""
+    blocks, top = [], 0
+    for v in word:
+        if v > top:
+            blocks.append([])
+            top = v
+        blocks[-1].append(v)
+    return tuple(tuple(b) for b in blocks)
+
+
+def test_standard_cycle_form_examples():
+    # foata's word, cut before each left-to-right maximum, is the standard
+    # cycle form of its input: each block a cycle, written max-first
+    cases = [
+        ((2, 6, 7, 9, 5, 3, 1, 8, 4), ((5,), (7, 1, 2, 6, 3), (8,), (9, 4))),
+        ((1, 2, 3), ((1,), (2,), (3,))),
+        ((2, 1), ((2, 1),)),
+    ]
+    for p, cycles in cases:
+        assert cut_at_left_to_right_maxima(foata(p)) == cycles
+        for cyc in cycles:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                assert p[a - 1] == b
+
+
 def test_foata_examples():
     # standard cycle form (5)(7,1,2,6,3)(8)(9,4): max-first, by increasing maxima
     assert foata((2, 6, 7, 9, 5, 3, 1, 8, 4)) == (5, 7, 1, 2, 6, 3, 8, 9, 4)
