@@ -12,16 +12,19 @@
 * snake_to_lbp: the composite of psi with the halving map.
 
 BIJECTIONS holds one record per bijection of the CLI. Every public map here
-checks its input once and its output once: it rejects a non-member of its
-domain and checks what the theorems guarantee of its output, so silent drift
-turns into loud failures. Composites and self-checks run the unchecked cores
-(_phi_trace, _fz, _fz_inverse) where a neighbouring check already covers them.
+rejects a non-member of its domain and, but for fz_inverse, checks what the
+theorems guarantee of its output, each once. fz_inverse links each value into
+its word exactly once, so its output is a permutation by construction. The
+composites and self-checks run the unchecked cores (_phi_trace, _fz,
+_fz_inverse) where a neighbouring check already covers them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_right
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from . import paths
@@ -36,7 +39,6 @@ from .paths import (
 )
 from .permcore import (
     MarkedPermutation,
-    cycle_peaks,
     foata,
     foata_inverse,
     format_marked,
@@ -51,50 +53,40 @@ from .permcore import (
 def phi_step1(wip: ThreeWIP) -> MarkedPermutation:
     """Transpose the columns into a permutation and mark distinguished cycle peaks.
 
-    The permutation tau sends sigma_i to pi_i. A cycle peak k of tau gets a
-    mark exactly when some column boundary shows k at the top immediately
-    before k at the bottom (sigma_l = k = pi_{l+1}), which records how the two
-    columns sharing the maximum k were ordered.
+    The permutation tau sends sigma_i to pi_i. A cycle peak k gets a mark when
+    a column boundary shows k at the top just before k at the bottom
+    (sigma_l = k = pi_{l+1}). Those two columns, (k, tau_k) then (tau^-1_k, k),
+    also tell whether k is a cycle peak: tau_k < k > tau^-1_k.
     """
     sigma, pi = wip.sigma, wip.pi
-    n = len(sigma)
-    tau = [0] * n
-    for i in range(n):
-        tau[sigma[i] - 1] = pi[i]
-    word = tuple(tau)
-    peaks = cycle_peaks(word)
-    marks = frozenset(
-        sigma[l] for l in range(n - 1) if sigma[l] == pi[l + 1] and sigma[l] in peaks
-    )
-    return MarkedPermutation(word, marks)
+    tau = [0] * len(sigma)
+    for s, p in zip(sigma, pi):
+        tau[s - 1] = p
+    marks = frozenset(k for k, t, s, p in zip(sigma, pi, sigma[1:], pi[1:]) if k == p and t < k > s)
+    return MarkedPermutation(tuple(tau), marks)
 
 
 def phi_step1_inverse(mp: MarkedPermutation) -> ThreeWIP:
     """Rebuild the column pair from a permutation with marked cycle peaks.
 
-    Each column i carries the key c = max(i, tau_i). A key value k is shared
-    by two columns exactly when k is a cycle peak; the marked peaks put the
-    (k, tau_k) column first, the unmarked ones second. Sorting by key and
-    dropping it yields the two rows.
+    Column (i, tau_i) goes to bucket max(i, tau_i). Bucket k gets two columns
+    exactly when k is a cycle peak, first (tau^-1_k, k), then (k, tau_k): the
+    order of an unmarked peak, reversed for a marked one. The buckets in turn
+    give the two rows. A column with an entry above n stays in bucket i, and
+    validate_wip3 rejects the rows.
     """
     tau, marks = mp.perm, mp.marks
-    if not marks <= cycle_peaks(tau):
-        bad = sorted(marks - cycle_peaks(tau))
+    n = len(tau)
+    buckets = [[] for _ in range(n + 1)]
+    for i, t in enumerate(tau, start=1):
+        buckets[t if i < t <= n else i].append((i, t))
+    bad = sorted(marks - {k for k, bucket in enumerate(buckets) if len(bucket) == 2})
+    if bad:
         raise MarkNotCyclePeak(f"marked values {bad} are not cycle peaks")
-
-    def key(col: tuple[int, int]) -> tuple[int, int]:
-        i, t = col
-        c = max(i, t)
-        if i == t:          # fixed point: its key is unshared
-            return (c, 0)
-        if i == c:          # the (k, tau_k) column of a shared key k = i
-            return (c, 0 if c in marks else 1)
-        return (c, 1 if c in marks else 0)
-
-    cols = sorted(((i, t) for i, t in enumerate(tau, start=1)), key=key)
-    sigma = tuple(i for i, _ in cols)
-    pi = tuple(t for _, t in cols)
-    return validate_wip3(sigma, pi)
+    for k in marks:
+        buckets[k].reverse()
+    cols = list(chain.from_iterable(buckets))
+    return validate_wip3(tuple(map(itemgetter(0), cols)), tuple(map(itemgetter(1), cols)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -151,24 +151,26 @@ def cycle_peaks(perm: Sequence[int]) -> frozenset[int]:
 def foata(perm: Sequence[int]) -> tuple[int, ...]:
     """Erase the parentheses of the standard cycle form (max-first cycles by increasing maxima).
 
-    A bijection on permutations of n; it sends the cycle peaks of the input to
-    the values sitting at the left-peak positions of the output. Counting down
-    from n, each value not yet seen is its cycle's maximum, so each walk comes
-    out max-first and the walks come out by decreasing maxima.
+    A bijection on permutations of n (other words raise ValueError) that sends
+    cycle peaks to the values at left peaks. Counting down from n, each unseen
+    value is its cycle's maximum, so walks come out max-first, by falling maxima.
 
     >>> foata((2, 6, 7, 9, 5, 3, 1, 8, 4))
     (5, 7, 1, 2, 6, 3, 8, 9, 4)
     """
-    seen = [False] * (len(perm) + 1)
+    n = len(perm)
+    seen = [False] * (n + 1)
     walks = []
-    for top in range(len(perm), 0, -1):
+    for top in range(n, 0, -1):
         if seen[top]:
             continue
         walk, v = [], top
-        while not seen[v]:  # not `v != top`: on a non-permutation that may never hold
+        while 0 < v <= n and not seen[v]:  # ends on a word that is no permutation, too
             seen[v] = True
             walk.append(v)
             v = perm[v - 1]
+        if v != top:  # all walks close at their tops exactly when perm is a permutation
+            raise ValueError(f"not a permutation: {tuple(perm)}")
         walks.append(walk)
     return tuple(chain.from_iterable(reversed(walks)))
 
@@ -178,14 +180,17 @@ def foata_inverse(perm: Sequence[int]) -> tuple[int, ...]:
 
     The cycle heads of a standard cycle form are exactly the left-to-right
     maxima of its concatenation, so this inverts foata: each entry maps to the
-    next, and the last entry of a cycle maps to the cycle's head.
+    next, the last of a cycle to its head. Non-permutations raise ValueError.
 
     >>> foata_inverse((5, 7, 1, 2, 6, 3, 8, 9, 4))
     (2, 6, 7, 9, 5, 3, 1, 8, 4)
     """
-    out = [0] * (len(perm) + 1)  # out[0] takes the link into the first entry
+    n = len(perm)
+    out = [0] * (n + 1)  # out[0] takes the link into the first entry
     head = prev = 0
     for v in perm:
+        if not 0 < v <= n:
+            raise ValueError(f"not a permutation: {tuple(perm)}")
         if v > head:
             out[prev] = head
             head = v
@@ -193,6 +198,8 @@ def foata_inverse(perm: Sequence[int]) -> tuple[int, ...]:
             out[prev] = v
         prev = v
     out[prev] = head
+    if 0 in out[1:]:  # a value of 1..n that perm misses, as it repeats another
+        raise ValueError(f"not a permutation: {tuple(perm)}")
     return tuple(out[1:])
 
 
@@ -219,8 +226,7 @@ def count_pat_2_31_at(perm: Sequence[int], value: int) -> int:
     1
     """
     j = list(perm).index(value)
-    n = len(perm)
-    return sum(1 for k in range(j + 1, n - 1) if perm[k + 1] < value < perm[k])
+    return sum(1 for k in range(j + 1, len(perm) - 1) if perm[k + 1] < value < perm[k])
 
 
 @dataclasses.dataclass(frozen=True)

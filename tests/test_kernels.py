@@ -34,6 +34,15 @@ and foata_inverse links each entry to the next in one pass. Their cycle-form
 versions (rotate each cycle to its maximum, sort the cycles, rebuild from
 pieces) are oracles on every permutation with n <= 8 and at n = 512 and 4096.
 Neither may hang on a word that is not a permutation.
+
+bijections.phi_step1 reads each mark off two neighbouring columns, and
+phi_step1_inverse rebuilds the columns by bucket, one bucket per column
+maximum. Their versions that tested marks with permcore.cycle_peaks and sorted
+the columns by a key are oracles on every 3-WIP with n <= 7, on every
+permutation with n <= 5 under every mark set in {0..n+1}, and at n = 512 and
+4096. phi_step1_inverse, foata and foata_inverse raise ValueError, never
+IndexError, on every word of length n <= 4 over -n-1..n+1 that is not a
+permutation.
 """
 
 import io
@@ -54,6 +63,7 @@ from springerbij.errors import (
     HeightBelowZero,
     HorizontalStepPresent,
     LengthMismatch,
+    MarkNotCyclePeak,
     NotClosed,
     ValidationError,
     WeightOutOfRange,
@@ -69,6 +79,7 @@ from springerbij.families import (
     is_wip3,
     springer_egf,
     validate_permutation,
+    validate_wip3,
 )
 from springerbij.paths import (
     BALLOT_ALPHABET,
@@ -80,6 +91,8 @@ from springerbij.paths import (
     validate_laguerre,
 )
 from springerbij.permcore import (
+    MarkedPermutation,
+    cycle_peaks,
     foata,
     foata_inverse,
     format_perm,
@@ -268,6 +281,41 @@ def _foata_inverse_oracle(perm):
         else:
             pieces[-1].append(v)
     return _permutation_from_cycles_oracle(pieces, len(perm))
+
+
+def _phi_step1_oracle(wip):
+    sigma, pi = wip.sigma, wip.pi
+    n = len(sigma)
+    tau = [0] * n
+    for i in range(n):
+        tau[sigma[i] - 1] = pi[i]
+    word = tuple(tau)
+    peaks = cycle_peaks(word)
+    marks = frozenset(
+        sigma[l] for l in range(n - 1) if sigma[l] == pi[l + 1] and sigma[l] in peaks
+    )
+    return MarkedPermutation(word, marks)
+
+
+def _phi_step1_inverse_oracle(mp):
+    tau, marks = mp.perm, mp.marks
+    if not marks <= cycle_peaks(tau):
+        bad = sorted(marks - cycle_peaks(tau))
+        raise MarkNotCyclePeak(f"marked values {bad} are not cycle peaks")
+
+    def key(col):
+        i, t = col
+        c = max(i, t)
+        if i == t:          # fixed point: its key is unshared
+            return (c, 0)
+        if i == c:          # the (k, tau_k) column of a shared key k = i
+            return (c, 0 if c in marks else 1)
+        return (c, 1 if c in marks else 0)
+
+    cols = sorted(((i, t) for i, t in enumerate(tau, start=1)), key=key)
+    sigma = tuple(i for i, _ in cols)
+    pi = tuple(t for _, t in cols)
+    return validate_wip3(sigma, pi)
 
 
 def _zigzags_oracle(n, values, slot, last_ok=lambda v: True):
@@ -812,3 +860,55 @@ def test_foata_walks_end_on_words_that_are_not_permutations():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _mark_sets(n):
+    values = range(n + 2)
+    return itertools.chain.from_iterable(
+        map(frozenset, itertools.combinations(values, r)) for r in range(n + 3))
+
+
+def test_phi_step1_passes_match_the_cycle_peak_and_sort_oracles():
+    # phi_step1 on every 3-WIP with n <= 7; phi_step1_inverse on every permutation
+    # with n <= 5 under every mark set in {0..n+1}: the same value, or the same
+    # exception class and message
+    for n in range(8):
+        for wip in FAMILIES["wip3"].enumerate(n):
+            assert bijections.phi_step1(wip) == _phi_step1_oracle(wip), wip
+    for n in range(6):
+        for p in itertools.permutations(range(1, n + 1)):
+            for marks in _mark_sets(n):
+                mp = MarkedPermutation(p, marks)
+                assert (_outcome(bijections.phi_step1_inverse, mp)
+                        == _outcome(_phi_step1_inverse_oracle, mp)), mp
+    # seeded permutations with a random set of marked cycle peaks, then one
+    # marked value that is no cycle peak
+    rng = random.Random(512)
+    for n, count in ((512, 10), (4096, 2)):
+        for _ in range(count):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            peaks = sorted(cycle_peaks(p))
+            mp = MarkedPermutation(p, frozenset(rng.sample(peaks, len(peaks) // 2)))
+            wip = bijections.phi_step1_inverse(mp)
+            assert wip == _phi_step1_inverse_oracle(mp)
+            assert bijections.phi_step1(wip) == _phi_step1_oracle(wip) == mp
+            valley = next(k for k in range(1, n + 1) if k not in peaks)
+            bad = MarkedPermutation(p, mp.marks | {valley})
+            assert (_outcome(bijections.phi_step1_inverse, bad)
+                    == _outcome(_phi_step1_inverse_oracle, bad))
+
+
+def test_non_permutations_raise_value_error_in_step1_inverse_and_foata():
+    # every word of length n <= 4 over -n-1..n+1 that is not a permutation;
+    # pytest.raises(ValueError) lets an IndexError through as a failure
+    for n in range(5):
+        marks = [frozenset(), frozenset(range(n + 2)), *(frozenset({k}) for k in range(n + 2))]
+        for word in itertools.product(range(-n - 1, n + 2), repeat=n):
+            if permcore.is_permutation(word):
+                continue
+            for fn in (foata, foata_inverse):
+                with pytest.raises(ValueError):
+                    fn(word)
+            for m in marks:
+                with pytest.raises(ValueError):
+                    bijections.phi_step1_inverse(MarkedPermutation(word, m))
