@@ -165,7 +165,7 @@ def foata(perm: Sequence[int]) -> tuple[int, ...]:
         if seen[top]:
             continue
         walk, v = [], top
-        while 0 < v <= n and not seen[v]:  # ends on a word that is no permutation, too
+        while 0 < v <= n and not seen[v]:  # a word that is no permutation may leave 1..n
             seen[v] = True
             walk.append(v)
             v = perm[v - 1]
@@ -226,7 +226,8 @@ def count_pat_2_31_at(perm: Sequence[int], value: int) -> int:
     1
     """
     j = list(perm).index(value)
-    return sum(1 for k in range(j + 1, len(perm) - 1) if perm[k + 1] < value < perm[k])
+    n = len(perm)
+    return sum(1 for k in range(j + 1, n - 1) if perm[k + 1] < value < perm[k])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -33,7 +33,7 @@ permcore.foata walks each cycle once from its maximum, counting down from n,
 and foata_inverse links each entry to the next in one pass. Their cycle-form
 versions (rotate each cycle to its maximum, sort the cycles, rebuild from
 pieces) are oracles on every permutation with n <= 8 and at n = 512 and 4096.
-Neither may hang on a word that is not a permutation.
+Neither may hang on a word that is not a permutation, and both reject it.
 
 bijections.phi_step1 reads each mark off two neighbouring columns, and
 phi_step1_inverse rebuilds the columns by bucket, one bucket per column
@@ -840,9 +840,9 @@ def test_foata_walks_match_the_cycle_form_oracles():
 
 
 def test_foata_walks_end_on_words_that_are_not_permutations():
-    # every word over 1..n with n <= 4: each call returns n entries or raises
-    # ValueError, within a budget that a walk looping back to a value it never
-    # revisits would exceed
+    # every word of length n <= 4 over -n-1..n+1: a permutation maps to n entries,
+    # any other word raises ValueError (an IndexError fails the test), within a
+    # budget that a walk looping back to a value it never revisits would exceed
     def expire(signum, frame):
         raise TimeoutError("a foata walk did not end")
 
@@ -850,13 +850,14 @@ def test_foata_walks_end_on_words_that_are_not_permutations():
     signal.alarm(10)
     try:
         for n in range(5):
-            for word in itertools.product(range(1, n + 1), repeat=n):
+            for word in itertools.product(range(-n - 1, n + 2), repeat=n):
                 for fn in (foata, foata_inverse):
-                    try:
+                    if permcore.is_permutation(word):
                         out = fn(word)
-                    except ValueError:
-                        continue
-                    assert isinstance(out, tuple) and len(out) == n, (fn.__name__, word)
+                        assert isinstance(out, tuple) and len(out) == n, (fn.__name__, word)
+                    else:
+                        with pytest.raises(ValueError):
+                            fn(word)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -881,34 +882,32 @@ def test_phi_step1_passes_match_the_cycle_peak_and_sort_oracles():
                 mp = MarkedPermutation(p, marks)
                 assert (_outcome(bijections.phi_step1_inverse, mp)
                         == _outcome(_phi_step1_inverse_oracle, mp)), mp
-    # seeded permutations with a random set of marked cycle peaks, then one
-    # marked value that is no cycle peak
+    # seeded permutations with half their cycle peaks marked, then also the
+    # least value above 1 that is no cycle peak
     rng = random.Random(512)
     for n, count in ((512, 10), (4096, 2)):
         for _ in range(count):
             p = tuple(rng.sample(range(1, n + 1), n))
-            peaks = sorted(cycle_peaks(p))
-            mp = MarkedPermutation(p, frozenset(rng.sample(peaks, len(peaks) // 2)))
+            peaks = cycle_peaks(p)
+            mp = MarkedPermutation(p, frozenset(rng.sample(sorted(peaks), len(peaks) // 2)))
             wip = bijections.phi_step1_inverse(mp)
             assert wip == _phi_step1_inverse_oracle(mp)
             assert bijections.phi_step1(wip) == _phi_step1_oracle(wip) == mp
-            valley = next(k for k in range(1, n + 1) if k not in peaks)
-            bad = MarkedPermutation(p, mp.marks | {valley})
+            other = next(k for k in range(2, n + 1) if k not in peaks)  # 1 never is one
+            bad = MarkedPermutation(p, mp.marks | {other})
             assert (_outcome(bijections.phi_step1_inverse, bad)
                     == _outcome(_phi_step1_inverse_oracle, bad))
 
 
-def test_non_permutations_raise_value_error_in_step1_inverse_and_foata():
-    # every word of length n <= 4 over -n-1..n+1 that is not a permutation;
-    # pytest.raises(ValueError) lets an IndexError through as a failure
+def test_phi_step1_inverse_rejects_words_that_are_not_permutations():
+    # every word of length n <= 4 over -n-1..n+1 that is not a permutation, with
+    # no mark, every mark in {0..n+1} at once, or one of them: ValueError, where
+    # the sort and cycle_peaks version could raise IndexError
     for n in range(5):
-        marks = [frozenset(), frozenset(range(n + 2)), *(frozenset({k}) for k in range(n + 2))]
+        mark_sets = [frozenset(), frozenset(range(n + 2)), *(frozenset({k}) for k in range(n + 2))]
         for word in itertools.product(range(-n - 1, n + 2), repeat=n):
             if permcore.is_permutation(word):
                 continue
-            for fn in (foata, foata_inverse):
+            for marks in mark_sets:
                 with pytest.raises(ValueError):
-                    fn(word)
-            for m in marks:
-                with pytest.raises(ValueError):
-                    bijections.phi_step1_inverse(MarkedPermutation(word, m))
+                    bijections.phi_step1_inverse(MarkedPermutation(word, marks))
