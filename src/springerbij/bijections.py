@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Any, Callable, Iterable, Sequence
 
 from . import paths
@@ -103,7 +103,8 @@ def place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
     other entry in even position. Under p[0] = 0 and p[n+1] = +inf, left peaks and
     right valleys alternate, starting with a peak: the k-th valley is the k-th peak's."""
     word, marks = tau_tilde.perm, tau_tilde.marks
-    out = [-v if pos % 2 == 0 else v for pos, v in enumerate(word, start=1)]
+    out = list(word)
+    out[1::2] = map(neg, word[1::2])
     for peak, valley in peak_valley_pairs(word):
         v = word[valley - 1]
         out[valley - 1] = -v if word[peak - 1] in marks else v
@@ -136,7 +137,7 @@ def phi(wip: ThreeWIP) -> tuple[int, ...]:
 def unbar(snake: Sequence[int]) -> MarkedPermutation:
     """Invert step 3: the k-th left peak is marked when the k-th right valley
     carries a bar (left peaks and right valleys alternate, see place_bars)."""
-    word = tuple(abs(v) for v in snake)
+    word = tuple(map(abs, snake))
     marks = frozenset(word[peak - 1] for peak, valley in peak_valley_pairs(word)
                       if snake[valley - 1] < 0)
     return MarkedPermutation(word, marks)

@@ -86,21 +86,22 @@ def _caps(steps: str, weights: Sequence[int], alphabet: str, closed: bool) -> li
     if len(steps) != len(weights):
         raise LengthMismatch(f"{len(steps)} steps but {len(weights)} weights")
     caps = []
-    h = 0
-    for s in steps:
+    h = bad = 0  # bad: the first step whose weight is out of range, raised after the closure check
+    for s, w in zip(steps, weights):
         try:
             rise, drop = STEP_RULES[s]
         except KeyError:  # a non-str step sequence may hold "" or "UD", which pass the letter test
             raise ValidationError(f"unknown step letter {s!r} at step {len(caps) + 1}") from None
-        caps.append(h - drop)
+        caps.append(cap := h - drop)
+        if not (isinstance(w, int) and 0 <= w <= cap) and not bad:  # fz_inverse indexes by weight
+            bad = len(caps)
         h += rise
         if h < 0:
             raise HeightBelowZero(f"path dips below the axis after step {len(caps)}")
     if closed and h != 0:
         raise NotClosed(f"path ends at height {h}")
-    for i, (w, cap) in enumerate(zip(weights, caps), start=1):
-        if not (isinstance(w, int) and 0 <= w <= cap):  # fz_inverse indexes by weight
-            raise WeightOutOfRange(i, f"weight {w} at step {i} outside 0..{cap}")
+    if bad:
+        raise WeightOutOfRange(bad, f"weight {weights[bad - 1]} at step {bad} outside 0..{caps[bad - 1]}")
     return caps
 
 

@@ -4,8 +4,8 @@ A permutation is a tuple of the values 1..n; a signed permutation is a tuple
 of nonzero integers whose absolute values form a permutation. All positions
 in documented statistics are 1-based, matching the text formats. Boundary
 comparisons use the conventions p[0] = 0 and p[n+1] = +infinity. left_peaks and
-right_valleys realize them by their comparisons alone; peak_valley_pairs pads
-the word with +infinity.
+right_valleys realize them by their comparisons alone; peak_valley_pairs closes
+its last pair after its loop, where p[n+1] = +infinity would.
 
 Everything here is a pure function on immutable values.
 """
@@ -41,7 +41,7 @@ def is_signed_permutation(word: Sequence[int]) -> bool:
 
 
 def invert(perm: Sequence[int]) -> tuple[int, ...]:
-    """The inverse permutation q, with q[p[i]] = i (1-based).
+    """The inverse permutation q, with q[p[i]] = i (1-based); other words raise ValueError.
 
     >>> invert((2, 6, 7, 9, 5, 3, 1, 8, 4))
     (7, 1, 6, 9, 5, 2, 3, 8, 4)
@@ -49,8 +49,13 @@ def invert(perm: Sequence[int]) -> tuple[int, ...]:
     ()
     """
     inv = [0] * len(perm)
-    for pos, v in enumerate(perm, start=1):
-        inv[v - 1] = pos
+    try:
+        for pos, v in enumerate(perm, start=1):
+            inv[v - 1] = pos
+    except IndexError:  # an entry above n, or below 1 - n
+        raise ValueError(f"not a permutation: {tuple(perm)}") from None
+    if 0 in inv or min(perm, default=1) < 1:  # entries in 1..n fill every slot unless one repeats
+        raise ValueError(f"not a permutation: {tuple(perm)}")
     return tuple(inv)
 
 
@@ -125,19 +130,21 @@ def right_valleys(perm: Sequence[int]) -> tuple[int, ...]:
 def peak_valley_pairs(perm: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """zip(left_peaks(perm), right_valleys(perm)) in one pass, for distinct entries."""
     pairs, peak, prev, rose = [], 0, -math.inf, True
-    for i, v in enumerate((*perm, math.inf)):  # prev = p[i], v = p[i+1]; rose: p[i-1] < p[i]
+    for i, v in enumerate(perm):  # prev = p[i], v = p[i+1]; rose: p[i-1] < p[i]
         if rose and prev > v:
             peak = i
         elif not rose and prev < v:
             pairs.append((peak, i))
         prev, rose = v, prev < v
+    if not rose:  # p[n] < p[n+1] = +inf closes the last pair
+        pairs.append((peak, len(perm)))
     return tuple(pairs)
 
 
 def cycle_peaks(perm: Sequence[int]) -> frozenset[int]:
     """Values k whose two cycle neighbours are both smaller: p^-1[k] < k > p[k].
 
-    Fixed points never qualify, so k ranges over 2..n.
+    Fixed points never qualify, so k ranges over 2..n. Other words raise ValueError.
 
     >>> sorted(cycle_peaks((2, 6, 7, 9, 5, 3, 1, 8, 4)))
     [6, 7, 9]
@@ -212,8 +219,14 @@ def count_pat_31_2_at(perm: Sequence[int], value: int) -> int:
     >>> count_pat_31_2_at((4, 3, 1, 2, 9, 6, 8, 5, 7), 7)
     2
     """
-    j = list(perm).index(value)
-    return sum(1 for k in range(1, j) if perm[k] < value < perm[k - 1])
+    count, prev = 0, value  # k = 1 never counts
+    for v in perm:
+        if v == value:
+            return count
+        if v < value < prev:
+            count += 1
+        prev = v
+    raise ValueError(f"{value!r} is not in list")  # the message of list.index
 
 
 def count_pat_2_31_at(perm: Sequence[int], value: int) -> int:
@@ -225,9 +238,15 @@ def count_pat_2_31_at(perm: Sequence[int], value: int) -> int:
     >>> count_pat_2_31_at((4, 3, 1, 2, 9, 6, 8, 5, 7), 6)
     1
     """
-    j = list(perm).index(value)
-    n = len(perm)
-    return sum(1 for k in range(j + 1, n - 1) if perm[k + 1] < value < perm[k])
+    values = iter(perm)
+    if value not in values:  # the test consumes values up to value's first position
+        raise ValueError(f"{value!r} is not in list")  # the message of list.index
+    count, prev = 0, value  # the pair at value's own position never counts
+    for v in values:
+        if v < value < prev:
+            count += 1
+        prev = v
+    return count
 
 
 @dataclasses.dataclass(frozen=True)

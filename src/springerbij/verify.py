@@ -149,15 +149,15 @@ def pattern_sum_matches_height(perm: Sequence[int]) -> bool:
 
 
 def _wbar_involution(cap: int) -> str:
-    # an involution that complements each weight within its range
+    """wbar is the complement of each weight within its cap, record type included. Each size's
+    paths are closed under that involution, so this gives wbar(wbar(x)) = x as well."""
     caps: dict[str, list[int]] = {}  # step word -> weight cap of each step
 
     def complements(lbp) -> bool:
         if lbp.steps not in caps:
             caps[lbp.steps] = paths.weight_caps(lbp)
-        image = paths.wbar(lbp)
-        return (paths.wbar(image) == lbp and image.steps == lbp.steps
-                and list(map(operator.add, lbp.weights, image.weights)) == caps[lbp.steps])
+        return paths.wbar(lbp) == paths.LabeledBallotPath(
+            lbp.steps, tuple(map(operator.sub, caps[lbp.steps], lbp.weights)))
 
     return _holds(cap, "lbp", complements)
 
@@ -187,9 +187,11 @@ def _bars_consistent(snake) -> bool:
 
 
 def _snake_sign_pattern(snake) -> bool:
-    valleys = set(permcore.right_valleys(tuple(abs(v) for v in snake)))
-    return all((v > 0) == (pos % 2 == 1)
-               for pos, v in enumerate(snake, start=1) if pos not in valleys)
+    # v > 0 exactly in odd positions, but at right valleys of |snake|, which take either sign
+    positive = list(map(operator.lt, itertools.repeat(0), snake))
+    for q in permcore.right_valleys(list(map(abs, snake))):
+        positive[q - 1] = q % 2 == 1
+    return False not in positive[0::2] and True not in positive[1::2]
 
 
 # rows over all families

@@ -43,6 +43,19 @@ permutation with n <= 5 under every mark set in {0..n+1}, and at n = 512 and
 4096. phi_step1_inverse, foata and foata_inverse raise ValueError, never
 IndexError, on every word of length n <= 4 over -n-1..n+1 that is not a
 permutation.
+
+The kernels of the heavy verify rows are single loops: paths._caps checks each
+weight in its step loop and raises the first bad one after the closure check,
+peak_valley_pairs closes its last pair after its loop instead of padding the
+word, unbar and place_bars take absolute values and bars by map and slice, the
+pattern counts count in a loop without copying the word, and the snake sign
+predicate compares sign words. Their versions before that (a second weight
+loop, a padded tuple, comprehensions, list.index and sum over a generator, all
+over a generator) are oracles: the same value, or the same exception class,
+message and args, on every path, snake and history with n <= 7, every
+permutation with n <= 8 (n <= 7 for the counts), the _caps mutants and
+non-str step sequences, every word over -n..n with n <= 5 for the sign
+predicate, and seeded inputs at n = 512 and 4096.
 """
 
 import io
@@ -56,7 +69,7 @@ from bisect import bisect_right
 
 import pytest
 
-from springerbij import bijections, paths, permcore
+from springerbij import bijections, paths, permcore, verify
 from springerbij.bijections import fz, fz_inverse
 from springerbij.cli import main
 from springerbij.errors import (
@@ -318,6 +331,79 @@ def _phi_step1_inverse_oracle(mp):
     return validate_wip3(sigma, pi)
 
 
+
+def _caps_two_loop_oracle(steps, weights, alphabet, closed):
+    # the axis in the step loop, the weights in a loop of their own
+    if not set(steps).issubset(alphabet):  # then name the first letter outside alphabet
+        for i, s in enumerate(steps, start=1):
+            if s not in alphabet:
+                if s in STEP_RULES:
+                    raise HorizontalStepPresent(f"level step at position {i}")
+                raise ValidationError(f"unknown step letter {s!r} at step {i}")
+    if len(steps) != len(weights):
+        raise LengthMismatch(f"{len(steps)} steps but {len(weights)} weights")
+    caps = []
+    h = 0
+    for s in steps:
+        try:
+            rise, drop = STEP_RULES[s]
+        except KeyError:  # a non-str step sequence may hold "" or "UD", which pass the letter test
+            raise ValidationError(f"unknown step letter {s!r} at step {len(caps) + 1}") from None
+        caps.append(h - drop)
+        h += rise
+        if h < 0:
+            raise HeightBelowZero(f"path dips below the axis after step {len(caps)}")
+    if closed and h != 0:
+        raise NotClosed(f"path ends at height {h}")
+    for i, (w, cap) in enumerate(zip(weights, caps), start=1):
+        if not (isinstance(w, int) and 0 <= w <= cap):  # fz_inverse indexes by weight
+            raise WeightOutOfRange(i, f"weight {w} at step {i} outside 0..{cap}")
+    return caps
+
+
+def _peak_valley_pairs_padded_oracle(perm):
+    pairs, peak, prev, rose = [], 0, -math.inf, True
+    for i, v in enumerate((*perm, math.inf)):  # prev = p[i], v = p[i+1]; rose: p[i-1] < p[i]
+        if rose and prev > v:
+            peak = i
+        elif not rose and prev < v:
+            pairs.append((peak, i))
+        prev, rose = v, prev < v
+    return tuple(pairs)
+
+
+def _place_bars_comprehension_oracle(tau_tilde):
+    word, marks = tau_tilde.perm, tau_tilde.marks
+    out = [-v if pos % 2 == 0 else v for pos, v in enumerate(word, start=1)]
+    for peak, valley in _peak_valley_pairs_padded_oracle(word):
+        v = word[valley - 1]
+        out[valley - 1] = -v if word[peak - 1] in marks else v
+    return tuple(out)
+
+
+def _unbar_comprehension_oracle(snake):
+    word = tuple(abs(v) for v in snake)
+    marks = frozenset(word[peak - 1] for peak, valley in _peak_valley_pairs_padded_oracle(word)
+                      if snake[valley - 1] < 0)
+    return MarkedPermutation(word, marks)
+
+
+def _count_pat_31_2_index_oracle(perm, value):
+    j = list(perm).index(value)
+    return sum(1 for k in range(1, j) if perm[k] < value < perm[k - 1])
+
+
+def _count_pat_2_31_index_oracle(perm, value):
+    j = list(perm).index(value)
+    n = len(perm)
+    return sum(1 for k in range(j + 1, n - 1) if perm[k + 1] < value < perm[k])
+
+
+def _snake_sign_pattern_all_oracle(snake):
+    valleys = set(permcore.right_valleys(tuple(abs(v) for v in snake)))
+    return all((v > 0) == (pos % 2 == 1)
+               for pos, v in enumerate(snake, start=1) if pos not in valleys)
+
 def _zigzags_oracle(n, values, slot, last_ok=lambda v: True):
     order = [(v, slot(v)) for v in sorted(values, key=str)]
     word = []
@@ -556,13 +642,14 @@ def _outcome(fn, *args):
     try:
         return fn(*args)
     except ValueError as exc:
-        return type(exc), str(exc), getattr(exc, "index", None)
+        return type(exc), str(exc), exc.args, getattr(exc, "index", None)
 
 
 def _same_caps(steps, weights):
     for alphabet, closed in CONFIGS:
         got = _outcome(paths._caps, steps, weights, alphabet, closed)
         assert got == _outcome(_caps_oracle, steps, weights, alphabet, closed), (steps, weights)
+        assert got == _outcome(_caps_two_loop_oracle, steps, weights, alphabet, closed), (steps, weights)
         if isinstance(got, list):
             assert paths._mirror(steps, weights, got) == _mirror_oracle(steps, weights, got)
 
@@ -641,6 +728,16 @@ def test_caps_matches_the_oracle_at_n_512():
             caps = _caps_oracle(steps, weights, MOTZKIN_ALPHABET, False)
             for mutant in _mutants(steps, weights, caps, rng.sample(range(512), 3)):
                 _same_caps(*mutant)
+
+
+def test_caps_matches_the_oracles_at_n_4096():
+    rng = random.Random(4096)
+    hw = fz(tuple(rng.sample(range(1, 4097), 4096)))
+    for steps, weights in (_random_ballot(rng, 4096), (hw.steps, hw.weights)):
+        _same_caps(steps, weights)
+        caps = _caps_oracle(steps, weights, MOTZKIN_ALPHABET, False)
+        for mutant in _mutants(steps, weights, caps, [rng.randrange(4096)]):
+            _same_caps(*mutant)
 
 
 def _words(n):
@@ -911,3 +1008,109 @@ def test_phi_step1_inverse_rejects_words_that_are_not_permutations():
             for marks in mark_sets:
                 with pytest.raises(ValueError):
                     bijections.phi_step1_inverse(MarkedPermutation(word, marks))
+
+
+# --- the kernels of the heavy verify rows ---------------------------------------
+
+def _snakes_up_to(n_max):
+    return [snake for n in range(n_max + 1) for snake in FAMILIES["snakes"].enumerate(n)]
+
+
+def _random_signed_words(rng, n):
+    """A down-up word of 1..n signed as a snake is, with random signs at its right
+    valleys, and the same word with one entry's sign flipped."""
+    word = rng.sample(range(1, n + 1), n)
+    for i in range(n - 1):  # swap each pair out of down-up shape
+        if (word[i] < word[i + 1]) == (i % 2 == 0):
+            word[i], word[i + 1] = word[i + 1], word[i]
+    signed = [-v if pos % 2 == 0 else v for pos, v in enumerate(word, start=1)]
+    for q in right_valleys(word):
+        signed[q - 1] *= rng.choice((1, -1))
+    flipped = list(signed)
+    flipped[rng.randrange(n)] *= -1
+    return tuple(signed), tuple(flipped)
+
+
+def _large_inputs():
+    """Seeded permutations and signed words at n = 512 and 4096."""
+    rng = random.Random(512)
+    for n, count in ((512, 5), (4096, 2)):
+        for _ in range(count):
+            yield rng, tuple(rng.sample(range(1, n + 1), n)), _random_signed_words(rng, n)
+
+
+def test_peak_valley_pairs_match_the_padded_oracle():
+    # every permutation with n <= 8; every snake with n <= 7 and its absolute
+    # values, and seeded words at n = 512 and 4096, also as lists
+    for n in range(9):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert peak_valley_pairs(p) == _peak_valley_pairs_padded_oracle(p), p
+    words = []
+    for snake in _snakes_up_to(7):
+        words += [snake, tuple(map(abs, snake))]
+    for _, p, signed in _large_inputs():
+        words += [p, *signed]
+    for word in words:
+        assert peak_valley_pairs(word) == _peak_valley_pairs_padded_oracle(word), word
+        assert peak_valley_pairs(list(word)) == _peak_valley_pairs_padded_oracle(word), word
+
+
+def test_unbar_and_place_bars_match_the_comprehension_oracles():
+    # unbar on every snake with n <= 7 and on seeded signed words; place_bars on
+    # what unbar gives and on every permutation with n <= 7, with no mark and with
+    # its left peak values marked
+    marked = []
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            peaks = frozenset(p[i - 1] for i in left_peaks(p))
+            marked += [MarkedPermutation(p, frozenset()), MarkedPermutation(p, peaks)]
+    snakes = _snakes_up_to(7)
+    for rng, p, signed in _large_inputs():
+        snakes += signed
+        marked.append(MarkedPermutation(p, frozenset(rng.sample(p, len(p) // 3))))
+    for snake in snakes:
+        tau_tilde = bijections.unbar(snake)
+        assert tau_tilde == _unbar_comprehension_oracle(snake), snake
+        marked.append(tau_tilde)
+    for mp in marked:
+        assert bijections.place_bars(mp) == _place_bars_comprehension_oracle(mp), mp
+
+
+COUNTS = [(permcore.count_pat_31_2_at, _count_pat_31_2_index_oracle),
+          (permcore.count_pat_2_31_at, _count_pat_2_31_index_oracle)]
+
+
+def test_pattern_counts_match_the_index_oracles():
+    # every permutation with n <= 7 at each value and at 0 and n + 1, which it
+    # misses (list.index's ValueError); every snake with n <= 6 and every signed
+    # permutation with n <= 4, as a tuple and as a list, at -n-1..n+1; seeded
+    # permutations at n = 512 and 4096 at sampled values
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            for value in range(n + 2):
+                for new, old in COUNTS:
+                    assert _outcome(new, p, value) == _outcome(old, p, value), (new.__name__, p, value)
+    signed = [tuple(s * v for s, v in zip(signs, p)) for n in range(5) for p in
+              itertools.permutations(range(1, n + 1)) for signs in itertools.product((1, -1), repeat=n)]
+    cases = [(word, range(-len(word) - 1, len(word) + 2)) for word in _snakes_up_to(6) + signed]
+    for rng, p, _ in _large_inputs():
+        cases.append((p, [0, p[0], p[-1], *rng.sample(p, 20)]))
+    for word, values in cases:
+        for value in values:
+            for new, old in COUNTS:
+                want = _outcome(old, word, value)
+                assert _outcome(new, word, value) == want, (new.__name__, word, value)
+                assert _outcome(new, list(word), value) == want, (new.__name__, word, value)
+
+
+def test_snake_sign_pattern_matches_the_all_oracle():
+    # every snake with n <= 7, every word over -n..n with n <= 5 (zeros and ties
+    # included) and seeded signed words at n = 512 and 4096, right or with one
+    # sign flipped
+    words = _snakes_up_to(7)
+    for n in range(6):
+        words += itertools.product(range(-n, n + 1), repeat=n)
+    for _, _, signed in _large_inputs():
+        words += signed
+    for word in words:
+        assert verify._snake_sign_pattern(word) == _snake_sign_pattern_all_oracle(word), word

@@ -118,6 +118,21 @@ def test_invert_matches_oracle_and_involutes():
             assert invert(invert(p)) == p
 
 
+def test_invert_and_cycle_peaks_reject_words_that_are_not_permutations():
+    # every word of length n <= 4 over -n-1..n+1: a permutation gets its inverse
+    # and cycle peaks, any other word ValueError, where an entry outside 1..n
+    # used to give IndexError or a wrong answer: invert((1, 1)) was (2, 0)
+    for n in range(5):
+        for word in itertools.product(range(-n - 1, n + 2), repeat=n):
+            if is_permutation(word):
+                assert invert(word) == oracle_invert(word)
+                assert cycle_peaks(word) == oracle_cycle_peaks(word)
+                continue
+            for fn in (invert, cycle_peaks):
+                with pytest.raises(ValueError, match=r"^not a permutation: "):
+                    fn(word)
+
+
 # --- reverse_complement ---------------------------------------------------
 
 def test_reverse_complement_examples():

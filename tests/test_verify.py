@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import springerbij
-from springerbij import bijections, families, paths, verify
+from springerbij import bijections, families, paths, permcore, verify
 from springerbij.families import ThreeWIP
 from springerbij.permcore import MarkedPermutation, left_peaks
 
@@ -127,3 +127,86 @@ def test_wrong_map_fails_a_row(monkeypatch, module, name, fault):
     monkeypatch.setattr(module, name, FAULTS[fault](getattr(module, name)))
     failed = [r.name for r in verify.run(3) if not r.passed]
     assert failed, f"{name} with a {fault} fault passes every row"
+
+
+def _laguerre_typed(good):
+    # the right step word and weights, in the wrong record
+    return lambda lbp: paths.LaguerreHistory(good(lbp).steps, good(lbp).weights)
+
+
+def _wrong_on_one(good):
+    # the complement everywhere but on UUUU;0,0,0,0, which it leaves fixed
+    odd_one = paths.LabeledBallotPath("UUUU", (0, 0, 0, 0))
+    return lambda lbp: lbp if lbp == odd_one else good(lbp)
+
+
+WBAR_FAULTS = {**FAULTS, "laguerre-typed": _laguerre_typed, "wrong-on-one": _wrong_on_one}
+
+
+@pytest.mark.parametrize("fault", sorted(WBAR_FAULTS))
+def test_wrong_wbar_fails_the_wbar_row_alone(monkeypatch, fault):
+    # the row calls wbar once per path; each fault still fails it, and no other row
+    monkeypatch.setattr(paths, "wbar", WBAR_FAULTS[fault](paths.wbar))
+    failed = [r for r in verify.run(4) if not r.passed]
+    assert [r.name for r in failed] == ["paths/wbar-involution"]
+    if fault == "wrong-on-one":
+        assert failed[0].detail == "Counterexample: lbp 'UUUU;0,0,0,0'"
+
+
+def _count_plus_one(good):
+    return lambda perm, value: good(perm, value) + 1
+
+
+def _count_from_first_position(good):
+    # the range starts at k = 0, so p[0] = 0 becomes p[-1], the last entry
+    def count(perm, value):
+        j = list(perm).index(value)
+        return sum(1 for k in range(j) if perm[k] < value < perm[k - 1])
+    return count
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("count_pat_31_2_at", _count_plus_one),
+    ("count_pat_2_31_at", _count_plus_one),
+    ("count_pat_31_2_at", _count_from_first_position),
+], ids=["31_2-plus-one", "2_31-plus-one", "31_2-from-first-position"])
+def test_off_by_one_count_fails_the_duality_row(monkeypatch, name, fault):
+    monkeypatch.setattr(permcore, name, fault(getattr(permcore, name)))
+    row = next(r for r in verify.run(4) if r.name == "permcore/pattern-count-rc-duality")
+    assert not row.passed
+
+
+def test_dropped_bar_fails_the_bars_row(monkeypatch):
+    # place_bars loses the bar of its last barred entry
+    good = bijections.place_bars
+
+    def drop_last_bar(tau_tilde):
+        snake = list(good(tau_tilde))
+        barred = [i for i, v in enumerate(snake) if v < 0]
+        if barred:
+            snake[barred[-1]] *= -1
+        return tuple(snake)
+
+    monkeypatch.setattr(bijections, "place_bars", drop_last_bar)
+    row = next(r for r in verify.run(4) if r.name == "bijections/bars-always-consistent")
+    assert not row.passed
+    assert row.detail == "Counterexample: snakes '1 -2'"
+
+
+def test_wbar_row_runs_caps_once_per_path_and_once_per_step_word(monkeypatch):
+    # one wbar call per path, and weight_caps once per distinct step word
+    calls = []
+    real = paths._caps
+    monkeypatch.setattr(paths, "_caps", lambda s, *a, **k: calls.append(s) or real(s, *a, **k))
+    verify._wbar_involution(6)
+    objects = [lbp for n in range(7) for lbp in families.enumerate_lbp(n)]
+    assert len(calls) == len(objects) + len({lbp.steps for lbp in objects})
+
+
+def test_bars_row_finds_the_peak_valley_pairs_twice_per_snake(monkeypatch):
+    # once in unbar, once in place_bars
+    calls = []
+    real = bijections.peak_valley_pairs
+    monkeypatch.setattr(bijections, "peak_valley_pairs", lambda word: calls.append(word) or real(word))
+    verify._holds(6, "snakes", verify._bars_consistent)
+    assert len(calls) == 2 * sum(1 for n in range(7) for _ in families.enumerate_snakes(n))
