@@ -54,7 +54,7 @@ def invert(perm: Sequence[int]) -> tuple[int, ...]:
             inv[v - 1] = pos
     except IndexError:  # an entry above n, or below 1 - n
         raise ValueError(f"not a permutation: {tuple(perm)}") from None
-    if 0 in inv or min(perm, default=1) < 1:  # entries in 1..n fill every slot unless one repeats
+    if 0 in inv or inv and min(perm) < 1:  # entries in 1..n fill every slot unless one repeats
         raise ValueError(f"not a permutation: {tuple(perm)}")
     return tuple(inv)
 
