@@ -646,12 +646,15 @@ def _outcome(fn, *args):
 
 
 def _same_caps(steps, weights):
+    # the two-loop version everywhere; the three-pass one, which the two-loop one
+    # matched on all these inputs, where the order of the checks decides
     for alphabet, closed in CONFIGS:
         got = _outcome(paths._caps, steps, weights, alphabet, closed)
-        assert got == _outcome(_caps_oracle, steps, weights, alphabet, closed), (steps, weights)
         assert got == _outcome(_caps_two_loop_oracle, steps, weights, alphabet, closed), (steps, weights)
         if isinstance(got, list):
             assert paths._mirror(steps, weights, got) == _mirror_oracle(steps, weights, got)
+        else:
+            assert got == _outcome(_caps_oracle, steps, weights, alphabet, closed), (steps, weights)
 
 
 def _put(seq, i, item):
@@ -731,13 +734,15 @@ def test_caps_matches_the_oracle_at_n_512():
 
 
 def test_caps_matches_the_oracles_at_n_4096():
+    # a ballot path and a history, each under every config, and the ballot path
+    # with one weight out of range and a dip at its first step
     rng = random.Random(4096)
     hw = fz(tuple(rng.sample(range(1, 4097), 4096)))
-    for steps, weights in (_random_ballot(rng, 4096), (hw.steps, hw.weights)):
-        _same_caps(steps, weights)
-        caps = _caps_oracle(steps, weights, MOTZKIN_ALPHABET, False)
-        for mutant in _mutants(steps, weights, caps, [rng.randrange(4096)]):
-            _same_caps(*mutant)
+    steps, weights = _random_ballot(rng, 4096)
+    i = rng.randrange(4096)
+    for mutant in ((steps, weights), (hw.steps, hw.weights), (steps, _put(weights, i, (-1,))),
+                   (_put(steps, 0, "D"), _put(weights, i, (-1,)))):
+        _same_caps(*mutant)
 
 
 def _words(n):
@@ -1039,28 +1044,33 @@ def _large_inputs():
             yield rng, tuple(rng.sample(range(1, n + 1), n)), _random_signed_words(rng, n)
 
 
+def _same_values(new, old, inputs):
+    """new and old agree on every input; the first input where they differ is named."""
+    inputs = list(inputs)
+    got, want = list(map(new, inputs)), list(map(old, inputs))
+    if got != want:
+        first = next(x for x, a, b in zip(inputs, got, want) if a != b)
+        pytest.fail(f"{new.__name__} differs from {old.__name__} on {first!r}")
+
+
 def test_peak_valley_pairs_match_the_padded_oracle():
-    # every permutation with n <= 8; every snake with n <= 7 and its absolute
-    # values, and seeded words at n = 512 and 4096, also as lists
-    for n in range(9):
-        for p in itertools.permutations(range(1, n + 1)):
-            assert peak_valley_pairs(p) == _peak_valley_pairs_padded_oracle(p), p
+    # every permutation with n <= 8, which covers the relative order of every snake
+    # with n <= 8, and seeded words at n = 512 and 4096, also as lists
+    perms = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)) for n in range(9))
+    _same_values(peak_valley_pairs, _peak_valley_pairs_padded_oracle, perms)
     words = []
-    for snake in _snakes_up_to(7):
-        words += [snake, tuple(map(abs, snake))]
     for _, p, signed in _large_inputs():
         words += [p, *signed]
-    for word in words:
-        assert peak_valley_pairs(word) == _peak_valley_pairs_padded_oracle(word), word
-        assert peak_valley_pairs(list(word)) == _peak_valley_pairs_padded_oracle(word), word
+    _same_values(peak_valley_pairs, _peak_valley_pairs_padded_oracle, words)
+    _same_values(peak_valley_pairs, _peak_valley_pairs_padded_oracle, map(list, words))
 
 
 def test_unbar_and_place_bars_match_the_comprehension_oracles():
     # unbar on every snake with n <= 7 and on seeded signed words; place_bars on
-    # what unbar gives and on every permutation with n <= 7, with no mark and with
+    # what unbar gives and on every permutation with n <= 6, with no mark and with
     # its left peak values marked
     marked = []
-    for n in range(8):
+    for n in range(7):
         for p in itertools.permutations(range(1, n + 1)):
             peaks = frozenset(p[i - 1] for i in left_peaks(p))
             marked += [MarkedPermutation(p, frozenset()), MarkedPermutation(p, peaks)]
@@ -1068,12 +1078,9 @@ def test_unbar_and_place_bars_match_the_comprehension_oracles():
     for rng, p, signed in _large_inputs():
         snakes += signed
         marked.append(MarkedPermutation(p, frozenset(rng.sample(p, len(p) // 3))))
-    for snake in snakes:
-        tau_tilde = bijections.unbar(snake)
-        assert tau_tilde == _unbar_comprehension_oracle(snake), snake
-        marked.append(tau_tilde)
-    for mp in marked:
-        assert bijections.place_bars(mp) == _place_bars_comprehension_oracle(mp), mp
+    _same_values(bijections.unbar, _unbar_comprehension_oracle, snakes)
+    _same_values(bijections.place_bars, _place_bars_comprehension_oracle,
+                 marked + list(map(bijections.unbar, snakes)))
 
 
 COUNTS = [(permcore.count_pat_31_2_at, _count_pat_31_2_index_oracle),
@@ -1081,26 +1088,24 @@ COUNTS = [(permcore.count_pat_31_2_at, _count_pat_31_2_index_oracle),
 
 
 def test_pattern_counts_match_the_index_oracles():
-    # every permutation with n <= 7 at each value and at 0 and n + 1, which it
-    # misses (list.index's ValueError); every snake with n <= 6 and every signed
-    # permutation with n <= 4, as a tuple and as a list, at -n-1..n+1; seeded
-    # permutations at n = 512 and 4096 at sampled values
-    for n in range(8):
-        for p in itertools.permutations(range(1, n + 1)):
-            for value in range(n + 2):
-                for new, old in COUNTS:
-                    assert _outcome(new, p, value) == _outcome(old, p, value), (new.__name__, p, value)
+    # at each value of every permutation with n <= 7 and of every signed
+    # permutation with n <= 4, also as a list, and of seeded permutations at
+    # n = 512 and 4096 at sampled values; at values that a word misses, the same
+    # ValueError as list.index
     signed = [tuple(s * v for s, v in zip(signs, p)) for n in range(5) for p in
               itertools.permutations(range(1, n + 1)) for signs in itertools.product((1, -1), repeat=n)]
-    cases = [(word, range(-len(word) - 1, len(word) + 2)) for word in _snakes_up_to(6) + signed]
+    words = [p for n in range(8) for p in itertools.permutations(range(1, n + 1))] + signed
+    cases = [(word, value) for word in words for value in word]
+    cases += [(list(word), value) for word in signed for value in word]
     for rng, p, _ in _large_inputs():
-        cases.append((p, [0, p[0], p[-1], *rng.sample(p, 20)]))
-    for word, values in cases:
-        for value in values:
-            for new, old in COUNTS:
-                want = _outcome(old, word, value)
-                assert _outcome(new, word, value) == want, (new.__name__, word, value)
-                assert _outcome(new, list(word), value) == want, (new.__name__, word, value)
+        cases += [(p, value) for value in [p[0], p[-1], *rng.sample(p, 20)]]
+    for new, old in COUNTS:
+        _same_values(lambda case: new(*case), lambda case: old(*case), cases)
+    misses = [(word, value) for word in words for value in (0, len(word) + 1)]
+    misses += [(list(word), -len(word) - 1) for word in signed]
+    for word, value in misses:
+        for new, old in COUNTS:
+            assert _outcome(new, word, value) == _outcome(old, word, value), (new.__name__, word, value)
 
 
 def test_snake_sign_pattern_matches_the_all_oracle():
@@ -1112,5 +1117,4 @@ def test_snake_sign_pattern_matches_the_all_oracle():
         words += itertools.product(range(-n, n + 1), repeat=n)
     for _, _, signed in _large_inputs():
         words += signed
-    for word in words:
-        assert verify._snake_sign_pattern(word) == _snake_sign_pattern_all_oracle(word), word
+    _same_values(verify._snake_sign_pattern, _snake_sign_pattern_all_oracle, words)

@@ -143,14 +143,18 @@ def _wrong_on_one(good):
 WBAR_FAULTS = {**FAULTS, "laguerre-typed": _laguerre_typed, "wrong-on-one": _wrong_on_one}
 
 
+def _row(name):
+    return next(check for row, _, check in verify.PROPERTIES if row == name)
+
+
 @pytest.mark.parametrize("fault", sorted(WBAR_FAULTS))
 def test_wrong_wbar_fails_the_wbar_row_alone(monkeypatch, fault):
-    # the row calls wbar once per path; each fault still fails it, and no other row
+    # the row calls wbar once per path; each fault still fails the row on its own
     monkeypatch.setattr(paths, "wbar", WBAR_FAULTS[fault](paths.wbar))
-    failed = [r for r in verify.run(4) if not r.passed]
-    assert [r.name for r in failed] == ["paths/wbar-involution"]
+    with pytest.raises(verify.Counterexample) as excinfo:
+        _row("paths/wbar-involution")(4)
     if fault == "wrong-on-one":
-        assert failed[0].detail == "Counterexample: lbp 'UUUU;0,0,0,0'"
+        assert str(excinfo.value) == "lbp 'UUUU;0,0,0,0'"
 
 
 def _count_plus_one(good):
@@ -172,8 +176,8 @@ def _count_from_first_position(good):
 ], ids=["31_2-plus-one", "2_31-plus-one", "31_2-from-first-position"])
 def test_off_by_one_count_fails_the_duality_row(monkeypatch, name, fault):
     monkeypatch.setattr(permcore, name, fault(getattr(permcore, name)))
-    row = next(r for r in verify.run(4) if r.name == "permcore/pattern-count-rc-duality")
-    assert not row.passed
+    with pytest.raises(verify.Counterexample):
+        _row("permcore/pattern-count-rc-duality")(4)
 
 
 def test_dropped_bar_fails_the_bars_row(monkeypatch):
@@ -188,9 +192,8 @@ def test_dropped_bar_fails_the_bars_row(monkeypatch):
         return tuple(snake)
 
     monkeypatch.setattr(bijections, "place_bars", drop_last_bar)
-    row = next(r for r in verify.run(4) if r.name == "bijections/bars-always-consistent")
-    assert not row.passed
-    assert row.detail == "Counterexample: snakes '1 -2'"
+    with pytest.raises(verify.Counterexample, match=r"^snakes '1 -2'$"):
+        _row("bijections/bars-always-consistent")(4)
 
 
 def test_wbar_row_runs_caps_once_per_path_and_once_per_step_word(monkeypatch):
