@@ -131,7 +131,7 @@ def test_wrong_map_fails_a_row(monkeypatch, module, name, fault):
 
 def _laguerre_typed(good):
     # the right step word and weights, in the wrong record
-    return lambda lbp: paths.LaguerreHistory(good(lbp).steps, good(lbp).weights)
+    return lambda lbp: paths.LaguerreHistory(*dataclasses.astuple(good(lbp)))
 
 
 def _wrong_on_one(good):
