@@ -11,12 +11,12 @@
   alternating permutations, halved to a labeled ballot path and back.
 * snake_to_lbp: the composite of psi with the halving map.
 
-BIJECTIONS holds one record per bijection of the CLI. Every public map here
-rejects a non-member of its domain and, but for fz_inverse, checks what the
-theorems guarantee of its output, each once. fz_inverse links each value into
-its word exactly once, so its output is a permutation by construction. The
-composites and self-checks run the unchecked cores (_phi_trace, _fz,
-_fz_inverse) where a neighbouring check already covers them.
+BIJECTIONS holds one record per bijection of the CLI, with at most one trace,
+of a domain object. Every public map here rejects a non-member of its domain
+and, but for fz_inverse, checks what the theorems guarantee of its output, each
+once. fz_inverse links each value into its word exactly once, so its output is a
+permutation by construction. The composites and self-checks run the unchecked
+cores (_phi_trace, _fz, _fz_inverse) where a neighbouring check covers them.
 """
 
 from __future__ import annotations
@@ -333,8 +333,7 @@ class Bijection:
     codomain: str
     forward: Callable[[Any], Any]
     inverse: Callable[[Any], Any]
-    trace: Callable[[Any], Iterable[tuple[str, str]]] | None = None  # object -> (label, text)
-    inverse_trace: Callable[[Any], Iterable[tuple[str, str]]] | None = None
+    trace: Callable[[Any], Iterable[tuple[str, str]]] | None = None  # domain object -> (label, text)
 
 
 def _phi_lines(trace: PhiTrace) -> tuple[tuple[str, str], ...]:
@@ -345,7 +344,7 @@ def _phi_lines(trace: PhiTrace) -> tuple[tuple[str, str], ...]:
 # called: perfbench/tracer.py and tests rebind module functions.
 BIJECTIONS: dict[str, Bijection] = {
     "phi": Bijection("wip3", "snakes", lambda x: phi(x), lambda y: phi_inverse(y),
-                     lambda x: _phi_lines(phi_trace(x)), lambda y: _phi_lines(phi_inverse_trace(y))),
+                     lambda x: _phi_lines(phi_trace(x))),
     "psi": Bijection("snakes", "rcalt", lambda x: psi(x), lambda y: psi_inverse(y)),
     "fz": Bijection("perm", "laguerre", lambda x: fz(x), lambda y: fz_inverse(y)),
     "bigpsi": Bijection("rcalt", "lbp", lambda x: rcalt_to_lbp(x), lambda y: lbp_to_rcalt(y)),

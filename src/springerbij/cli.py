@@ -73,9 +73,9 @@ def _cmd_enumerate(args, out: TextIO) -> int:
 def _cmd_map(args, stdin: TextIO, out: TextIO, err: TextIO) -> int:
     bij = bijections.BIJECTIONS[args.bijection]
     if args.inverse:
-        source, target, apply, trace = bij.codomain, bij.domain, bij.inverse, bij.inverse_trace
+        source, target, apply = bij.codomain, bij.domain, bij.inverse
     else:
-        source, target, apply, trace = bij.domain, bij.codomain, bij.forward, bij.trace
+        source, target, apply = bij.domain, bij.codomain, bij.forward
     source, target = families.domain(source), families.domain(target)
     status, lineno = 0, 0
     while raw := stdin.readline(MAP_LINE_MAX + 1):
@@ -89,10 +89,10 @@ def _cmd_map(args, stdin: TextIO, out: TextIO, err: TextIO) -> int:
             obj = source.parse(line)
             if source.render(obj) != line:
                 raise NotCanonical(f"{line!r} is not canonical text")
-            if args.trace and trace:
-                for label, text in trace(obj):
-                    err.write(f"trace {lineno} {label}: {text}\n")
             result = apply(obj)
+            if args.trace and bij.trace:  # an inverse line is traced through its image
+                for label, text in bij.trace(result if args.inverse else obj):
+                    err.write(f"trace {lineno} {label}: {text}\n")
         except ValueError as exc:
             reason = str(exc) or type(exc).__name__
             err.write(f"ERROR {lineno}: {type(exc).__name__}: {reason}\n")

@@ -35,6 +35,7 @@ MOTZKIN_ALPHABET = "UDHT"
 # letter -> (rise, cap drop): a step that starts at height h ends at h + rise
 # and carries a weight in 0..h - drop
 STEP_RULES = {"U": (1, 0), "D": (-1, 1), "H": (0, 0), "T": (0, 1)}
+_RULES = {a: {s: STEP_RULES[s] for s in a} for a in (BALLOT_ALPHABET, MOTZKIN_ALPHABET)}
 _FLIP = str.maketrans("UD", "DU")
 
 
@@ -76,10 +77,12 @@ def height_profile(steps: str) -> tuple[int, ...]:
 
 def _caps(steps: str, weights: Sequence[int], alphabet: str, closed: bool) -> list[int]:
     """Validate a weighted path over alphabet, ending on the axis if closed, and return
-    each step's weight cap. Checks run in order: letters, lengths, axis, closure, weights."""
-    if not set(steps).issubset(alphabet):  # then name the first letter outside alphabet
+    each step's weight cap. Checks run in order: letters, lengths, axis, closure, weights;
+    letters first for any step sequence, whose every item must be one letter of alphabet."""
+    rules = _RULES[alphabet]  # the STEP_RULES of alphabet's letters
+    if not set(steps).issubset(rules):  # then name the first letter outside alphabet
         for i, s in enumerate(steps, start=1):
-            if s not in alphabet:
+            if s not in rules:
                 if s in STEP_RULES:
                     raise HorizontalStepPresent(f"level step at position {i}")
                 raise ValidationError(f"unknown step letter {s!r} at step {i}")
@@ -88,10 +91,7 @@ def _caps(steps: str, weights: Sequence[int], alphabet: str, closed: bool) -> li
     caps = []
     h = bad = 0  # bad: the first step whose weight is out of range, raised after the closure check
     for s, w in zip(steps, weights):
-        try:
-            rise, drop = STEP_RULES[s]
-        except KeyError:  # a non-str step sequence may hold "" or "UD", which pass the letter test
-            raise ValidationError(f"unknown step letter {s!r} at step {len(caps) + 1}") from None
+        rise, drop = rules[s]
         caps.append(cap := h - drop)
         if not (isinstance(w, int) and 0 <= w <= cap) and not bad:  # fz_inverse indexes by weight
             bad = len(caps)

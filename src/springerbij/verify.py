@@ -163,8 +163,8 @@ def _wbar_involution(cap: int) -> str:
 
 
 def _extend_closure(lbp) -> bool:
-    hw = paths.extend_to_rc_fixed(lbp)
-    return paths.history_rc(hw) == hw and paths.halve_rc_fixed(hw) == lbp
+    # extend_to_rc_fixed checks that history_rc fixes its image; halve_rc_fixed checks it again
+    return paths.halve_rc_fixed(paths.extend_to_rc_fixed(lbp)) == lbp
 
 
 def _middle_parity(p) -> bool:

@@ -176,6 +176,16 @@ def test_map_phi_trace():
     assert "^" not in out
 
 
+def test_map_phi_inverse_trace_runs_through_the_image():
+    # the inverse line is traced through its 3-WIP, with the lines phi's trace prints
+    code, out, err = run_cli(
+        ["map", "--bijection", "phi", "--inverse", "--trace"],
+        "5 -7 -1 -2 6 3 8 -9 -4\n",
+    )
+    assert code == 0 and out == "1 5 2 6 7 3 8 9 4 / 2 5 6 3 1 7 8 4 9\n"
+    assert err == "trace 1 tau: 2 6 7^ 9^ 5 3 1 8 4\ntrace 1 tautilde: 5 7^ 1 2 6 3 8 9^ 4\n"
+
+
 def test_map_snake2lbp():
     code, out, _ = run_cli(["map", "--bijection", "snake2lbp"], "2 -1 5 4 7 -6 -3\n")
     assert code == 0 and out == "UUUDDUU;0,0,1,2,0,0,0\n"

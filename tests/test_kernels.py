@@ -56,7 +56,10 @@ every path, snake and history with n <= 7, every permutation with n <= 8 (n <= 7
 for the counts, with every signed permutation with n <= 4), the _caps mutants
 and non-str step sequences, every word over -n..n with n <= 5 for the sign
 predicate, and seeded inputs at n = 512 and 4096. _caps is held to the two-loop
-version on every input and to the three-pass one on every error.
+version on every str input and to the three-pass one on every str error. On a
+list or tuple of letters it is held to the two-loop version that tests letters
+as items of set(alphabet), not as substrings: _caps checks letters first for
+any step sequence, so "" and "UD" are named before a dip or a length mismatch.
 """
 
 import io
@@ -361,6 +364,17 @@ def _caps_two_loop_oracle(steps, weights, alphabet, closed):
     return caps
 
 
+def _caps_letter_set_oracle(steps, weights, alphabet, closed):
+    # the two-loop version, but a letter is an item of set(alphabet), not a substring
+    # of alphabet, so "" and "UD" in a list or tuple are named before any other check
+    for i, s in enumerate(steps, start=1):
+        if s not in set(alphabet):
+            if s in STEP_RULES:
+                raise HorizontalStepPresent(f"level step at position {i}")
+            raise ValidationError(f"unknown step letter {s!r} at step {i}")
+    return _caps_two_loop_oracle(steps, weights, alphabet, closed)
+
+
 def _peak_valley_pairs_padded_oracle(perm):
     pairs, peak, prev, rose = [], 0, -math.inf, True
     for i, v in enumerate((*perm, math.inf)):  # prev = p[i], v = p[i+1]; rose: p[i-1] < p[i]
@@ -646,14 +660,17 @@ def _outcome(fn, *args):
 
 
 def _same_caps(steps, weights):
-    # the two-loop version everywhere; the three-pass one, which the two-loop one
-    # matched on all these inputs, where the order of the checks decides
+    # on a str, the two-loop version everywhere, and the three-pass one, which the
+    # two-loop one matched on all these inputs, where the order of the checks decides;
+    # on a list or tuple, the two-loop version with letters tested as items of set(alphabet)
+    is_str = isinstance(steps, str)
+    oracle = _caps_two_loop_oracle if is_str else _caps_letter_set_oracle
     for alphabet, closed in CONFIGS:
         got = _outcome(paths._caps, steps, weights, alphabet, closed)
-        assert got == _outcome(_caps_two_loop_oracle, steps, weights, alphabet, closed), (steps, weights)
+        assert got == _outcome(oracle, steps, weights, alphabet, closed), (steps, weights)
         if isinstance(got, list):
             assert paths._mirror(steps, weights, got) == _mirror_oracle(steps, weights, got)
-        else:
+        elif is_str:
             assert got == _outcome(_caps_oracle, steps, weights, alphabet, closed), (steps, weights)
 
 
@@ -706,12 +723,25 @@ def test_caps_matches_the_oracle_on_every_short_word():
 
 
 def test_caps_matches_the_oracle_on_step_sequences_that_are_not_strings():
-    # a list or tuple of letters; "" and "UD" pass the letter test as substrings
+    # a list or tuple of letters; "" and "UD" are substrings of the alphabets but no letters
     for n in range(4):
         for letters in itertools.product(["U", "D", "H", "X", "", "UD"], repeat=n):
             for weights in itertools.product((0, 1), repeat=n):
                 _same_caps(list(letters), weights)
                 _same_caps(letters, weights)
+
+
+@pytest.mark.parametrize("sequence", [list, tuple])
+@pytest.mark.parametrize("alphabet", [BALLOT_ALPHABET, MOTZKIN_ALPHABET])
+def test_caps_names_an_item_that_is_no_letter_before_the_other_checks(sequence, alphabet):
+    # "" and "UD" are substrings of both alphabets; naming them comes before the dip
+    # at step 1 of D, "" and before the three weights of U, "UD"
+    for steps, weights in ((["D", ""], (0, 0)), (["U", "UD"], (0, 0, 0))):
+        for closed in (False, True):
+            with pytest.raises(ValidationError) as excinfo:
+                paths._caps(sequence(steps), weights, alphabet, closed)
+            assert type(excinfo.value) is ValidationError
+            assert str(excinfo.value) == f"unknown step letter {steps[1]!r} at step 2"
 
 
 def test_caps_matches_the_oracle_on_mutants_that_break_one_or_two_checks():

@@ -11,6 +11,10 @@ pins the SHA-256 of stdout, the SHA-256 of stderr and the exit code. Each
 stderr line of a rejected input names its exception class, so the digests pin
 those classes as well.
 
+A second test holds --trace to adding only `trace ` lines: for every
+bijection and direction, stdout, the exit code and the other stderr lines are
+those of the run without it.
+
 A change meant to keep the CLI output byte-identical must pass this test
 unchanged. After a deliberate change of output, print new digests with
 
@@ -121,6 +125,21 @@ def _digests(name, inverse, trace):
 @pytest.mark.parametrize("name, inverse, trace", _modes())
 def test_map_output_matches_the_golden_digests(name, inverse, trace):
     assert _digests(name, inverse, trace) == GOLDEN[name, inverse, trace]
+
+
+@pytest.mark.parametrize("name, inverse", [(name, inverse) for name, inverse, trace in _modes() if trace])
+def test_trace_adds_only_trace_lines(name, inverse):
+    # stdout and the exit code as without --trace, and stderr too once its trace lines are dropped
+    bij = BIJECTIONS[name]
+    text = _input(bij.codomain if inverse else bij.domain)
+    runs = []
+    for trace in (False, True):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = main(["map", "--bijection", name] + ["--inverse"] * inverse + ["--trace"] * trace,
+                    stdin=io.StringIO(text), stdout=stdout, stderr=stderr)
+        errors = [line for line in stderr.getvalue().splitlines(True) if not line.startswith("trace ")]
+        runs.append((stdout.getvalue(), code, errors))
+    assert runs[0] == runs[1]
 
 
 def test_every_mode_has_valid_and_rejected_lines():

@@ -3,6 +3,7 @@ self-checks and the verify rows also run under python -O, and wrong maps fail ro
 
 import ast
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 
 import springerbij
 from springerbij import bijections, families, paths, permcore, verify
+from springerbij.cli import main
+from springerbij.errors import NotRcFixed
 from springerbij.families import ThreeWIP
 from springerbij.permcore import MarkedPermutation, left_peaks
 
@@ -206,6 +209,16 @@ def test_wbar_row_runs_caps_once_per_path_and_once_per_step_word(monkeypatch):
     assert len(calls) == len(objects) + len({lbp.steps for lbp in objects})
 
 
+def test_closure_row_runs_caps_three_times_per_path(monkeypatch):
+    # extend_to_rc_fixed on the path and, through its history_rc self-check, on the
+    # history; halve_rc_fixed on the history. The row itself calls no history_rc.
+    calls = []
+    real = paths._caps
+    monkeypatch.setattr(paths, "_caps", lambda s, *a, **k: calls.append(s) or real(s, *a, **k))
+    verify._holds(5, "lbp", verify._extend_closure)
+    assert len(calls) == 3 * sum(1 for n in range(6) for _ in families.enumerate_lbp(n))
+
+
 def test_bars_row_finds_the_peak_valley_pairs_twice_per_snake(monkeypatch):
     # once in unbar, once in place_bars
     calls = []
@@ -213,3 +226,91 @@ def test_bars_row_finds_the_peak_valley_pairs_twice_per_snake(monkeypatch):
     monkeypatch.setattr(bijections, "peak_valley_pairs", lambda word: calls.append(word) or real(word))
     verify._holds(6, "snakes", verify._bars_consistent)
     assert len(calls) == 2 * sum(1 for n in range(7) for _ in families.enumerate_snakes(n))
+
+
+# --- the failure branches of the generic checks, each under one fault ---------
+
+def _replace_family(monkeypatch, name, **fields):
+    monkeypatch.setitem(families.FAMILIES, name, dataclasses.replace(families.FAMILIES[name], **fields))
+
+
+def test_dropped_domain_object_fails_the_bijective_row(monkeypatch):
+    # at n = 3 the 3-WIP generator loses its last object, so one snake has no preimage
+    good = families.FAMILIES["wip3"].generate
+    last = list(good(3))[-1]
+    _replace_family(monkeypatch, "wip3", generate=lambda n: (w for w in good(n) if n != 3 or w != last))
+    with pytest.raises(verify.Counterexample) as excinfo:
+        verify._bijective(6, "phi")
+    assert str(excinfo.value) == f"snakes {verify._text('snakes', bijections.phi(last))!r} is no image"
+
+
+def test_off_by_one_oracle_fails_the_count_row(monkeypatch):
+    good = families.FAMILIES["lbp"].oracle
+    _replace_family(monkeypatch, "lbp", oracle=lambda n: good(n) + (n == 2))
+    with pytest.raises(verify.Counterexample, match=r"^n=2: enumerated \{'lbp': 3\}, oracles \{'lbp': 4\}$"):
+        _row("paths/lbp-count-dp-matches-enumeration")(9)
+
+
+def _springer_dp_wrong_at_5(good):
+    return lambda m: tuple(v + (n == 5) for n, v in enumerate(good(m)))
+
+
+def test_springer_dp_wrong_at_one_n_fails_the_egf_row(monkeypatch):
+    monkeypatch.setattr(families, "springer_dp", _springer_dp_wrong_at_5(families.springer_dp))
+    with pytest.raises(verify.Counterexample, match=r"^n=5: egf 361, dp 362$"):
+        _row("paths/lbp-count-dp-matches-egf")(12)
+
+
+def test_springer_dp_wrong_at_one_n_stops_the_springer_command(monkeypatch):
+    monkeypatch.setattr(families, "springer_dp", _springer_dp_wrong_at_5(families.springer_dp))
+    with pytest.raises(RuntimeError, match="the EGF and the DP give different Springer numbers"):
+        main(["springer", "--n-max", "6"], stdout=io.StringIO(), stderr=io.StringIO())
+
+
+def test_objects_out_of_order_fail_the_canonical_order_row(monkeypatch):
+    # at n = 2 the snake generator yields its first two objects swapped
+    good = families.FAMILIES["snakes"].generate
+
+    def swapped(n):
+        objects = list(good(n))
+        if n == 2:
+            objects[:2] = objects[1::-1]
+        return iter(objects)
+
+    _replace_family(monkeypatch, "snakes", generate=swapped)
+    first, second = list(good(2))[:2]
+    with pytest.raises(verify.Counterexample) as excinfo:
+        verify._canonical_order(2)
+    assert str(excinfo.value) == (
+        f"snakes n=2: {verify._text('snakes', second)!r} !< {verify._text('snakes', first)!r}")
+
+
+def test_validator_rejecting_a_member_fails_the_fuzz_row(monkeypatch):
+    good = families.FAMILIES["snakes"].validate
+
+    def rejects_2_minus_1(snake):
+        if tuple(snake) == (2, -1):
+            raise ValueError("rejected")
+        return good(snake)
+
+    _replace_family(monkeypatch, "snakes", validate=rejects_2_minus_1)
+    with pytest.raises(verify.Counterexample, match=r"^snakes emitted invalid '2 -1'$"):
+        verify._validator_fuzz(2)
+
+
+def test_history_rc_off_by_one_weight_fails_the_closure_row(monkeypatch):
+    # the last weight of the mirror is one too high, so extend_to_rc_fixed's own check fails
+    good = paths.history_rc
+
+    def off_by_one(hw):
+        image = good(hw)
+        if not hw.steps:
+            return image
+        return dataclasses.replace(image, weights=image.weights[:-1] + (image.weights[-1] + 1,))
+
+    monkeypatch.setattr(paths, "history_rc", off_by_one)
+    with pytest.raises(NotRcFixed, match="^the extension is not fixed by reverse-complement$"):
+        paths.extend_to_rc_fixed(paths.LabeledBallotPath("U", (0,)))
+    with pytest.raises(verify.Counterexample) as excinfo:
+        _row("paths/extend-to-rc-fixed-closure")(7)
+    assert str(excinfo.value) == "lbp 'U;0': NotRcFixed: the extension is not fixed by reverse-complement"
