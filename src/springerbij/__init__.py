@@ -4,7 +4,6 @@ by exhaustion at desk scale.
 """
 
 from .bijections import (
-    PhiTrace,
     fz,
     fz_inverse,
     lbp_to_rcalt,
@@ -14,7 +13,6 @@ from .bijections import (
     phi_inverse_trace,
     phi_step1,
     phi_step1_inverse,
-    phi_trace,
     psi,
     psi_inverse,
     rcalt_to_lbp,

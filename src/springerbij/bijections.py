@@ -16,7 +16,7 @@ of a domain object. Every public map here rejects a non-member of its domain
 and, but for fz_inverse, checks what the theorems guarantee of its output, each
 once. fz_inverse links each value into its word exactly once, so its output is a
 permutation by construction. The composites and self-checks run the unchecked
-cores (_phi_trace, _fz, _fz_inverse) where a neighbouring check covers them.
+cores (_phi, _fz, _fz_inverse) where a neighbouring check covers them.
 """
 
 from __future__ import annotations
@@ -89,13 +89,13 @@ def phi_step1_inverse(mp: MarkedPermutation) -> ThreeWIP:
     return validate_wip3(tuple(map(itemgetter(0), cols)), tuple(map(itemgetter(1), cols)))
 
 
-@dataclasses.dataclass(frozen=True)
-class PhiTrace:
-    """Intermediates of phi: tau after step 1, its flattening after step 2, and the snake."""
+def phi_step2(tau: MarkedPermutation) -> MarkedPermutation:
+    """Step 2 of phi: flatten the cycle form of tau (Foata's transformation), keeping its marks.
 
-    tau: MarkedPermutation
-    tau_tilde: MarkedPermutation
-    snake: tuple[int, ...]
+    >>> format_marked(phi_step2(MarkedPermutation((2, 6, 7, 9, 5, 3, 1, 8, 4), frozenset({7, 9}))))
+    '5 7^ 1 2 6 3 8 9^ 4'
+    """
+    return MarkedPermutation(foata(tau.perm), tau.marks)
 
 
 def place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
@@ -111,16 +111,8 @@ def place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
     return tuple(out)
 
 
-def phi_trace(wip: ThreeWIP) -> PhiTrace:
-    """Run phi and keep the intermediates (used by the CLI --trace mode)."""
-    validate_wip3(wip.sigma, wip.pi)
-    return _phi_trace(wip)
-
-
-def _phi_trace(wip: ThreeWIP) -> PhiTrace:  # wip is known to be a 3-WIP
-    tau = phi_step1(wip)
-    tau_tilde = MarkedPermutation(foata(tau.perm), tau.marks)
-    return PhiTrace(tau, tau_tilde, place_bars(tau_tilde))
+def _phi(wip: ThreeWIP) -> tuple[int, ...]:  # wip is known to be a 3-WIP
+    return place_bars(phi_step2(phi_step1(wip)))
 
 
 def phi(wip: ThreeWIP) -> tuple[int, ...]:
@@ -129,25 +121,25 @@ def phi(wip: ThreeWIP) -> tuple[int, ...]:
     >>> phi(ThreeWIP((1, 5, 2, 6, 7, 3, 8, 9, 4), (2, 5, 6, 3, 1, 7, 8, 4, 9)))
     (5, -7, -1, -2, 6, 3, 8, -9, -4)
     """
-    snake = phi_trace(wip).snake
+    validate_wip3(wip.sigma, wip.pi)
+    snake = _phi(wip)
     validate_snake(snake)
     return snake
 
 
 def unbar(snake: Sequence[int]) -> MarkedPermutation:
-    """Invert step 3: the k-th left peak is marked when the k-th right valley
-    carries a bar (left peaks and right valleys alternate, see place_bars)."""
+    """Invert step 3: mark the k-th left peak when the k-th right valley has a bar (see place_bars)."""
     word = tuple(map(abs, snake))
     marks = frozenset(word[peak - 1] for peak, valley in peak_valley_pairs(word)
                       if snake[valley - 1] < 0)
     return MarkedPermutation(word, marks)
 
 
-def phi_inverse_trace(snake: Sequence[int]) -> PhiTrace:
+def phi_inverse_trace(snake: Sequence[int]) -> MarkedPermutation:
+    """Invert steps 3 and 2 of phi: the tau that phi_step1_inverse takes."""
     validate_snake(snake)
     tau_tilde = unbar(snake)
-    tau = MarkedPermutation(foata_inverse(tau_tilde.perm), tau_tilde.marks)
-    return PhiTrace(tau, tau_tilde, tuple(snake))
+    return MarkedPermutation(foata_inverse(tau_tilde.perm), tau_tilde.marks)
 
 
 def phi_inverse(snake: Sequence[int]) -> ThreeWIP:
@@ -156,10 +148,9 @@ def phi_inverse(snake: Sequence[int]) -> ThreeWIP:
     >>> phi_inverse((5, -7, -1, -2, 6, 3, 8, -9, -4)).sigma
     (1, 5, 2, 6, 7, 3, 8, 9, 4)
     """
-    trace = phi_inverse_trace(snake)
-    wip = phi_step1_inverse(trace.tau)  # checks the 3-WIP, so the round trip may skip it
-    if _phi_trace(wip).snake != trace.snake:
-        raise ValidationError(f"phi does not map phi_inverse's image back to {trace.snake}")
+    wip = phi_step1_inverse(phi_inverse_trace(snake))  # checks the 3-WIP, so the round trip may skip it
+    if _phi(wip) != tuple(snake):
+        raise ValidationError(f"phi does not map phi_inverse's image back to {tuple(snake)}")
     return wip
 
 
@@ -333,18 +324,18 @@ class Bijection:
     codomain: str
     forward: Callable[[Any], Any]
     inverse: Callable[[Any], Any]
-    trace: Callable[[Any], Iterable[tuple[str, str]]] | None = None  # domain object -> (label, text)
+    trace: Callable[[Any], Iterable[tuple[str, str]]] | None = None  # member, unchecked: map ran first
 
 
-def _phi_lines(trace: PhiTrace) -> tuple[tuple[str, str], ...]:
-    return ("tau", format_marked(trace.tau)), ("tautilde", format_marked(trace.tau_tilde))
+def _phi_lines(wip: ThreeWIP) -> tuple[tuple[str, str], ...]:
+    tau = phi_step1(wip)
+    return ("tau", format_marked(tau)), ("tautilde", format_marked(phi_step2(tau)))
 
 
 # The lambdas name the maps in their bodies, so a map is looked up when it is
 # called: perfbench/tracer.py and tests rebind module functions.
 BIJECTIONS: dict[str, Bijection] = {
-    "phi": Bijection("wip3", "snakes", lambda x: phi(x), lambda y: phi_inverse(y),
-                     lambda x: _phi_lines(phi_trace(x))),
+    "phi": Bijection("wip3", "snakes", lambda x: phi(x), lambda y: phi_inverse(y), _phi_lines),
     "psi": Bijection("snakes", "rcalt", lambda x: psi(x), lambda y: psi_inverse(y)),
     "fz": Bijection("perm", "laguerre", lambda x: fz(x), lambda y: fz_inverse(y)),
     "bigpsi": Bijection("rcalt", "lbp", lambda x: rcalt_to_lbp(x), lambda y: lbp_to_rcalt(y)),

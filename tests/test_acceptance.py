@@ -14,7 +14,8 @@ from springerbij.bijections import (
     lbp_to_rcalt,
     phi,
     phi_inverse,
-    phi_trace,
+    phi_step1,
+    phi_step2,
     psi,
     psi_inverse,
     rcalt_to_lbp,
@@ -79,11 +80,12 @@ def test_criterion_2_four_way_count_equality():
 
 def test_criterion_3_golden_examples():
     wip = ThreeWIP((1, 5, 2, 6, 7, 3, 8, 9, 4), (2, 5, 6, 3, 1, 7, 8, 4, 9))
-    trace = phi_trace(wip)
-    assert format_perm(trace.snake) == "5 -7 -1 -2 6 3 8 -9 -4"
-    assert trace.tau.marks == {7, 9}
-    assert trace.tau_tilde.perm == (5, 7, 1, 2, 6, 3, 8, 9, 4)
-    assert format_marked(trace.tau_tilde) == "5 7^ 1 2 6 3 8 9^ 4"
+    tau = phi_step1(wip)
+    assert tau.marks == {7, 9}
+    tau_tilde = phi_step2(tau)
+    assert tau_tilde.perm == (5, 7, 1, 2, 6, 3, 8, 9, 4)
+    assert format_marked(tau_tilde) == "5 7^ 1 2 6 3 8 9^ 4"
+    assert format_perm(phi(wip)) == "5 -7 -1 -2 6 3 8 -9 -4"
 
     assert psi((2, 1, 5, -4, -3)) == (3, 2, 10, 6, 7, 4, 5, 1, 9, 8)
     assert psi((1, -5, -3, -6, 2, -4)) == (10, 5, 12, 9, 11, 6, 7, 2, 4, 1, 8, 3)

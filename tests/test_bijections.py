@@ -14,9 +14,10 @@ from springerbij.bijections import (
     lbp_to_snake,
     phi,
     phi_inverse,
+    phi_inverse_trace,
     phi_step1,
     phi_step1_inverse,
-    phi_trace,
+    phi_step2,
     place_bars,
     psi,
     psi_inverse,
@@ -105,13 +106,26 @@ def test_phi_step1_roundtrip_exhaustive():
 # --- phi --------------------------------------------------------------------
 
 def test_phi_worked_example_with_trace():
-    trace = phi_trace(WIP9)
-    assert trace.snake == SNAKE9
-    assert trace.tau.perm == (2, 6, 7, 9, 5, 3, 1, 8, 4)
-    assert trace.tau.marks == {7, 9}
-    assert trace.tau_tilde.perm == (5, 7, 1, 2, 6, 3, 8, 9, 4)
-    assert format_marked(trace.tau_tilde) == "5 7^ 1 2 6 3 8 9^ 4"
+    # step by step: the tau and tautilde that --trace prints, then the bars
+    tau = phi_step1(WIP9)
+    assert tau.perm == (2, 6, 7, 9, 5, 3, 1, 8, 4)
+    assert tau.marks == {7, 9}
+    tau_tilde = phi_step2(tau)
+    assert tau_tilde.perm == (5, 7, 1, 2, 6, 3, 8, 9, 4)
+    assert format_marked(tau_tilde) == "5 7^ 1 2 6 3 8 9^ 4"
+    assert place_bars(tau_tilde) == SNAKE9
     assert phi(WIP9) == SNAKE9
+
+
+def test_phi_trace_is_what_phi_inverse_passes_through_on_the_image():
+    # map traces an inverse line through its image: that prints the right lines
+    # only if phi's steps 1 and 2 on w are phi_inverse's steps 3 and 2 undone on phi(w)
+    trace = BIJECTIONS["phi"].trace
+    for n in range(7):
+        for w in enumerate_wip3(n):
+            snake = phi(w)
+            assert dict(trace(w)) == {"tau": format_marked(phi_inverse_trace(snake)),
+                                      "tautilde": format_marked(unbar(snake))}
 
 
 def test_phi_small():

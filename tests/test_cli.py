@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import collections
 import dataclasses
 import io
 import subprocess
@@ -184,6 +185,25 @@ def test_map_phi_inverse_trace_runs_through_the_image():
     )
     assert code == 0 and out == "1 5 2 6 7 3 8 9 4 / 2 5 6 3 1 7 8 4 9\n"
     assert err == "trace 1 tau: 2 6 7^ 9^ 5 3 1 8 4\ntrace 1 tautilde: 5 7^ 1 2 6 3 8 9^ 4\n"
+
+
+def test_map_phi_trace_repeats_steps_1_and_2_only(monkeypatch):
+    # the traced object is a member once the map has run, so the trace neither
+    # checks the 3-WIP again nor places bars: it re-runs phi_step1 for its lines
+    calls = collections.Counter()
+
+    def spy(name):
+        real = getattr(bijections, name)
+        monkeypatch.setattr(bijections, name, lambda *args: calls.update([name]) or real(*args))
+
+    for name in ("validate_wip3", "place_bars", "phi_step1"):
+        spy(name)
+    wip, snake = "1 5 2 6 7 3 8 9 4 / 2 5 6 3 1 7 8 4 9\n", "5 -7 -1 -2 6 3 8 -9 -4\n"
+    for argv, text, image in ((["--trace"], wip, snake), (["--inverse", "--trace"], snake, wip)):
+        calls.clear()
+        code, out, _ = run_cli(["map", "--bijection", "phi", *argv], text)
+        assert (code, out) == (0, image)
+        assert calls == {"validate_wip3": 1, "place_bars": 1, "phi_step1": 2}, argv
 
 
 def test_map_snake2lbp():
