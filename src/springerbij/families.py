@@ -8,10 +8,10 @@ counted by n!; alternating permutations by the Euler numbers.
 Each family has one backtracking generator, with family-specific pruning,
 that yields its objects in strictly increasing order of their canonical
 text straight from the search: nothing is collected or sorted, and the
-working memory depends on n only (O(n^2) for the candidate tables of the
-zigzag families and the weight ranges of the path families, O(n) for wip3).
-The searches keep one candidate iterator per position on an explicit stack
-(Knuth, TAOCP 4A, 7.2.2, Algorithm B): an object costs one resumption.
+working memory depends on n only: O(n^2) candidate tables and weight ranges,
+a suffix table of at most |values| C(n, 3) keys for the zigzag families, O(n)
+for wip3. The searches keep one candidate iterator per position on an explicit
+stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B): an object costs one resumption.
 The order rests on one rule. All objects of one size render to the same
 number of tokens (decimals, or the letters of a step word of fixed length),
 and the separators that end a token, ' ' and ',', sort below '-' and the
@@ -194,38 +194,48 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     Entries come from values; no two share a slot(v) in 1..n. The last entry
     must also pass last_ok. Each previous entry p (0 before the first) has its
     text-ordered candidates above p (odd positions) and below p (even ones)
-    in a table, the last position's already filtered by last_ok, so the
-    search only tests whether a slot is taken.
+    in a table, the last position's already filtered by last_ok. The search
+    fills w1..w_n-3; a table of the call, keyed by w_n-3 and the bitmask of the
+    slots taken, lists the (w_n-3, .., w_n) that end the word, in text order.
+    For n <= 3, w_n-3 is w0 = 0 and 0s pad the positions below 1 (no slots).
     """
-    order = [(v, slot(v)) for v in _in_text_order(values)]
+    order = [(v, 1 << slot(v)) for v in _in_text_order(values)]
     prevs = (0, *(v for v, _ in order))
-    tables = ({p: [(v, s) for v, s in order if v > p] for p in prevs},
-              {p: [(v, s) for v, s in order if v < p] for p in prevs})
-    last = {p: [(v, s) for v, s in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
-    if n < 3:
-        yield from ([()], [(v,) for v, _ in last[0]],
-                    [(u, w) for u, r in tables[0][0] for w, t in last[u] if r != t])[n]
-        return
-    word, used = [], [False] * (n + 1)
-    stack = [(iter(tables[0][0]), 0)]  # the candidates left for an entry, the slot before it
+    tables = ({p: [(v, b) for v, b in order if v > p] for p in prevs},
+              {p: [(v, b) for v, b in order if v < p] for p in prevs})
+    last = {p: [(v, b) for v, b in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
+    pad = dict.fromkeys(prevs, [(0, 0)])  # a position below 1 holds a 0, which takes no slot
+    ends = [pad] * (3 - n) + [tables[(n - 1) % 2], tables[n % 2], last][max(3 - n, 0):]
+    word, taken, suffixes, cut = [], 0, {}, max(4 - n, 0)  # taken: the bits of the slots taken
+    # the candidates left and the bit of the slot before; for n <= 3 only w0 (none for n < 0)
+    stack = [(iter(tables[0][0] if n > 3 else [(0, 0)] * (n >= 0)), 0)]
     while stack:
-        for v, s in stack[-1][0]:
-            if not used[s]:
+        for v, b in stack[-1][0]:
+            if not taken & b:
                 break
-        else:  # exhausted: back up and free the slot before (0, a spare, at the first entry)
-            used[stack.pop()[1]] = False
+        else:  # exhausted: back up and free the slot before (none at the first entry)
+            taken ^= stack.pop()[1]
             del word[-1:]
             continue
-        if len(stack) < n - 2:
-            used[s] = True
+        if len(stack) < n - 3:
+            taken |= b
             word.append(v)
-            stack.append((iter(tables[len(stack) % 2][v]), s))
+            stack.append((iter(tables[len(stack) % 2][v]), b))
             continue
-        for u, r in tables[n % 2][v]:  # v is w_n-2: the last two entries in nested loops
-            if not (used[r] or r == s):
-                for w, t in last[u]:
-                    if not (used[t] or t == r or t == s):
-                        yield (*word, v, u, w)
+        mask = taken | b  # v is w_n-3
+        tails = suffixes.get((v, mask))
+        if tails is None:  # first met: nested loops over the three free slots
+            tails = suffixes[v, mask] = []
+            for u, c in ends[0][v]:
+                if not mask & c:
+                    for w, d in ends[1][u]:
+                        if not (mask | c) & d:
+                            for x, e in ends[2][w]:
+                                if not (mask | c | d) & e:
+                                    tails.append((v, u, w, x)[cut:])
+        prefix = tuple(word)
+        for tail in tails:
+            yield prefix + tail
 
 
 def enumerate_snakes(n: int) -> Iterator[tuple[int, ...]]:

@@ -21,6 +21,13 @@ versions (a generator frame per level, the object passed up a yield-from chain)
 are oracles too, and a profile hook counts the Python frames started or resumed
 per object. permcore.peak_valley_pairs must equal zip(left_peaks, right_valleys).
 
+The zigzag search (snakes, rcalt, altperm) then stopped three entries before
+the end and took the last three from a suffix table of the call, keyed by
+w_n-3 and the bitmask of the slots taken. Its flat version with a two-loop
+leaf is an oracle: every object with n <= 8 (altperm n <= 10), type included,
+none at n = -1 and -2, and the first 20,000 at each family's ceiling. Under
+tracemalloc, a long prefix at the ceiling stays under the table's worst case.
+
 The batch formatters (format_perms, format_paths, format_wip3s) fill one
 template per batch of objects of one size; the single formatters, joined line
 by line, are their oracles.
@@ -69,6 +76,7 @@ import operator
 import random
 import signal
 import sys
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -88,8 +96,10 @@ from springerbij.errors import (
 from springerbij.families import (
     FAMILIES,
     ThreeWIP,
+    enumerate_alternating,
     enumerate_laguerre,
     enumerate_lbp,
+    enumerate_snakes,
     euler_sequence,
     format_wip3,
     format_wip3s,
@@ -620,6 +630,58 @@ RECURSIVE = {
 }
 
 
+def _zigzags_two_loop_oracle(n, values, slot, last_ok=lambda v: True):
+    order = [(v, slot(v)) for v in sorted(values, key=str)]
+    prevs = (0, *(v for v, _ in order))
+    tables = ({p: [(v, s) for v, s in order if v > p] for p in prevs},
+              {p: [(v, s) for v, s in order if v < p] for p in prevs})
+    last = {p: [(v, s) for v, s in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
+    if n < 3:
+        yield from ([()], [(v,) for v, _ in last[0]],
+                    [(u, w) for u, r in tables[0][0] for w, t in last[u] if r != t])[n]
+        return
+    word, used = [], [False] * (n + 1)
+    stack = [(iter(tables[0][0]), 0)]  # the candidates left for an entry, the slot before it
+    while stack:
+        for v, s in stack[-1][0]:
+            if not used[s]:
+                break
+        else:  # exhausted: back up and free the slot before (0, a spare, at the first entry)
+            used[stack.pop()[1]] = False
+            del word[-1:]
+            continue
+        if len(stack) < n - 2:
+            used[s] = True
+            word.append(v)
+            stack.append((iter(tables[len(stack) % 2][v]), s))
+            continue
+        for u, r in tables[n % 2][v]:  # v is w_n-2: the last two entries in nested loops
+            if not (used[r] or r == s):
+                for w, t in last[u]:
+                    if not (used[t] or t == r or t == s):
+                        yield (*word, v, u, w)
+
+
+def _rcalt_two_loop_oracle(n):
+    size = 2 * n
+    halves = _zigzags_two_loop_oracle(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
+                                      lambda v: (2 * v > size + 1) == (n % 2 == 1))
+    mirror = [size + 1 - v for v in range(size + 1)].__getitem__
+    return ((*half, *map(mirror, reversed(half))) for half in halves)
+
+
+def _snakes_two_loop_oracle(n):
+    return _zigzags_two_loop_oracle(n, [*range(-n, 0), *range(1, n + 1)], abs)
+
+
+# family -> (flat search with the two-loop leaf, largest n compared in full, ceiling)
+TWO_LOOP = {
+    "snakes": (_snakes_two_loop_oracle, 8, 11),
+    "rcalt": (_rcalt_two_loop_oracle, 8, 11),
+    "altperm": (lambda n: _zigzags_two_loop_oracle(n, range(1, n + 1), lambda v: v), 10, 14),
+}
+
+
 # k-th derivative of cos - sin at 0, by k mod 4
 _COS_MINUS_SIN = (1, -1, -1, 1)
 # k-th derivative of cos at 0 and of 1 + sin at 0, by k mod 4
@@ -919,7 +981,9 @@ WORKLOAD_N = {"snakes": 8, "wip3": 7, "rcalt": 8, "lbp": 8, "laguerre": 8, "altp
 @pytest.mark.parametrize("family", sorted(WORKLOAD_N))
 def test_generators_start_at_most_three_frames_per_object(family):
     # each object may cost one resumption of the search and a record's __init__
-    # (rcalt: the mirroring generator expression); the recursive searches cost 9-17
+    # (rcalt: the mirroring generator expression); the recursive searches cost 9-17.
+    # The zigzag searches fill a suffix table key by loops in their own frame, so
+    # a key costs no frame either
     objects = iter(FAMILIES[family].generate(WORKLOAD_N[family]))
     next(objects)
     calls = 0
@@ -936,6 +1000,56 @@ def test_generators_start_at_most_three_frames_per_object(family):
     finally:
         sys.setprofile(previous)
     assert calls <= 3 * 2000, calls / 2000
+
+
+def _same_objects(new, old, n):
+    for count, (a, b) in enumerate(itertools.zip_longest(new, old), start=1):
+        assert a == b and type(a) is type(b), (n, count, a, b)
+
+
+@pytest.mark.parametrize("family", sorted(TWO_LOOP))
+def test_suffix_tables_match_the_two_loop_leaf(family):
+    two_loop, n_max, _ = TWO_LOOP[family]
+    for n in range(-2, n_max + 1):  # no word has a negative length
+        _same_objects(FAMILIES[family].generate(n), two_loop(n), n)
+
+
+@pytest.mark.parametrize("family", sorted(TWO_LOOP))
+def test_suffix_tables_match_the_two_loop_leaf_at_the_ceiling(family):
+    # the largest n meets keys (w_n-3, three free slots) that no smaller n has
+    two_loop, _, n = TWO_LOOP[family]
+    assert FAMILIES[family].ceiling == n
+    new = itertools.islice(FAMILIES[family].generate(n), 20_000)
+    _same_objects(new, itertools.islice(two_loop(n), 20_000), n)
+
+
+# Worst case of one _zigzags call's suffix table. It has at most |values| C(n, 3)
+# keys: w_n-3 and the slots taken, which leave three free. w_n-1 lies below both
+# of its neighbours or above both, so it is the least or the greatest of the last
+# three entries, and the other two take the ends in either order: a key lists at
+# most 2 m^3 suffixes, m the values that share a slot (2 for snakes, 1 for
+# altperm). A key costs at most KEY_BYTES (its 2-tuple, the mask, the list header
+# and its share of the dict) and a suffix SUFFIX_BYTES (a 4-tuple of small ints
+# and its list slot). The candidate tables add 3 (|values| + 1)^2 pairs at most.
+# Filled by hand with every key, the table of snakes at n = 11 measured 2.3 MiB
+# under tracemalloc (2640 keys, 26,400 suffixes), 2/3 of this estimate for them.
+KEY_BYTES, SUFFIX_BYTES, PAIR_BYTES = 400, 96, 96
+
+
+@pytest.mark.parametrize("generate, n, m, objects", [(enumerate_snakes, 11, 2, 200_000),
+                                                     (enumerate_alternating, 14, 1, 50_000)])
+def test_suffix_table_stays_within_its_worst_case(generate, n, m, objects):
+    values = m * n
+    bound = (values * math.comb(n, 3) * (KEY_BYTES + 2 * m**3 * SUFFIX_BYTES)
+             + 3 * (values + 1) ** 2 * PAIR_BYTES)
+    tracemalloc.start()
+    try:
+        drained = sum(1 for _ in itertools.islice(generate(n), objects))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drained == objects
+    assert peak <= bound, (peak, bound)
 
 
 def test_peak_valley_pairs_match_left_peaks_zipped_with_right_valleys():
