@@ -10,14 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import islice
 from typing import TextIO
 
 from . import bijections, families, verify
 from .errors import LineTooLong, NotCanonical
 
-ENUMERATE_CHUNK = 1024  # objects per write; the lines of a chunk are filled into one template
-MAP_LINE_MAX = 2**20    # characters in a map line, its newline not counted; longer lines are refused
+MAP_LINE_MAX = 2**20  # characters in a map line, its newline not counted; longer lines are refused
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,10 +61,7 @@ def _cmd_count(args, out: TextIO) -> int:
 
 
 def _cmd_enumerate(args, out: TextIO) -> int:
-    fam = families.FAMILIES[args.family]
-    objects = fam.enumerate(args.n)
-    for chunk in iter(lambda: list(islice(objects, ENUMERATE_CHUNK)), []):
-        out.write(fam.lines(chunk))
+    out.writelines(families.FAMILIES[args.family].text(args.n))
     return 0
 
 

@@ -5,13 +5,16 @@ The six families share one counting story: snakes, weakly increasing
 ballot paths are all counted by the Springer numbers; Laguerre histories are
 counted by n!; alternating permutations by the Euler numbers.
 
-Each family has one backtracking generator, with family-specific pruning,
-that yields its objects in strictly increasing order of their canonical
-text straight from the search: nothing is collected or sorted, and the
-working memory depends on n only: O(n^2) candidate tables and weight ranges,
-a suffix table of at most |values| C(n, 3) keys for the zigzag families, O(n)
-for wip3. The searches keep one candidate iterator per position on an explicit
-stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B): an object costs one resumption.
+Each family shape has one backtracking search, with family-specific pruning,
+that produces its objects in strictly increasing order of their canonical
+text: nothing is collected or sorted, and the working memory depends on n
+only: O(n^2) candidate tables and weight ranges, a suffix table of at most
+|values| C(n, 3) keys (with its tail texts) for the zigzag families, O(n) for
+wip3. The searches keep one candidate iterator per position on an explicit
+stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B). Two thin consumers read each
+search: the object generator, and Family.text, which writes the canonical
+text of a whole size from the search's prefixes and tail lists (or step
+words and weight ranges) without making the objects.
 The order rests on one rule. All objects of one size render to the same
 number of tokens (decimals, or the letters of a step word of fixed length),
 and the separators that end a token, ' ' and ',', sort below '-' and the
@@ -41,7 +44,6 @@ from .paths import (
     LaguerreHistory,
     count_lbp_dp,
     format_path,
-    format_paths,
     validate_labeled_ballot,
     validate_laguerre,
 )
@@ -182,22 +184,30 @@ def euler_sequence(m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # enumerators (canonical text order by construction) and the family registry
 
+TEXT_CHUNK = 1024  # lines per piece of Family.text at most, and objects per batch it formats
+
+
 def _in_text_order(values: Iterable[int]) -> list[int]:
     """Token values in the order of their decimal text: -1 < -2 < 1 < 10 < 2."""
     return sorted(values, key=str)
 
 
 def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
-             last_ok: Callable[[int], bool] = lambda v: True) -> Iterator[tuple[int, ...]]:
-    """Words w of length n with 0 < w1 > w2 < w3 > ..., in text order.
+             last_ok: Callable[[int], bool] = lambda v: True,
+             mirror: Callable[[int], int] | None = None) -> Iterator[tuple[tuple, list, tuple]]:
+    """Words w of length n with 0 < w1 > w2 < w3 > ..., in text order, as leaves.
 
     Entries come from values; no two share a slot(v) in 1..n. The last entry
     must also pass last_ok. Each previous entry p (0 before the first) has its
     text-ordered candidates above p (odd positions) and below p (even ones)
     in a table, the last position's already filtered by last_ok. The search
-    fills w1..w_n-3; a table of the call, keyed by w_n-3 and the bitmask of the
-    slots taken, lists the (w_n-3, .., w_n) that end the word, in text order.
-    For n <= 3, w_n-3 is w0 = 0 and 0s pad the positions below 1 (no slots).
+    fills the prefix w1..w_n-4 and loops over its w_n-3; a table of the call,
+    keyed by w_n-3 and the bitmask of the slots taken, lists the tails
+    (w_n-3, .., w_n) that end the word, in text order. A leaf (prefix, tails,
+    back) stands for the words prefix + tail + back. With a mirror, each word
+    goes on with the mirror images of its entries in reverse order: a tail
+    carries its own, back holds the prefix's (else it is ()). For n <= 4,
+    w_n-4 is w0 = 0 and 0s pad the positions below 1 (no slots).
     """
     order = [(v, 1 << slot(v)) for v in _in_text_order(values)]
     prevs = (0, *(v for v, _ in order))
@@ -205,10 +215,10 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
               {p: [(v, b) for v, b in order if v < p] for p in prevs})
     last = {p: [(v, b) for v, b in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
     pad = dict.fromkeys(prevs, [(0, 0)])  # a position below 1 holds a 0, which takes no slot
-    ends = [pad] * (3 - n) + [tables[(n - 1) % 2], tables[n % 2], last][max(3 - n, 0):]
+    ends = [pad] * (4 - n) + [tables[n % 2], tables[(n - 1) % 2], tables[n % 2], last][max(4 - n, 0):]
     word, taken, suffixes, cut = [], 0, {}, max(4 - n, 0)  # taken: the bits of the slots taken
-    # the candidates left and the bit of the slot before; for n <= 3 only w0 (none for n < 0)
-    stack = [(iter(tables[0][0] if n > 3 else [(0, 0)] * (n >= 0)), 0)]
+    # the candidates left and the bit of the slot before; for n <= 4 only w0 (none for n < 0)
+    stack = [(iter(tables[0][0] if n > 4 else [(0, 0)] * (n >= 0)), 0)]
     while stack:
         for v, b in stack[-1][0]:
             if not taken & b:
@@ -217,49 +227,100 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
             taken ^= stack.pop()[1]
             del word[-1:]
             continue
-        if len(stack) < n - 3:
+        if len(stack) < n - 4:
             taken |= b
             word.append(v)
             stack.append((iter(tables[len(stack) % 2][v]), b))
             continue
-        mask = taken | b  # v is w_n-3
-        tails = suffixes.get((v, mask))
-        if tails is None:  # first met: nested loops over the three free slots
-            tails = suffixes[v, mask] = []
-            for u, c in ends[0][v]:
-                if not mask & c:
-                    for w, d in ends[1][u]:
-                        if not (mask | c) & d:
-                            for x, e in ends[2][w]:
-                                if not (mask | c | d) & e:
-                                    tails.append((v, u, w, x)[cut:])
-        prefix = tuple(word)
+        prefix = (*word, v) if n > 4 else ()  # v is w_n-4; each w_n-3 after it makes a leaf
+        back = tuple(map(mirror, reversed(prefix))) if mirror else ()
+        taken |= b
+        for u, c in ends[0][v]:
+            if taken & c:
+                continue
+            mask = taken | c
+            tails = suffixes.get((u, mask))
+            if tails is None:  # first met: nested loops over the three free slots
+                tails = suffixes[u, mask] = []
+                for w, d in ends[1][u]:
+                    if not mask & d:
+                        for x, e in ends[2][w]:
+                            if not (mask | d) & e:
+                                for y, f in ends[3][x]:
+                                    if not (mask | d | e) & f:
+                                        tails.append((u, w, x, y)[cut:])
+                if mirror:
+                    tails[:] = [tail + tuple(map(mirror, reversed(tail))) for tail in tails]
+            if tails:
+                yield prefix, tails, back
+        taken ^= b
+
+
+def _words(leaves: Iterator[tuple[tuple, list, tuple]]) -> Iterator[tuple[int, ...]]:
+    """The words of _zigzags' leaves, in order."""
+    for prefix, tails, back in leaves:
         for tail in tails:
-            yield prefix + tail
+            yield prefix + tail + back
+
+
+def _zigzag_text(leaves: Iterator[tuple[tuple, list, tuple]]) -> Iterator[str]:
+    """The lines of _zigzags' words, in pieces of at most TEXT_CHUNK lines.
+
+    Each tail list's texts are rendered once per call (the lists live as long as
+    the search), each prefix's and its back's once, and the lines of a prefix
+    are one join: head + (end + head).join(the texts of its tails) + end.
+    """
+    texts, prefix, piece, lines, count = {}, None, [], [], 0  # texts: id of a tail list -> its texts
+    for p, tails, back in leaves:
+        if p is not prefix:  # the lines of the prefix before are all in
+            if lines:
+                piece.append(head + sep.join(lines) + end)
+                lines = []
+            prefix, head, end = p, "%d " * len(p) % p, " %d" * len(back) % back + "\n"
+            sep = end + head
+        ends = texts.get(id(tails)) or texts.setdefault(id(tails), list(map(permcore.format_perm, tails)))
+        lines += ends
+        count += len(ends)
+        while count >= TEXT_CHUNK:  # fill the piece up and hand it over
+            k = len(lines) - (count - TEXT_CHUNK)
+            yield "".join([*piece, head + sep.join(lines[:k]) + end])
+            piece, lines, count = [], lines[k:], count - TEXT_CHUNK
+    if lines:
+        piece.append(head + sep.join(lines) + end)
+    if piece:
+        yield "".join(piece)
+
+
+def _chunks(items: Iterator) -> Iterator[list]:
+    """Lists of the next TEXT_CHUNK items, until items runs out."""
+    return iter(lambda: list(itertools.islice(items, TEXT_CHUNK)), [])
+
+
+# the searches of the zigzag families. rcalt searches the first half: position i
+# pairs with 2n+1-i, so v and its mirror image 2n+1-v share one slot, and down-up
+# across the middle forces p[n] > n for odd n and p[n] <= n for even n
+_ZIGZAGS = {
+    "snakes": lambda n: _zigzags(n, [*range(-n, 0), *range(1, n + 1)], abs),
+    "altperm": lambda n: _zigzags(n, range(1, n + 1), lambda v: v),
+    "rcalt": lambda n: _zigzags(n, range(1, 2 * n + 1), lambda v: min(v, 2 * n + 1 - v),
+                                lambda v: (v > n) == (n % 2 == 1), lambda v: 2 * n + 1 - v),
+}
 
 
 def enumerate_snakes(n: int) -> Iterator[tuple[int, ...]]:
     """All snakes of length n, in increasing text order; there are S_n of them."""
-    return _zigzags(n, [*range(-n, 0), *range(1, n + 1)], abs)
+    return _words(_ZIGZAGS["snakes"](n))
 
 
 def enumerate_alternating(n: int) -> Iterator[tuple[int, ...]]:
     """All down-up alternating permutations of length n (E_n many)."""
-    return _zigzags(n, range(1, n + 1), lambda v: v)
+    return _words(_ZIGZAGS["altperm"](n))
 
 
 def enumerate_rcalt(n: int) -> Iterator[tuple[int, ...]]:
-    """All rc-invariant alternating permutations of length 2n (S_n many).
-
-    Only the first half is free: position i pairs with 2n+1-i and mirrored
-    entries sum to 2n+1, so v and its mirror share one slot. Down-up across
-    the middle forces p[n] > n for odd n and p[n] <= n for even n.
-    """
-    size = 2 * n
-    halves = _zigzags(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
-                      lambda v: (2 * v > size + 1) == (n % 2 == 1))
-    mirror = [size + 1 - v for v in range(size + 1)].__getitem__
-    return ((*half, *map(mirror, reversed(half))) for half in halves)
+    """All rc-invariant alternating permutations of length 2n (S_n many): the first
+    half is searched, the second is its mirror image."""
+    return _words(_ZIGZAGS["rcalt"](n))
 
 
 def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
@@ -277,8 +338,8 @@ def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
     are >= top than columns, top - 1 - j + [top in sigma_1..j], need one.
     """
     order = _in_text_order(range(1, n + 1))
-    if n == 0:
-        yield ThreeWIP((), ())
+    if n <= 0:  # one empty 3-WIP at n = 0, none below
+        yield from [ThreeWIP((), ())] * (n == 0)
         return
     bounds, used = [(n + j + 1) // 2 for j in range(1, n + 1)], [False] * (n + 1)
     for sigma in itertools.permutations(order):
@@ -306,15 +367,14 @@ def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
             stack.append((iter(order), top, b))
 
 
-def _labeled_paths(n: int, alphabet: str, closed: bool, make: Callable) -> Iterator:
-    """Weighted paths of length n over alphabet, in text order.
-
-    Step words come in letter order; each word's weight vectors follow as the
-    product of its text-ordered weight ranges. A step whose range is empty
-    (D or T on the axis) is never taken; closed paths must end on the axis.
+def _labeled_paths(n: int, alphabet: str, closed: bool) -> Iterator[tuple[str, list]]:
+    """The step words of the weighted paths of length n over alphabet, in letter
+    order, each with its text-ordered weight ranges: the word's paths, in text
+    order, are the product of its ranges. A step whose range is empty (D or T on
+    the axis) is never taken; closed paths must end on the axis.
     """
-    if n == 0:
-        yield make("", ())
+    if n <= 0:  # one empty word at n = 0, none below
+        yield from [("", [])] * (n == 0)
         return
     # moves[h]: (letter, height after it, weights) of each step open at height h
     moves = [[(s, h + rise, tuple(_in_text_order(range(h - drop + 1)))) for s in sorted(alphabet)
@@ -333,18 +393,32 @@ def _labeled_paths(n: int, alphabet: str, closed: bool, make: Callable) -> Itera
             ranges.append(weights)
             stack.append(iter(moves[h]))
             continue
-        yield from map(make, itertools.repeat("".join(steps) + s),
-                       itertools.product(*ranges, weights))
+        yield "".join(steps) + s, [*ranges, weights]
+
+
+def _paths(leaves: Iterator[tuple[str, list]], make: Callable) -> Iterator:
+    """The paths of _labeled_paths' words, made in C."""
+    return itertools.chain.from_iterable(
+        map(make, itertools.repeat(word), itertools.product(*ranges)) for word, ranges in leaves)
+
+
+def _path_text(leaves: Iterator[tuple[str, list]]) -> Iterator[str]:
+    """The lines of _labeled_paths' words, TEXT_CHUNK lines at most per piece: each
+    chunk of a word's weights fills one template with the word built in."""
+    for word, ranges in leaves:
+        line = word + ";" + ",".join(["%d"] * len(word)) + "\n"
+        for chunk in _chunks(itertools.product(*ranges)):
+            yield line * len(chunk) % tuple(itertools.chain.from_iterable(chunk))
 
 
 def enumerate_lbp(n: int) -> Iterator[LabeledBallotPath]:
     """All labeled ballot paths of length n (S_n many)."""
-    return _labeled_paths(n, BALLOT_ALPHABET, False, LabeledBallotPath)
+    return _paths(_labeled_paths(n, BALLOT_ALPHABET, False), LabeledBallotPath)
 
 
 def enumerate_laguerre(n: int) -> Iterator[LaguerreHistory]:
     """All restricted Laguerre histories of length n (n! many)."""
-    return _labeled_paths(n, MOTZKIN_ALPHABET, True, LaguerreHistory)
+    return _paths(_labeled_paths(n, MOTZKIN_ALPHABET, True), LaguerreHistory)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -352,7 +426,7 @@ class Family:
     enumerate: Callable[[int], Iterator]  # n -> objects in canonical text order
     generate: Callable[[int], Iterator]   # = enumerate; perfbench/tracer.py wraps both by name
     render: Callable[[Any], str]          # object -> canonical text
-    lines: Callable[[Sequence], str]      # objects of one size -> their texts, each ended by "\n"
+    text: Callable[[int], Iterator[str]]  # n -> render(obj) + "\n" per object, <= TEXT_CHUNK lines a piece
     validate: Callable[[Any], object]     # object -> raises ValueError on a non-member
     oracle: Callable[[int], int]          # n -> count, closed form
     parse: Callable[[str], Any]           # text -> object; raises ValueError on malformed text
@@ -367,42 +441,48 @@ class Family:
 # perfbench/tracer.py, which rebinds module functions, still see them.
 FAMILIES: dict[str, Family] = {
     "snakes": Family(
-        enumerate_snakes, enumerate_snakes, permcore.format_perm, permcore.format_perms, validate_snake,
-        lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t),
+        enumerate_snakes, enumerate_snakes, permcore.format_perm,
+        lambda n: _zigzag_text(_ZIGZAGS["snakes"](n)),
+        validate_snake, lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t),
     ),
     "wip3": Family(
-        enumerate_wip3, enumerate_wip3, format_wip3, format_wip3s,
+        enumerate_wip3, enumerate_wip3, format_wip3, lambda n: map(format_wip3s, _chunks(enumerate_wip3(n))),
         lambda w: validate_wip3(w.sigma, w.pi), lambda n: springer_egf(n)[n], lambda t: parse_wip3(t),
     ),
     "rcalt": Family(
-        enumerate_rcalt, enumerate_rcalt, permcore.format_perm, permcore.format_perms, validate_rcalt,
-        lambda n: springer_egf(n)[n], lambda t: permcore.parse_perm(t),
+        enumerate_rcalt, enumerate_rcalt, permcore.format_perm,
+        lambda n: _zigzag_text(_ZIGZAGS["rcalt"](n)),
+        validate_rcalt, lambda n: springer_egf(n)[n], lambda t: permcore.parse_perm(t),
     ),
     "lbp": Family(
-        enumerate_lbp, enumerate_lbp, format_path, format_paths,
+        enumerate_lbp, enumerate_lbp, format_path,
+        lambda n: _path_text(_labeled_paths(n, BALLOT_ALPHABET, False)),
         lambda p: validate_labeled_ballot(p.steps, p.weights), count_lbp_dp,
         lambda t: paths.parse_labeled_ballot(t),
     ),
     "laguerre": Family(
-        enumerate_laguerre, enumerate_laguerre, format_path, format_paths,
+        enumerate_laguerre, enumerate_laguerre, format_path,
+        lambda n: _path_text(_labeled_paths(n, MOTZKIN_ALPHABET, True)),
         lambda h: validate_laguerre(h.steps, h.weights), math.factorial,
         lambda t: paths.parse_laguerre(t),
     ),
     "altperm": Family(
-        enumerate_alternating, enumerate_alternating, permcore.format_perm, permcore.format_perms,
+        enumerate_alternating, enumerate_alternating, permcore.format_perm,
+        lambda n: _zigzag_text(_ZIGZAGS["altperm"](n)),
         validate_alternating, lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t),
     ),
 }
 
 
 def _permutations(n: int) -> Iterator[tuple[int, ...]]:
-    return itertools.permutations(range(1, n + 1))
+    return itertools.permutations(range(1, n + 1)) if n >= 0 else iter(())
 
 
 # All permutations of 1..n, the domain of fz, in lexicographic order (text
 # order for n <= 9); kept out of FAMILIES, whose names are the --family choices.
 _PERM = Family(
-    _permutations, _permutations, lambda p: permcore.format_perm(p), lambda c: permcore.format_perms(c),
+    _permutations, _permutations, lambda p: permcore.format_perm(p),
+    lambda n: (permcore.format_perm(p) + "\n" for p in _permutations(n)),
     lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t),
 )
 

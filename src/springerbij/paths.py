@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from itertools import chain
 from operator import sub
 from typing import Sequence
 
@@ -219,12 +218,6 @@ def format_path(obj: LabeledBallotPath | LaguerreHistory) -> str:
     'UUUDDUU;0,0,1,2,0,0,0'
     """
     return _template(len(obj.weights)) % (obj.steps, *obj.weights)
-
-
-def format_paths(objs: Sequence[LabeledBallotPath | LaguerreHistory]) -> str:
-    """The format_path lines of paths of one length, each ended by a newline, in one %."""
-    line = _template(len(objs[0].weights) if objs else 0) + "\n"
-    return line * len(objs) % tuple(chain.from_iterable((p.steps, *p.weights) for p in objs))
 
 
 def parse_path_text(text: str) -> tuple[str, tuple[int, ...]]:

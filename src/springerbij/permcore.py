@@ -276,12 +276,6 @@ def format_perm(perm: Sequence[int]) -> str:
     return perm_template(len(perm)) % tuple(perm)
 
 
-def format_perms(perms: Sequence[Sequence[int]]) -> str:
-    """The format_perm lines of permutations of one length, each ended by a newline, in one %."""
-    line = perm_template(len(perms[0]) if perms else 0) + "\n"
-    return line * len(perms) % tuple(chain.from_iterable(perms))
-
-
 def parse_perm(text: str) -> tuple[int, ...]:
     """Parse space-separated values and validate them as a permutation."""
     values = tuple(map(int, text.split()))

@@ -205,18 +205,17 @@ def _lbp_dp_vs_egf(cap: int) -> str:
 
 
 def _canonical_order(cap: int) -> str:
-    """Each size's texts strictly increase, and lines() writes them, one per line."""
+    """Each size's texts strictly increase, and text() writes them, one per line."""
     for name in families.FAMILIES:
         for n in range(cap + 1):
-            objects = list(_objects(name, n))
-            texts = [_text(name, obj) for obj in objects]
+            texts = [_text(name, obj) for obj in _objects(name, n)]
             for previous, text in zip(texts, texts[1:]):
                 if previous >= text:
                     raise Counterexample(f"{name} n={n}: {previous!r} !< {text!r}")
-            got, want = families.FAMILIES[name].lines(objects), "".join(t + "\n" for t in texts)
+            got, want = "".join(families.FAMILIES[name].text(n)), "".join(t + "\n" for t in texts)
             if got != want:
                 first = texts[min(os.path.commonprefix([got, want]).count("\n"), len(texts) - 1)]
-                raise Counterexample(f"{name} n={n}: lines() differs from render at {first!r}")
+                raise Counterexample(f"{name} n={n}: text() differs from render at {first!r}")
     return ""
 
 

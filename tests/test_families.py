@@ -10,6 +10,7 @@ from springerbij.families import (
     FAMILIES,
     ThreeWIP,
     _in_text_order,
+    domain,
     enumerate_alternating,
     enumerate_laguerre,
     enumerate_lbp,
@@ -126,6 +127,15 @@ def test_enumerators_emit_strictly_increasing_canonical_text():
                 previous = text
                 count += 1
             assert count == fam.oracle(n), (name, n)
+
+
+@pytest.mark.parametrize("name", [*sorted(FAMILIES), "perm"])
+@pytest.mark.parametrize("n", [-1, -2, -5])
+def test_negative_n_yields_nothing(name, n):
+    # no object has a negative length: no object and no text, and no IndexError
+    fam = domain(name)
+    assert list(fam.enumerate(n)) == list(fam.generate(n)) == []
+    assert list(fam.text(n)) == []
 
 
 # (family, non-member, exception class) for each way a validator rejects

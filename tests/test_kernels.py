@@ -32,6 +32,17 @@ The batch formatters (format_perms, format_paths, format_wip3s) fill one
 template per batch of objects of one size; the single formatters, joined line
 by line, are their oracles.
 
+Family.text then replaced the batch formatting of each object in the CLI: the
+zigzag search hands each prefix over with a list of tails, rcalt's tails and
+prefix with their mirror images, and the path search each step word with its
+weight ranges. The rendered objects, and the batch formatters (format_perms and
+format_paths, which left src/, are kept here), are its oracles: every size up to n = 7, 8 or
+10, none below 0, and the first 20,000 lines at each family's ceiling. rcalt's
+earlier generator, which mirrored each whole half, is the oracle of its
+mirrored table. No piece holds more lines than the chunk bound, and under
+tracemalloc the text of a long prefix at the ceiling, its tail texts included,
+stays under the table's worst case.
+
 The Springer and Euler numbers come from derivative polynomials at u = 1; the
 binomial recurrences of the exponential generating functions they replaced are
 oracles for every m <= 300.
@@ -81,7 +92,7 @@ from bisect import bisect_right
 
 import pytest
 
-from springerbij import bijections, paths, permcore, verify
+from springerbij import bijections, families, paths, permcore, verify
 from springerbij.bijections import fz, fz_inverse
 from springerbij.cli import main
 from springerbij.errors import (
@@ -99,6 +110,7 @@ from springerbij.families import (
     enumerate_alternating,
     enumerate_laguerre,
     enumerate_lbp,
+    enumerate_rcalt,
     enumerate_snakes,
     euler_sequence,
     format_wip3,
@@ -502,6 +514,18 @@ def _format_path_oracle(obj):
     return obj.steps + ";" + ",".join(map(str, obj.weights))
 
 
+def _format_perms_oracle(perms):
+    # the batch formatter that Family.text replaced for snakes, rcalt and altperm
+    line = permcore.perm_template(len(perms[0]) if perms else 0) + "\n"
+    return line * len(perms) % tuple(itertools.chain.from_iterable(perms))
+
+
+def _format_paths_oracle(objs):
+    # the same for lbp and laguerre
+    line = paths._template(len(objs[0].weights) if objs else 0) + "\n"
+    return line * len(objs) % tuple(itertools.chain.from_iterable((p.steps, *p.weights) for p in objs))
+
+
 def _paths_oracle(n, alphabet, closed, make):
     # the path generator's order has no earlier version to compare with: every
     # valid weighted path, by brute force, sorted by its text
@@ -666,6 +690,17 @@ def _rcalt_two_loop_oracle(n):
     size = 2 * n
     halves = _zigzags_two_loop_oracle(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
                                       lambda v: (2 * v > size + 1) == (n % 2 == 1))
+    mirror = [size + 1 - v for v in range(size + 1)].__getitem__
+    return ((*half, *map(mirror, reversed(half))) for half in halves)
+
+
+def _rcalt_half_mirroring_oracle(n):
+    # rcalt before its table carried the mirror images: whole halves from the
+    # search, each followed by its images in reverse order
+    size = 2 * n
+    leaves = families._zigzags(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
+                               lambda v: (2 * v > size + 1) == (n % 2 == 1))
+    halves = (prefix + tail for prefix, tails, _ in leaves for tail in tails)
     mirror = [size + 1 - v for v in range(size + 1)].__getitem__
     return ((*half, *map(mirror, reversed(half))) for half in halves)
 
@@ -946,17 +981,22 @@ def test_renderers_match_the_map_str_oracles():
             assert format_path(type(obj)(obj.steps, weights)) == _format_path_oracle(obj)
 
 
+# each batch formatter and the families whose objects it formats
+BATCHES = {_format_perms_oracle: ("snakes", "rcalt", "altperm"),
+           _format_paths_oracle: ("lbp", "laguerre"), format_wip3s: ("wip3",)}
+
+
 def test_batch_formatters_match_the_single_ones():
     # one template filled by one % per batch, against one render per object
     rng = random.Random(4096)
-    batches = {permcore.format_perms: [[perm] * 3 for perm in ((), (1,), (-2, 1))],
-               paths.format_paths: [[LabeledBallotPath("", ())], [LaguerreHistory("UD", (0, 0))] * 2],
+    batches = {_format_perms_oracle: [[perm] * 3 for perm in ((), (1,), (-2, 1))],
+               _format_paths_oracle: [[LabeledBallotPath("", ())], [LaguerreHistory("UD", (0, 0))] * 2],
                format_wip3s: [[ThreeWIP((), ())]]}
-    for fam in FAMILIES.values():
-        batches[fam.lines] += [list(fam.generate(n)) for n in range(6)]
-    batches[permcore.format_perms].append([tuple(rng.sample(range(1, 513), 512)) for _ in range(5)])
-    batches[paths.format_paths].append([fz(rng.sample(range(1, 513), 512)) for _ in range(5)])
-    for lines, render in [(permcore.format_perms, format_perm), (paths.format_paths, format_path),
+    for lines, names in BATCHES.items():
+        batches[lines] += [list(FAMILIES[name].generate(n)) for name in names for n in range(6)]
+    batches[_format_perms_oracle].append([tuple(rng.sample(range(1, 513), 512)) for _ in range(5)])
+    batches[_format_paths_oracle].append([fz(rng.sample(range(1, 513), 512)) for _ in range(5)])
+    for lines, render in [(_format_perms_oracle, format_perm), (_format_paths_oracle, format_path),
                           (format_wip3s, format_wip3)]:
         assert lines([]) == ""
         for objects in batches[lines]:
@@ -1023,32 +1063,110 @@ def test_suffix_tables_match_the_two_loop_leaf_at_the_ceiling(family):
     _same_objects(new, itertools.islice(two_loop(n), 20_000), n)
 
 
+def test_mirrored_tables_match_the_half_mirroring_generator():
+    for n in range(-2, 9):
+        _same_objects(FAMILIES["rcalt"].generate(n), _rcalt_half_mirroring_oracle(n), n)
+    n = FAMILIES["rcalt"].ceiling
+    _same_objects(itertools.islice(FAMILIES["rcalt"].generate(n), 20_000),
+                  itertools.islice(_rcalt_half_mirroring_oracle(n), 20_000), n)
+
+
+# family -> the largest n whose whole text is compared
+TEXT_N = {"snakes": 8, "rcalt": 8, "altperm": 10, "lbp": 7, "laguerre": 7, "wip3": 7}
+
+
+def _rendered(family, objects):
+    render = FAMILIES[family].render
+    return "".join(render(obj) + "\n" for obj in objects)
+
+
+@pytest.mark.parametrize("family", sorted(TEXT_N))
+def test_text_matches_the_rendered_objects(family):
+    fam = FAMILIES[family]
+    batch = next(lines for lines, names in BATCHES.items() if family in names)
+    for n in range(-2, TEXT_N[family] + 1):  # no object has a negative length
+        objects = list(fam.enumerate(n))
+        text = "".join(fam.text(n))
+        assert text == _rendered(family, objects), n
+        assert text == (batch(objects) if objects else ""), n
+
+
+@pytest.mark.parametrize("family", sorted(TEXT_N))
+def test_text_matches_the_rendered_objects_at_the_ceiling(family):
+    # the largest n meets keys and weights that no smaller n has
+    fam = FAMILIES[family]
+    lines = itertools.chain.from_iterable(piece.splitlines(True) for piece in fam.text(fam.ceiling))
+    assert ("".join(itertools.islice(lines, 20_000))
+            == _rendered(family, itertools.islice(fam.enumerate(fam.ceiling), 20_000)))
+
+
+def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
+    # the all-U word of lbp at n = 11 alone has 11! weight vectors: its first
+    # pieces come full, without the rest of its lines
+    ranges = [tuple(sorted(range(h + 1), key=str)) for h in range(11)]
+    pieces = families._path_text(iter([("U" * 11, ranges)]))
+    assert [piece.count("\n") for piece in itertools.islice(pieces, 3)] == [families.TEXT_CHUNK] * 3
+    counts = [piece.count("\n") for piece in itertools.islice(FAMILIES["lbp"].text(11), 200)]
+    assert len(counts) == 200 and min(counts) > 0 and max(counts) <= families.TEXT_CHUNK
+    monkeypatch.setattr(families, "TEXT_CHUNK", 7)
+    for name, fam in FAMILIES.items():
+        counts = [piece.count("\n") for piece in itertools.islice(fam.text(TEXT_N[name]), 200)]
+        assert len(counts) == 200 and min(counts) > 0 and max(counts) <= 7, (name, counts)
+
+
 # Worst case of one _zigzags call's suffix table. It has at most |values| C(n, 3)
 # keys: w_n-3 and the slots taken, which leave three free. w_n-1 lies below both
 # of its neighbours or above both, so it is the least or the greatest of the last
 # three entries, and the other two take the ends in either order: a key lists at
-# most 2 m^3 suffixes, m the values that share a slot (2 for snakes, 1 for
-# altperm). A key costs at most KEY_BYTES (its 2-tuple, the mask, the list header
-# and its share of the dict) and a suffix SUFFIX_BYTES (a 4-tuple of small ints
-# and its list slot). The candidate tables add 3 (|values| + 1)^2 pairs at most.
-# Filled by hand with every key, the table of snakes at n = 11 measured 2.3 MiB
-# under tracemalloc (2640 keys, 26,400 suffixes), 2/3 of this estimate for them.
+# most 2 m^3 suffixes, m the values that share a slot (2 for snakes and rcalt, 1
+# for altperm). A key costs at most KEY_BYTES (its 2-tuple, the mask, the list
+# header and its share of the dict) and a suffix SUFFIX_BYTES (a 4-tuple of small
+# ints and its list slot), ENTRY_BYTES more per entry beyond four (rcalt's tails
+# carry their four mirror images). The candidate tables add 3 (|values| + 1)^2
+# pairs at most. The text adds TEXT_KEY_BYTES per key (a list and its share of a
+# dict) and TEXT_BYTES per suffix (a str of at most 4 characters per entry and
+# its list slot), and a piece of TEXT_CHUNK lines, twice while it is joined.
+# Filled by hand with every key, snakes at n = 11 measured 2.5 MiB of table and
+# 2.0 MiB of texts under tracemalloc (2640 keys, 26,400 suffixes), rcalt at
+# n = 11 2.6 and 1.7 MiB (2640 keys, 18,810 suffixes), altperm at n = 14 0.8 and
+# 0.9 MiB (4004 keys, 5005 suffixes).
 KEY_BYTES, SUFFIX_BYTES, PAIR_BYTES = 400, 96, 96
+ENTRY_BYTES, TEXT_KEY_BYTES, TEXT_BYTES = 8, 200, 128
+
+
+def _table_bound(n, m, entries, text):
+    values = m * n
+    key = KEY_BYTES + TEXT_KEY_BYTES * text
+    suffix = SUFFIX_BYTES + ENTRY_BYTES * (entries - 4) + TEXT_BYTES * text
+    pieces = 2 * families.TEXT_CHUNK * (4 * 2 * n + 64) * text
+    return values * math.comb(n, 3) * (key + 2 * m**3 * suffix) + 3 * (values + 1) ** 2 * PAIR_BYTES + pieces
+
+
+def _peak(items, count):
+    tracemalloc.start()
+    try:
+        drained = sum(1 for _ in itertools.islice(items, count))
+        return drained, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("generate, n, m, objects", [(enumerate_snakes, 11, 2, 200_000),
-                                                     (enumerate_alternating, 14, 1, 50_000)])
+                                                     (enumerate_alternating, 14, 1, 50_000),
+                                                     (enumerate_rcalt, 11, 2, 200_000)])
 def test_suffix_table_stays_within_its_worst_case(generate, n, m, objects):
-    values = m * n
-    bound = (values * math.comb(n, 3) * (KEY_BYTES + 2 * m**3 * SUFFIX_BYTES)
-             + 3 * (values + 1) ** 2 * PAIR_BYTES)
-    tracemalloc.start()
-    try:
-        drained = sum(1 for _ in itertools.islice(generate(n), objects))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bound = _table_bound(n, m, 8 if generate is enumerate_rcalt else 4, False)
+    drained, peak = _peak(generate(n), objects)
     assert drained == objects
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("family, n, m, lines", [("snakes", 11, 2, 200_000), ("altperm", 14, 1, 50_000),
+                                                 ("rcalt", 11, 2, 200_000)])
+def test_suffix_table_and_tail_texts_stay_within_their_worst_case(family, n, m, lines):
+    bound = _table_bound(n, m, 8 if family == "rcalt" else 4, True)
+    drained, peak = _peak(FAMILIES[family].text(n), lines // families.TEXT_CHUNK)
+    assert drained == lines // families.TEXT_CHUNK
     assert peak <= bound, (peak, bound)
 
 

@@ -99,14 +99,14 @@ def test_negative_bound_is_refused():
 
 @pytest.mark.parametrize("family", sorted(families.FAMILIES))
 def test_faulty_lines_fails_the_canonical_order_row(monkeypatch, family):
-    # a batch formatter that drops the last newline of its chunk
+    # a text function that drops the last newline of each piece
     fam = families.FAMILIES[family]
     monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(
-        fam, lines=lambda objects: fam.lines(objects)[:-1]))
+        fam, text=lambda n: (piece[:-1] for piece in fam.text(n))))
     row = next(r for r in verify.run(2) if r.name == "families/canonical-order")
     last = fam.render(list(fam.generate(0))[-1])
     assert not row.passed
-    assert row.detail == f"Counterexample: {family} n=0: lines() differs from render at {last!r}"
+    assert row.detail == f"Counterexample: {family} n=0: text() differs from render at {last!r}"
 
 
 def _reversed(obj):
