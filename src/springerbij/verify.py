@@ -5,17 +5,20 @@ size up to a cap (clamped by the requested --n-max). The runner reports one
 row per property, in name order, and never stops early: all rows are always
 produced.
 
-Most rows are one of four generic checks over a domain (a family name or
-"perm", see families.domain) or over a record of bijections.BIJECTIONS. A
-failing row names its first counterexample in canonical text, also when a
-map raises. The checks raise instead of using assert, so they also check
-under `python -O`; and they look up the families and the library functions
-when the row runs, never at import time.
+Most rows are one of three generic checks over a domain (a family name or
+"perm", see families.domain) or over a record of bijections.BIJECTIONS. The
+rows that check one object at a time hold their predicates as data, in
+PER_OBJECT; the tests run the same predicates on random objects. A failing
+row names its first counterexample in canonical text, also when a map
+raises. The checks raise instead of using assert, so they also check under
+`python -O`; and they look up the families and the library functions when
+the row runs, never at import time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import operator
 import os
@@ -23,6 +26,8 @@ import time
 from typing import Callable, Iterator, Sequence
 
 from . import bijections, families, paths, permcore
+
+Side = tuple[str, Callable[..., bool]]  # (domain, predicate on one object of it)
 
 
 @dataclasses.dataclass
@@ -58,20 +63,21 @@ def _named(domain: str, obj, fn: Callable):
 # each check takes the clamped bound and returns a detail string (often empty);
 # any exception marks the row as failed
 
-def _holds(cap: int, domain: str, prop: Callable[..., bool]) -> str:
-    """prop is true on every object of the domain."""
-    for n in range(cap + 1):
-        for obj in _objects(domain, n):
-            if not _named(domain, obj, prop):
-                raise Counterexample(f"{domain} {_text(domain, obj)!r}")
+def _holds(cap: int, sides: Sequence[Side]) -> str:
+    """Each (domain, predicate) side is true on every object of its domain, side by side."""
+    for domain, prop in sides:
+        for n in range(cap + 1):
+            for obj in _objects(domain, n):
+                if not _named(domain, obj, prop):
+                    raise Counterexample(f"{domain} {_text(domain, obj)!r}")
     return ""
 
 
-def _bijective(cap: int, name: str, inverse: bool = False) -> str:
+def _bijective(cap: int, name: str, sides: Sequence[Side] = ()) -> str:
     """The bijection maps each size of its domain one-to-one onto its codomain.
 
-    With inverse, also inverse(f(x)) == x on the domain; as f is a bijection,
-    f(inverse(y)) == y on the codomain follows.
+    Each side's predicate also holds on each domain object x, given f(x); with
+    inverse(f(x)) == x there, f(inverse(y)) == y on the codomain follows.
     """
     bij = bijections.BIJECTIONS[name]
     domain, codomain = bij.domain, bij.codomain
@@ -83,20 +89,14 @@ def _bijective(cap: int, name: str, inverse: bool = False) -> str:
             if image in images or image not in targets:
                 why = "repeats" if image in images else f"is not in {codomain}"
                 raise Counterexample(f"{domain} {_text(domain, obj)!r}: image {why}")
-            if inverse and _named(domain, obj, lambda _: bij.inverse(image)) != obj:
-                raise Counterexample(f"{domain} {_text(domain, obj)!r}: inverse(f(x)) != x")
+            for _, undone in sides:
+                if not _named(domain, obj, lambda x: undone(x, image)):
+                    raise Counterexample(f"{domain} {_text(domain, obj)!r}: inverse(f(x)) != x")
             images.add(image)
         if len(images) < len(targets):
             missed = next(t for t in _objects(codomain, n) if t not in images)
             raise Counterexample(f"{codomain} {_text(codomain, missed)!r} is no image")
     return ""
-
-
-def _roundtrip(cap: int, name: str) -> str:
-    """The inverse undoes the map on the domain, and the map the inverse on the codomain."""
-    bij = bijections.BIJECTIONS[name]
-    _holds(cap, bij.domain, lambda x: bij.inverse(bij.forward(x)) == x)
-    return _holds(cap, bij.codomain, lambda y: bij.forward(bij.inverse(y)) == y)
 
 
 def _counts(cap: int, names: Sequence[str]) -> str:
@@ -113,9 +113,15 @@ def _counts(cap: int, names: Sequence[str]) -> str:
 
 # properties of one object
 
-def _foata_roundtrip(p) -> bool:
-    return (permcore.foata_inverse(permcore.foata(p)) == p
-            and permcore.foata(permcore.foata_inverse(p)) == p)
+def _roundtrip(name: str) -> list[Side]:
+    """The sides inverse(f(x)) == x on the domain and f(inverse(y)) == y on the codomain
+    of the named bijection; a caller that holds x's image under the first map passes it."""
+    def undone(x, image=None, back=False) -> bool:
+        bij = bijections.BIJECTIONS[name]
+        there, again = (bij.inverse, bij.forward) if back else (bij.forward, bij.inverse)
+        return again(there(x) if image is None else image) == x
+    bij = bijections.BIJECTIONS[name]
+    return [(bij.domain, undone), (bij.codomain, functools.partial(undone, back=True))]
 
 
 def _foata_peaks(p) -> bool:
@@ -137,15 +143,12 @@ def _peaks_alternate(p) -> bool:
     return len(peaks) == len(valleys) and all(a < b for a, b in zip(turns, turns[1:]))
 
 
-def pattern_sum_matches_height(perm: Sequence[int]) -> bool:
+def _pattern_sum_matches_height(perm: Sequence[int]) -> bool:
     """For every value i, the two straddling-descent counts add up to the
     height of i's step (U, H) or that height minus one (D, T)."""
-    word = tuple(perm)
-    caps = paths.weight_caps(bijections.fz(word))
-    return all(
-        permcore.count_pat_31_2_at(word, i) + permcore.count_pat_2_31_at(word, i) == cap
-        for i, cap in enumerate(caps, start=1)
-    )
+    caps = paths.weight_caps(bijections.fz(perm))
+    return all(permcore.count_pat_31_2_at(perm, i) + permcore.count_pat_2_31_at(perm, i) == cap
+               for i, cap in enumerate(caps, start=1))
 
 
 def _wbar_involution(cap: int) -> str:
@@ -159,12 +162,7 @@ def _wbar_involution(cap: int) -> str:
         return paths.wbar(lbp) == paths.LabeledBallotPath(
             lbp.steps, tuple(map(operator.sub, caps[lbp.steps], lbp.weights)))
 
-    return _holds(cap, "lbp", complements)
-
-
-def _extend_closure(lbp) -> bool:
-    # extend_to_rc_fixed checks that history_rc fixes its image; halve_rc_fixed checks it again
-    return paths.halve_rc_fixed(paths.extend_to_rc_fixed(lbp)) == lbp
+    return _holds(cap, [("lbp", complements)])
 
 
 def _middle_parity(p) -> bool:
@@ -180,10 +178,6 @@ def _middle_parity(p) -> bool:
 def _rcalt_image_shape(p) -> bool:
     hw = bijections.fz(p)
     return "H" not in hw.steps and "T" not in hw.steps and paths.history_rc(hw) == hw
-
-
-def _bars_consistent(snake) -> bool:
-    return bijections.place_bars(bijections.unbar(snake)) == snake
 
 
 def _snake_sign_pattern(snake) -> bool:
@@ -264,49 +258,55 @@ def _validator_fuzz(cap: int) -> str:
     return ""
 
 
-# (name, cap, check); caps come from the documented ranges of each invariant.
-# The lambdas name library functions in their bodies, so a function is looked
-# up when its row runs.
-PROPERTIES: list[tuple[str, int, Callable[[int], str]]] = [
-    ("bijections/bars-always-consistent", 8, lambda cap: _holds(cap, "snakes", _bars_consistent)),
-    ("bijections/bigpsi-roundtrip", 6, lambda cap: _roundtrip(cap, "bigpsi")),
+# (name, cap, check, sides) of each row that checks one object at a time, by
+# check(cap, sides=sides), each side a (domain, predicate) pair. The predicates
+# are the one statement of each invariant; the tests run them on random objects.
+PER_OBJECT: list[tuple[str, int, Callable[..., str], list[Side]]] = [
+    ("bijections/bars-always-consistent", 8, _holds, [
+        ("snakes", lambda snake: bijections.place_bars(bijections.unbar(snake)) == snake)]),
+    ("bijections/bigpsi-roundtrip", 6, _holds, _roundtrip("bigpsi")),
+    ("bijections/fz-commutes-with-rc", 7, _holds, [("perm", lambda p: bijections.fz(
+        permcore.reverse_complement(p)) == paths.history_rc(bijections.fz(p)))]),
+    ("bijections/fz-roundtrip", 7, _holds, _roundtrip("fz")),
+    ("bijections/pattern-sum-matches-height", 7, _holds, [("perm", _pattern_sum_matches_height)]),
+    ("bijections/phi-roundtrip", 6, _holds, _roundtrip("phi")),
+    ("bijections/psi-roundtrip", 6, _holds, _roundtrip("psi")),
+    ("bijections/rcalt-history-is-rc-fixed-dyck", 6, _holds, [("rcalt", _rcalt_image_shape)]),
+    ("bijections/rcalt-middle-parity", 6, _holds, [("rcalt", _middle_parity)]),
+    ("bijections/snake-sign-pattern", 8, _holds, [("snakes", _snake_sign_pattern)]),
+    ("bijections/snake2lbp-bijective", 6, functools.partial(_bijective, name="snake2lbp"),
+     _roundtrip("snake2lbp")[:1]),
+    # extend_to_rc_fixed checks that history_rc fixes its image; halve_rc_fixed checks it again
+    ("paths/extend-to-rc-fixed-closure", 7, _holds, [
+        ("lbp", lambda lbp: paths.halve_rc_fixed(paths.extend_to_rc_fixed(lbp)) == lbp)]),
+    ("paths/history-rc-involution", 7, _holds, [
+        ("laguerre", lambda hw: paths.history_rc(paths.history_rc(hw)) == hw)]),
+    ("permcore/foata-maps-cycle-peaks-to-left-peaks", 8, _holds, [("perm", _foata_peaks)]),
+    ("permcore/foata-roundtrip", 8, _holds, [("perm", lambda p: permcore.foata_inverse(
+        permcore.foata(p)) == p and permcore.foata(permcore.foata_inverse(p)) == p)]),
+    ("permcore/invert-involution", 8, _holds, [("perm", lambda p: permcore.invert(permcore.invert(p)) == p)]),
+    ("permcore/left-peak-has-right-valley", 8, _holds, [("perm", _peaks_alternate)]),
+    ("permcore/pattern-count-rc-duality", 8, _holds, [("perm", _pattern_rc_duality)]),
+    ("permcore/rc-involution", 8, _holds, [
+        ("perm", lambda p: permcore.reverse_complement(permcore.reverse_complement(p)) == p)]),
+]
+
+# (name, cap, check) of every row, in name order; caps come from the documented
+# ranges of each invariant, and each check looks up the library when it runs
+PROPERTIES: list[tuple[str, int, Callable[[int], str]]] = sorted([
+    *((name, cap, functools.partial(check, sides=sides)) for name, cap, check, sides in PER_OBJECT),
     ("bijections/fz-bijective", 7, lambda cap: _bijective(cap, "fz")),
-    ("bijections/fz-commutes-with-rc", 7, lambda cap: _holds(
-        cap, "perm",
-        lambda p: bijections.fz(permcore.reverse_complement(p)) == paths.history_rc(bijections.fz(p)))),
-    ("bijections/fz-roundtrip", 7, lambda cap: _roundtrip(cap, "fz")),
-    ("bijections/pattern-sum-matches-height", 7,
-     lambda cap: _holds(cap, "perm", pattern_sum_matches_height)),
     ("bijections/phi-bijective", 6, lambda cap: _bijective(cap, "phi")),
-    ("bijections/phi-roundtrip", 6, lambda cap: _roundtrip(cap, "phi")),
     ("bijections/psi-bijective", 6, lambda cap: _bijective(cap, "psi")),
-    ("bijections/psi-roundtrip", 6, lambda cap: _roundtrip(cap, "psi")),
-    ("bijections/rcalt-history-is-rc-fixed-dyck", 6,
-     lambda cap: _holds(cap, "rcalt", _rcalt_image_shape)),
-    ("bijections/rcalt-middle-parity", 6, lambda cap: _holds(cap, "rcalt", _middle_parity)),
-    ("bijections/snake-sign-pattern", 8, lambda cap: _holds(cap, "snakes", _snake_sign_pattern)),
-    ("bijections/snake2lbp-bijective", 6, lambda cap: _bijective(cap, "snake2lbp", inverse=True)),
     ("families/alternating-count-matches-euler", 8, lambda cap: _counts(cap, ["altperm"])),
     ("families/canonical-order", 6, _canonical_order),
-    ("families/four-way-count-equality", 6,
-     lambda cap: _counts(cap, ["snakes", "wip3", "rcalt", "lbp"])),
+    ("families/four-way-count-equality", 6, lambda cap: _counts(cap, ["snakes", "wip3", "rcalt", "lbp"])),
     ("families/validator-fuzz", 4, _validator_fuzz),
-    ("paths/extend-to-rc-fixed-closure", 7, lambda cap: _holds(cap, "lbp", _extend_closure)),
-    ("paths/history-rc-involution", 7, lambda cap: _holds(
-        cap, "laguerre", lambda hw: paths.history_rc(paths.history_rc(hw)) == hw)),
     ("paths/laguerre-count-is-factorial", 7, lambda cap: _counts(cap, ["laguerre"])),
     ("paths/lbp-count-dp-matches-egf", 12, _lbp_dp_vs_egf),
     ("paths/lbp-count-dp-matches-enumeration", 9, lambda cap: _counts(cap, ["lbp"])),
     ("paths/wbar-involution", 8, _wbar_involution),
-    ("permcore/foata-maps-cycle-peaks-to-left-peaks", 8, lambda cap: _holds(cap, "perm", _foata_peaks)),
-    ("permcore/foata-roundtrip", 8, lambda cap: _holds(cap, "perm", _foata_roundtrip)),
-    ("permcore/invert-involution", 8, lambda cap: _holds(
-        cap, "perm", lambda p: permcore.invert(permcore.invert(p)) == p)),
-    ("permcore/left-peak-has-right-valley", 8, lambda cap: _holds(cap, "perm", _peaks_alternate)),
-    ("permcore/pattern-count-rc-duality", 8, lambda cap: _holds(cap, "perm", _pattern_rc_duality)),
-    ("permcore/rc-involution", 8, lambda cap: _holds(
-        cap, "perm", lambda p: permcore.reverse_complement(permcore.reverse_complement(p)) == p)),
-]
+])
 
 
 def run(n_max: int) -> list[PropertyResult]:

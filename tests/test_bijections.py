@@ -48,7 +48,6 @@ from springerbij.paths import (
     LabeledBallotPath,
     LaguerreHistory,
     format_path,
-    height_profile,
     history_rc,
 )
 from springerbij.permcore import (
@@ -59,8 +58,8 @@ from springerbij.permcore import (
     reverse_complement,
     right_valleys,
 )
-from springerbij.verify import pattern_sum_matches_height
 
+ROWS = {name: check for name, _, check in verify.PROPERTIES}  # a failing row raises Counterexample
 WIP9 = ThreeWIP((1, 5, 2, 6, 7, 3, 8, 9, 4), (2, 5, 6, 3, 1, 7, 8, 4, 9))
 SNAKE9 = (5, -7, -1, -2, 6, 3, 8, -9, -4)
 
@@ -208,12 +207,7 @@ def test_middle_parity_boundary_cases():
     assert psi((1,)) == (2, 1)                # n = 1: p[2] = 1 = n
     p = psi((1, -5, -3, -6, 2, -4))           # n = 6: p[6] = 6 = n
     assert p[5] == 6 and p[6] == 7
-    for n in range(1, 6):
-        for q in enumerate_rcalt(n):
-            if n % 2:
-                assert q[n - 1] > n >= q[n]
-            else:
-                assert q[n - 1] <= n < q[n]
+    ROWS["bijections/rcalt-middle-parity"](5)
 
 
 # --- fz -----------------------------------------------------------------------
@@ -254,9 +248,7 @@ def test_fz_commutes_with_rc():
     expected = LaguerreHistory("UUHDDUTHD", (0, 0, 0, 1, 0, 0, 0, 0, 0))
     assert fz(reverse_complement(p)) == expected
     assert history_rc(fz(p)) == expected
-    for n in range(6):
-        for p in itertools.permutations(range(1, n + 1)):
-            assert fz(reverse_complement(p)) == history_rc(fz(p))
+    ROWS["bijections/fz-commutes-with-rc"](5)
 
 
 _SHAPES = {(True, True): "H", (True, False): "D", (False, True): "U", (False, False): "T"}
@@ -316,9 +308,7 @@ def test_fz_roundtrip_at_n_4096():
 
 
 def test_pattern_sum_matches_height_small():
-    for n in range(6):
-        for p in itertools.permutations(range(1, n + 1)):
-            assert pattern_sum_matches_height(p)
+    ROWS["bijections/pattern-sum-matches-height"](5)
 
 
 # --- halved maps and composites -------------------------------------------------
@@ -331,13 +321,8 @@ def test_rcalt_to_lbp_worked_examples():
 
 
 def test_rcalt_fz_image_is_rc_fixed_dyck():
-    for n in range(5):
-        for p in enumerate_rcalt(n):
-            hw = fz(p)
-            assert set(hw.steps) <= {"U", "D"}
-            assert history_rc(hw) == hw
-            heights = height_profile(hw.steps)
-            assert not heights or heights[-1] == 1  # closed Dyck word
+    # fz checks that its image is a closed history, so without level steps it is a Dyck word
+    ROWS["bijections/rcalt-history-is-rc-fixed-dyck"](4)
 
 
 def test_rcalt_fz_image_is_exactly_the_rc_fixed_level_free_histories():
@@ -397,10 +382,9 @@ def test_the_paper_chain_maps_the_3wips_onto_the_labeled_ballot_paths():
 
 
 def test_bars_always_consistent_and_sign_pattern():
-    # the two verify rows themselves at their bound, n <= 8; a failing row raises Counterexample
-    rows = {name: check for name, _, check in verify.PROPERTIES}
+    # the two verify rows themselves at their bound, n <= 8
     for name in ("bijections/bars-always-consistent", "bijections/snake-sign-pattern"):
-        rows[name](8)
+        ROWS[name](8)
 
 
 def _nearest_peak(word, valley):

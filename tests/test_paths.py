@@ -2,6 +2,7 @@
 
 import pytest
 
+from springerbij import verify
 from springerbij.errors import (
     HeightBelowZero,
     HorizontalStepPresent,
@@ -33,6 +34,7 @@ from springerbij.paths import (
 # the 14-step rc-fixed labeled Dyck path whose first half is UUUDDUU;0,0,1,2,0,0,0
 FULL_14 = LaguerreHistory("UUUDDUUDDUUDDD", (0, 0, 1, 2, 0, 0, 0, 2, 1, 1, 0, 1, 1, 0))
 HALF_7 = LabeledBallotPath("UUUDDUU", (0, 0, 1, 2, 0, 0, 0))
+ROWS = {name: check for name, _, check in verify.PROPERTIES}  # a failing row raises Counterexample
 
 
 def oracle_heights(steps):
@@ -114,9 +116,7 @@ def test_history_rc_examples():
 
 
 def test_history_rc_is_involution():
-    for n in range(6):
-        for hw in enumerate_laguerre(n):
-            assert history_rc(history_rc(hw)) == hw
+    ROWS["paths/history-rc-involution"](5)
 
 
 def test_halve_rc_fixed():
@@ -191,9 +191,7 @@ def test_wbar_examples():
 
 
 def test_wbar_is_involution():
-    for n in range(7):
-        for lbp in enumerate_lbp(n):
-            assert wbar(wbar(lbp)) == lbp
+    ROWS["paths/wbar-involution"](6)  # wbar is the complement within the caps, so an involution
 
 
 def test_path_text_roundtrip():

@@ -1,47 +1,53 @@
-"""Property-based tests: the documented invariants on randomized inputs.
+"""Property-based tests: verify's own per-object predicates on random objects.
 
-These extend the exhaustive small-n sweeps to random objects a little beyond
-the exhaustion range (n up to 10-12), which is where an indexing slip would
-most plausibly hide.
+Each invariant is stated once, as a predicate of a row in verify.PER_OBJECT;
+verify runs it on every object up to the row's cap. The tests here run every
+predicate of a domain on hypothesis objects with n <= 12, and on seeded,
+exactly uniform samples at n = 64 and 512, where an indexing slip that
+exhaustion cannot reach would show. A new per-object row is sampled with no
+new test; the guard below asks for a strategy and a sampler of each domain.
 """
 
+import collections
 import doctest
+import functools
+import importlib.util
+import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import springerbij
 from springerbij import bijections, cli, errors, families, paths, permcore, verify
-from springerbij.bijections import fz, fz_inverse
-from springerbij.paths import (
-    extend_to_rc_fixed,
-    halve_rc_fixed,
-    history_rc,
-    validate_labeled_ballot,
-    validate_laguerre,
-    wbar,
-)
-from springerbij.permcore import (
-    count_pat_2_31_at,
-    count_pat_31_2_at,
-    cycle_peaks,
-    foata,
-    foata_inverse,
-    invert,
-    left_peaks,
-    reverse_complement,
-)
-from springerbij.verify import pattern_sum_matches_height
+from springerbij.paths import validate_labeled_ballot, validate_laguerre
+
+# domain -> [(row name, predicate)], in table order
+PREDICATES = collections.defaultdict(list)
+for _row, _, _, _sides in verify.PER_OBJECT:
+    for _domain, _predicate in _sides:
+        PREDICATES[_domain].append((_row, _predicate))
+
+_SAMPLING = Path(__file__).resolve().parents[1] / "perfbench" / "sampling.py"
+_spec = importlib.util.spec_from_file_location("sampling", _SAMPLING)
+sampling = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sampling)
+
+
+def _holds_on(domain, obj):
+    for row, predicate in PREDICATES[domain]:
+        assert predicate(obj), f"{row} fails on {domain} {verify._text(domain, obj)!r}"
 
 
 @st.composite
-def permutations(draw, max_n=10):
+def permutations(draw, max_n=12):
     n = draw(st.integers(min_value=0, max_value=max_n))
     return tuple(draw(st.permutations(range(1, n + 1))))
 
 
 @st.composite
-def snakes(draw, max_n=10):
+def snakes(draw, max_n=12):
     # total construction: any absolute word plus free sign bits at its right
     # valleys is a snake (non-valley signs are forced by position parity)
     n = draw(st.integers(min_value=0, max_value=max_n))
@@ -57,7 +63,7 @@ def snakes(draw, max_n=10):
 
 
 @st.composite
-def laguerre_histories(draw, max_n=10):
+def laguerre_histories(draw, max_n=12):
     n = draw(st.integers(min_value=0, max_value=max_n))
     steps = []
     weights = []
@@ -90,85 +96,64 @@ def labeled_ballot_paths(draw, max_n=12):
     return validate_labeled_ballot("".join(steps), weights)
 
 
-@given(permutations())
-def test_invert_is_involution(p):
-    assert invert(invert(p)) == p
+# rcalt and wip3 are the images of snakes under psi and phi_inverse, bijections
+STRATEGIES = {
+    "perm": permutations(),
+    "snakes": snakes(),
+    "lbp": labeled_ballot_paths(),
+    "laguerre": laguerre_histories(),
+    "rcalt": snakes().map(bijections.psi),
+    "wip3": snakes().map(bijections.phi_inverse),
+}
 
 
-@given(permutations())
-def test_rc_is_involution(p):
-    assert reverse_complement(reverse_complement(p)) == p
+@functools.lru_cache(maxsize=None)
+def _completions(n):
+    return sampling.lbp_completions(n)
 
 
-@given(permutations())
-def test_foata_roundtrips(p):
-    assert foata_inverse(foata(p)) == p
-    assert foata(foata_inverse(p)) == p
+def _lbp(n, rng):
+    return paths.parse_labeled_ballot(sampling.sample_lbp(n, rng, _completions(n)))
 
 
-@given(permutations())
-def test_foata_transports_cycle_peaks_to_left_peaks(p):
-    q = foata(p)
-    assert frozenset(q[i - 1] for i in left_peaks(q)) == cycle_peaks(p)
+def _perm(n, rng):
+    return permcore.parse_perm(sampling.sample_perm(n, rng))
 
 
-@given(permutations())
-def test_pattern_rc_duality(p):
-    n = len(p)
-    rc = reverse_complement(p)
-    for i in range(1, n + 1):
-        assert count_pat_31_2_at(rc, n + 1 - i) == count_pat_2_31_at(p, i)
+# n, rng -> an object of size n, uniform over its domain: the maps are bijections
+SAMPLERS = {
+    "perm": _perm,
+    "laguerre": lambda n, rng: bijections.fz(_perm(n, rng)),
+    "lbp": _lbp,
+    "snakes": lambda n, rng: bijections.lbp_to_snake(_lbp(n, rng)),
+    "rcalt": lambda n, rng: bijections.lbp_to_rcalt(_lbp(n, rng)),
+    "wip3": lambda n, rng: bijections.phi_inverse(bijections.lbp_to_snake(_lbp(n, rng))),
+}
 
 
-@given(permutations())
-def test_fz_roundtrip(p):
-    assert fz_inverse(fz(p)) == p
+def test_every_domain_of_the_predicates_has_a_strategy_and_a_sampler():
+    assert sorted(PREDICATES) == sorted(STRATEGIES) == sorted(SAMPLERS)
 
 
-@given(permutations())
-def test_fz_commutes_with_rc(p):
-    assert fz(reverse_complement(p)) == history_rc(fz(p))
+@pytest.mark.parametrize("domain", sorted(STRATEGIES))
+@given(data=st.data())
+def test_every_predicate_holds_on_random_objects(domain, data):
+    _holds_on(domain, data.draw(STRATEGIES[domain], label=domain))
 
 
-@given(permutations())
-def test_pattern_sum_matches_height(p):
-    assert pattern_sum_matches_height(p)
-
-
-@given(snakes())
-def test_psi_roundtrip_and_membership(s):
-    image = bijections.psi(s)
-    assert permcore.is_alternating(image)
-    assert reverse_complement(image) == image
-    assert bijections.psi_inverse(image) == s
-
-
-@given(snakes(max_n=9))
-def test_snake_to_lbp_roundtrip(s):
-    lbp = bijections.snake_to_lbp(s)
-    assert bijections.lbp_to_snake(lbp) == s
-
-
-@given(laguerre_histories())
-def test_history_rc_is_involution(hw):
-    assert history_rc(history_rc(hw)) == hw
-
-
-@given(laguerre_histories())
-def test_fz_inverse_then_fz(hw):
-    assert fz(fz_inverse(hw)) == hw
+@pytest.mark.parametrize("n, count", [(64, 10), (512, 3)])
+@pytest.mark.parametrize("domain", sorted(SAMPLERS))
+def test_every_predicate_holds_on_uniform_samples(domain, n, count):
+    rng = random.Random(f"{domain} {n}")
+    for _ in range(count):
+        _holds_on(domain, SAMPLERS[domain](n, rng))
 
 
 @given(labeled_ballot_paths())
 def test_wbar_is_involution(lbp):
-    assert wbar(wbar(lbp)) == lbp
-
-
-@given(labeled_ballot_paths())
-def test_extend_halve_roundtrip(lbp):
-    hw = extend_to_rc_fixed(lbp)
-    assert history_rc(hw) == hw
-    assert halve_rc_fixed(hw) == lbp
+    # the wbar row checks each path against the complement of its weights, with
+    # the caps of each step word computed once per row, so it is no predicate
+    assert paths.wbar(paths.wbar(lbp)) == lbp
 
 
 @given(labeled_ballot_paths())
@@ -183,7 +168,7 @@ def test_phi_on_random_marked_permutations(data):
     # phi_step1_inverse accepts any permutation with marked cycle peaks, so
     # random (perm, marks) pairs probe the column tie-breaking directly
     p = data.draw(permutations(max_n=9))
-    peaks = sorted(cycle_peaks(p))
+    peaks = sorted(permcore.cycle_peaks(p))
     marks = frozenset(data.draw(st.sets(st.sampled_from(peaks)))) if peaks else frozenset()
     mp = permcore.MarkedPermutation(tuple(p), marks)
     wip = bijections.phi_step1_inverse(mp)

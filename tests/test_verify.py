@@ -132,6 +132,54 @@ def test_wrong_map_fails_a_row(monkeypatch, module, name, fault):
     assert failed, f"{name} with a {fault} fault passes every row"
 
 
+def _word_reversed(good):
+    # the reversal fault of cycle_peaks, whose set has no order: the peaks of the reversed word
+    return lambda perm: good(tuple(perm)[::-1])
+
+
+# (module, kernel, fault) -> the per-object row that fails at n <= 4. An identity
+# invert, reverse_complement or history_rc passes its own involution row; the row
+# named here is the one that catches it (see test_involution_rows_pass_an_identity_fault)
+KERNEL_FAULTS = {
+    (permcore, "invert", "identity"): "permcore/foata-maps-cycle-peaks-to-left-peaks",
+    (permcore, "invert", "reversal"): "permcore/invert-involution",
+    (permcore, "reverse_complement", "identity"): "permcore/pattern-count-rc-duality",
+    (permcore, "reverse_complement", "reversal"): "permcore/pattern-count-rc-duality",
+    (permcore, "foata", "identity"): "permcore/foata-roundtrip",
+    (permcore, "foata", "reversal"): "permcore/foata-roundtrip",
+    (permcore, "foata_inverse", "identity"): "permcore/foata-roundtrip",
+    (permcore, "foata_inverse", "reversal"): "permcore/foata-roundtrip",
+    (permcore, "left_peaks", "identity"): "permcore/left-peak-has-right-valley",
+    (permcore, "left_peaks", "reversal"): "permcore/left-peak-has-right-valley",
+    (permcore, "right_valleys", "identity"): "permcore/left-peak-has-right-valley",
+    (permcore, "right_valleys", "reversal"): "permcore/left-peak-has-right-valley",
+    (permcore, "cycle_peaks", "identity"): "permcore/foata-maps-cycle-peaks-to-left-peaks",
+    (permcore, "cycle_peaks", "reversal"): "permcore/foata-maps-cycle-peaks-to-left-peaks",
+    (paths, "history_rc", "identity"): "bijections/fz-commutes-with-rc",
+    (paths, "history_rc", "reversal"): "paths/history-rc-involution",
+}
+
+
+@pytest.mark.parametrize("module, name, fault", KERNEL_FAULTS,
+                         ids=[f"{name}-{fault}" for _, name, fault in KERNEL_FAULTS])
+def test_wrong_kernel_fails_its_row(monkeypatch, module, name, fault):
+    wrong = _word_reversed if (name, fault) == ("cycle_peaks", "reversal") else FAULTS[fault]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    with pytest.raises(verify.Counterexample):
+        _row(KERNEL_FAULTS[module, name, fault])(4)
+
+
+@pytest.mark.parametrize("module, name, row", [
+    (permcore, "invert", "permcore/invert-involution"),
+    (permcore, "reverse_complement", "permcore/rc-involution"),
+    (paths, "history_rc", "paths/history-rc-involution"),
+], ids=["invert", "reverse_complement", "history_rc"])
+def test_involution_rows_pass_an_identity_fault(monkeypatch, module, name, row):
+    # f(f(x)) == x holds for f = identity, so these rows alone cannot catch it
+    monkeypatch.setattr(module, name, FAULTS["identity"](getattr(module, name)))
+    assert _row(row)(4) == ""
+
+
 def _laguerre_typed(good):
     # the right step word and weights, in the wrong record
     return lambda lbp: paths.LaguerreHistory(*dataclasses.astuple(good(lbp)))
@@ -215,7 +263,7 @@ def test_closure_row_runs_caps_three_times_per_path(monkeypatch):
     calls = []
     real = paths._caps
     monkeypatch.setattr(paths, "_caps", lambda s, *a, **k: calls.append(s) or real(s, *a, **k))
-    verify._holds(5, "lbp", verify._extend_closure)
+    _row("paths/extend-to-rc-fixed-closure")(5)
     assert len(calls) == 3 * sum(1 for n in range(6) for _ in families.enumerate_lbp(n))
 
 
@@ -224,7 +272,7 @@ def test_bars_row_finds_the_peak_valley_pairs_twice_per_snake(monkeypatch):
     calls = []
     real = bijections.peak_valley_pairs
     monkeypatch.setattr(bijections, "peak_valley_pairs", lambda word: calls.append(word) or real(word))
-    verify._holds(6, "snakes", verify._bars_consistent)
+    _row("bijections/bars-always-consistent")(6)
     assert len(calls) == 2 * sum(1 for n in range(7) for _ in families.enumerate_snakes(n))
 
 
