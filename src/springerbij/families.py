@@ -8,13 +8,11 @@ counted by n!; alternating permutations by the Euler numbers.
 Each family shape has one backtracking search, with family-specific pruning,
 that produces its objects in strictly increasing order of their canonical
 text: nothing is collected or sorted, and the working memory depends on n
-only: O(n^2) candidate tables and weight ranges, a suffix table of at most
-|values| C(n, 3) keys (with its tail texts) for the zigzag families, O(n) for
-wip3. The searches keep one candidate iterator per position on an explicit
-stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B). Two thin consumers read each
-search: the object generator, and Family.text, which writes the canonical
-text of a whole size from the search's prefixes and tail lists (or step
-words and weight ranges) without making the objects.
+only: O(n^2) candidate tables and weight ranges, a suffix table for the
+zigzag families, O(n) for wip3. The searches keep one candidate iterator per
+position on an explicit stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B). Each
+search feeds the object generator, and Family.text, which writes a whole
+size from leaves (head, tail texts, end) without making the objects.
 The order rests on one rule. All objects of one size render to the same
 number of tokens (decimals, or the letters of a step word of fixed length),
 and the separators that end a token, ' ' and ',', sort below '-' and the
@@ -76,20 +74,10 @@ def validate_wip3(sigma: Sequence[int], pi: Sequence[int]) -> ThreeWIP:
     return ThreeWIP(tuple(sigma), tuple(pi))
 
 
-def _wip3_template(m: int, n: int) -> str:
-    return permcore.perm_template(m) + " / " + permcore.perm_template(n)
-
-
 def format_wip3(wip: ThreeWIP) -> str:
     """Both rows in permutation format, joined by ' / '."""
-    return _wip3_template(len(wip.sigma), len(wip.pi)) % (*wip.sigma, *wip.pi)
-
-
-def format_wip3s(wips: Sequence[ThreeWIP]) -> str:
-    """The format_wip3 lines of 3-WIPs of one length, each ended by a newline, in one %."""
-    n = len(wips[0].sigma) if wips else 0
-    rows = itertools.chain.from_iterable(map(operator.attrgetter("sigma", "pi"), wips))
-    return (_wip3_template(n, n) + "\n") * len(wips) % tuple(itertools.chain.from_iterable(rows))
+    template = permcore.perm_template(len(wip.sigma)) + " / " + permcore.perm_template(len(wip.pi))
+    return template % (*wip.sigma, *wip.pi)
 
 
 def parse_wip3(text: str) -> ThreeWIP:
@@ -184,7 +172,7 @@ def euler_sequence(m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # enumerators (canonical text order by construction) and the family registry
 
-TEXT_CHUNK = 1024  # lines per piece of Family.text at most, and objects per batch it formats
+TEXT_CHUNK = 1024  # lines per piece of Family.text at most
 
 
 def _in_text_order(values: Iterable[int]) -> list[int]:
@@ -193,21 +181,21 @@ def _in_text_order(values: Iterable[int]) -> list[int]:
 
 
 def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
-             last_ok: Callable[[int], bool] = lambda v: True,
-             mirror: Callable[[int], int] | None = None) -> Iterator[tuple[tuple, list, tuple]]:
+             last_ok: Callable[[int], bool] = lambda v: True, mirror: Callable[[int], int] | None = None,
+             depth: int = 4, text: bool = False) -> Iterator[tuple]:
     """Words w of length n with 0 < w1 > w2 < w3 > ..., in text order, as leaves.
 
     Entries come from values; no two share a slot(v) in 1..n. The last entry
     must also pass last_ok. Each previous entry p (0 before the first) has its
     text-ordered candidates above p (odd positions) and below p (even ones)
     in a table, the last position's already filtered by last_ok. The search
-    fills the prefix w1..w_n-4 and loops over its w_n-3; a table of the call,
-    keyed by w_n-3 and the bitmask of the slots taken, lists the tails
-    (w_n-3, .., w_n) that end the word, in text order. A leaf (prefix, tails,
-    back) stands for the words prefix + tail + back. With a mirror, each word
-    goes on with the mirror images of its entries in reverse order: a tail
-    carries its own, back holds the prefix's (else it is ()). For n <= 4,
-    w_n-4 is w0 = 0 and 0s pad the positions below 1 (no slots).
+    fills the prefix up to w_n-depth and loops over w_n-depth+1; a table of the
+    call, keyed by it and the bitmask of the slots taken, lists the tails (the
+    last depth entries) in text order. A leaf (prefix, tails, back) stands for
+    the words prefix + tail + back. With a mirror, each word goes on with the
+    mirror images of its entries in reverse order: a tail carries its own, back
+    the prefix's. For n <= depth, w_n-depth is w0 = 0 and 0s pad the positions
+    below 1 (no slots). With text, the leaves are _text's, tails as texts.
     """
     order = [(v, 1 << slot(v)) for v in _in_text_order(values)]
     prevs = (0, *(v for v, _ in order))
@@ -215,10 +203,10 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
               {p: [(v, b) for v, b in order if v < p] for p in prevs})
     last = {p: [(v, b) for v, b in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
     pad = dict.fromkeys(prevs, [(0, 0)])  # a position below 1 holds a 0, which takes no slot
-    ends = [pad] * (4 - n) + [tables[n % 2], tables[(n - 1) % 2], tables[n % 2], last][max(4 - n, 0):]
-    word, taken, suffixes, cut = [], 0, {}, max(4 - n, 0)  # taken: the bits of the slots taken
-    # the candidates left and the bit of the slot before; for n <= 4 only w0 (none for n < 0)
-    stack = [(iter(tables[0][0] if n > 4 else [(0, 0)] * (n >= 0)), 0)]
+    ends = [pad if i < 1 else last if i == n else tables[(i - 1) % 2] for i in range(n - depth + 1, n + 1)]
+    word, taken, suffixes, cut = [], 0, {}, max(depth - n, 0)  # taken: the bits of the slots taken
+    # the candidates left and the bit of the slot before; for n <= depth only w0 (none for n < 0)
+    stack = [(iter(tables[0][0] if n > depth else [(0, 0)] * (n >= 0)), 0)]
     while stack:
         for v, b in stack[-1][0]:
             if not taken & b:
@@ -227,30 +215,27 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
             taken ^= stack.pop()[1]
             del word[-1:]
             continue
-        if len(stack) < n - 4:
+        if len(stack) < n - depth:
             taken |= b
             word.append(v)
             stack.append((iter(tables[len(stack) % 2][v]), b))
             continue
-        prefix = (*word, v) if n > 4 else ()  # v is w_n-4; each w_n-3 after it makes a leaf
+        prefix = (*word, v) if n > depth else ()  # v is w_n-depth; each w_n-depth+1 after it makes a leaf
         back = tuple(map(mirror, reversed(prefix))) if mirror else ()
+        if text:
+            prefix, back = "%d " * len(prefix) % prefix, " %d" * len(back) % back + "\n"
         taken |= b
         for u, c in ends[0][v]:
             if taken & c:
                 continue
-            mask = taken | c
-            tails = suffixes.get((u, mask))
-            if tails is None:  # first met: nested loops over the three free slots
-                tails = suffixes[u, mask] = []
-                for w, d in ends[1][u]:
-                    if not mask & d:
-                        for x, e in ends[2][w]:
-                            if not (mask | d) & e:
-                                for y, f in ends[3][x]:
-                                    if not (mask | d | e) & f:
-                                        tails.append((u, w, x, y)[cut:])
-                if mirror:
-                    tails[:] = [tail + tuple(map(mirror, reversed(tail))) for tail in tails]
+            tails = suffixes.get((u, taken | c))
+            if tails is None:  # first met: grow the tails one free position at a time
+                tails = [((u,), taken | c)]
+                for end in ends[1:]:
+                    tails = [(t + (w,), m | d) for t, m in tails for w, d in end[t[-1]] if not m & d]
+                tails = [t[cut:] for t, _ in tails]
+                tails = [t + tuple(map(mirror, reversed(t))) for t in tails] if mirror else tails
+                tails = suffixes[u, taken | c] = list(map(permcore.format_perm, tails)) if text else tails
             if tails:
                 yield prefix, tails, back
         taken ^= b
@@ -263,24 +248,17 @@ def _words(leaves: Iterator[tuple[tuple, list, tuple]]) -> Iterator[tuple[int, .
             yield prefix + tail + back
 
 
-def _zigzag_text(leaves: Iterator[tuple[tuple, list, tuple]]) -> Iterator[str]:
-    """The lines of _zigzags' words, in pieces of at most TEXT_CHUNK lines.
-
-    Each tail list's texts are rendered once per call (the lists live as long as
-    the search), each prefix's and its back's once, and the lines of a prefix
-    are one join: head + (end + head).join(the texts of its tails) + end.
-    """
-    texts, prefix, piece, lines, count = {}, None, [], [], 0  # texts: id of a tail list -> its texts
-    for p, tails, back in leaves:
-        if p is not prefix:  # the lines of the prefix before are all in
+def _text(leaves: Iterator[tuple[str, list, str]]) -> Iterator[str]:
+    """The lines head + tail + end of leaves (head, tails, end), TEXT_CHUNK at most a piece; the
+    leaves in a row with the same head and end objects are one join, head + (end + head).join(...) + end."""
+    piece, lines, count, head, end = [], [], 0, None, None
+    for h, tails, e in leaves:
+        if h is not head or e is not end:  # the lines of the head before are all in
             if lines:
                 piece.append(head + sep.join(lines) + end)
-                lines = []
-            prefix, head, end = p, "%d " * len(p) % p, " %d" * len(back) % back + "\n"
-            sep = end + head
-        ends = texts.get(id(tails)) or texts.setdefault(id(tails), list(map(permcore.format_perm, tails)))
-        lines += ends
-        count += len(ends)
+            head, end, sep, lines = h, e, e + h, []
+        lines += tails
+        count += len(tails)
         while count >= TEXT_CHUNK:  # fill the piece up and hand it over
             k = len(lines) - (count - TEXT_CHUNK)
             yield "".join([*piece, head + sep.join(lines[:k]) + end])
@@ -291,19 +269,15 @@ def _zigzag_text(leaves: Iterator[tuple[tuple, list, tuple]]) -> Iterator[str]:
         yield "".join(piece)
 
 
-def _chunks(items: Iterator) -> Iterator[list]:
-    """Lists of the next TEXT_CHUNK items, until items runs out."""
-    return iter(lambda: list(itertools.islice(items, TEXT_CHUNK)), [])
-
-
 # the searches of the zigzag families. rcalt searches the first half: position i
 # pairs with 2n+1-i, so v and its mirror image 2n+1-v share one slot, and down-up
-# across the middle forces p[n] > n for odd n and p[n] <= n for even n
+# across the middle forces p[n] > n for odd n and p[n] <= n for even n. altperm's
+# tails are one entry longer: it has few lines per prefix
 _ZIGZAGS = {
-    "snakes": lambda n: _zigzags(n, [*range(-n, 0), *range(1, n + 1)], abs),
-    "altperm": lambda n: _zigzags(n, range(1, n + 1), lambda v: v),
-    "rcalt": lambda n: _zigzags(n, range(1, 2 * n + 1), lambda v: min(v, 2 * n + 1 - v),
-                                lambda v: (v > n) == (n % 2 == 1), lambda v: 2 * n + 1 - v),
+    "snakes": lambda n, **text: _zigzags(n, [*range(-n, 0), *range(1, n + 1)], abs, **text),
+    "altperm": lambda n, **text: _zigzags(n, range(1, n + 1), lambda v: v, depth=5, **text),
+    "rcalt": lambda n, **text: _zigzags(n, range(1, 2 * n + 1), lambda v: min(v, 2 * n + 1 - v),
+                                        lambda v: (v > n) == (n % 2 == 1), (2 * n + 1).__sub__, **text),
 }
 
 
@@ -318,20 +292,18 @@ def enumerate_alternating(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_rcalt(n: int) -> Iterator[tuple[int, ...]]:
-    """All rc-invariant alternating permutations of length 2n (S_n many): the first
-    half is searched, the second is its mirror image."""
+    """All rc-invariant alternating permutations of length 2n (S_n many), by halves."""
     return _words(_ZIGZAGS["rcalt"](n))
 
 
-def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
-    """All weakly increasing 3-dimensional permutations of length n (S_n many).
+def _wip3s(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The 3-WIPs of length n as (sigma, pi) pairs in text order, each sigma (one
+    tuple for all its pairs) fixed before pi is searched under the column-max rule.
 
-    sigma comes first in the text, so each sigma is fixed before pi is
-    searched under the column-max constraint. A sigma is skipped when some
-    prefix maximum m_j = max(sigma_1..sigma_j) has 2 m_j > n + j + 1: the
-    n - j + 1 columns from j on all need an entry >= m_j, and only
-    2 (n - m_j + 1) entries are that large.
-
+    A prefix maximum m_j = max(sigma_1..sigma_j) has 2 m_j <= n + j + 1: the
+    n - j + 1 columns from j on all need an entry >= m_j, and only 2 (n - m_j + 1)
+    are that large. The bound rises with j, so sigma_j takes only the v with
+    2 v <= n + j + 1, and no sigma prefix is dead.
     pi_j = b makes top = max(sigma_j, b) the floor of the later columns, and each
     with sigma below top needs a pi entry >= top. All entries so far are <= top,
     so the branch is dead when fewer unused values, n - top + 1 - [top in pi_1..j],
@@ -339,32 +311,57 @@ def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
     """
     order = _in_text_order(range(1, n + 1))
     if n <= 0:  # one empty 3-WIP at n = 0, none below
-        yield from [ThreeWIP((), ())] * (n == 0)
+        yield from [((), ())] * (n == 0)
         return
-    bounds, used = [(n + j + 1) // 2 for j in range(1, n + 1)], [False] * (n + 1)
-    for sigma in itertools.permutations(order):
-        maxima = list(itertools.accumulate(sigma, max))
-        if not all(map(operator.le, maxima, bounds)):
+    candidates = [[v for v in order if 2 * v <= n + j + 1] for j in range(1, n + 1)]
+    sigma, taken, used, stack = [], [False] * (n + 1), [False] * (n + 1), [(iter(candidates[0]), 0)]
+    while stack:  # the sigma search: the candidates left for sigma_j+1 and sigma_j (0, a spare, at sigma_1)
+        for v in stack[-1][0]:
+            if not taken[v]:
+                break
+        else:  # exhausted: back up and free the entry before
+            taken[stack.pop()[1]] = False
+            del sigma[-1:]
             continue
-        pi, stack = [], [(iter(order), 0, 0)]  # the candidates left for pi_j+1, its floor, pi_j
-        while stack:
+        if len(stack) < n:
+            taken[v] = True
+            sigma.append(v)
+            stack.append((iter(candidates[len(stack)]), v))
+            continue
+        row = (*sigma, v)
+        maxima, pi, pis = list(itertools.accumulate(row, max)), [], [(iter(order), 0, 0)]
+        while pis:  # the pi search: the candidates left for pi_j+1, its floor, pi_j
             j = len(pi)
-            candidates, floor, _ = stack[-1]
-            for b in candidates:
-                top = b if b > sigma[j] else sigma[j]
+            left, floor, _ = pis[-1]
+            for b in left:
+                top = b if b > row[j] else row[j]
                 if not (used[b] or top < floor
                         or 2 * top + (top == maxima[j]) + (top == b or used[top]) > n + j + 3):
                     break
-            else:  # exhausted: back up and free the entry before (0, a spare, at pi_1)
-                used[stack.pop()[2]] = False
+            else:
+                used[pis.pop()[2]] = False
                 del pi[-1:]
                 continue
             if j == n - 1:
-                yield ThreeWIP(sigma, (*pi, b))
+                yield row, (*pi, b)
                 continue
             used[b] = True
             pi.append(b)
-            stack.append((iter(order), top, b))
+            pis.append((iter(order), top, b))
+
+
+def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
+    """All weakly increasing 3-dimensional permutations of length n (S_n many)."""
+    return itertools.starmap(ThreeWIP, _wip3s(n))
+
+
+def _wip3_lines(n: int) -> Iterator[tuple[str, list, str]]:
+    """_wip3s' pairs as _text's leaves: sigma's text and ' / ', and up to TEXT_CHUNK pi texts."""
+    template = permcore.perm_template(n)
+    for sigma, pairs in itertools.groupby(_wip3s(n), operator.itemgetter(0)):
+        head, pis = template % sigma + " / ", map(operator.itemgetter(1), pairs)
+        while tails := list(map(template.__mod__, itertools.islice(pis, TEXT_CHUNK))):
+            yield head, tails, "\n"
 
 
 def _labeled_paths(n: int, alphabet: str, closed: bool) -> Iterator[tuple[str, list]]:
@@ -402,13 +399,17 @@ def _paths(leaves: Iterator[tuple[str, list]], make: Callable) -> Iterator:
         map(make, itertools.repeat(word), itertools.product(*ranges)) for word, ranges in leaves)
 
 
-def _path_text(leaves: Iterator[tuple[str, list]]) -> Iterator[str]:
-    """The lines of _labeled_paths' words, TEXT_CHUNK lines at most per piece: each
-    chunk of a word's weights fills one template with the word built in."""
-    for word, ranges in leaves:
-        line = word + ";" + ",".join(["%d"] * len(word)) + "\n"
-        for chunk in _chunks(itertools.product(*ranges)):
-            yield line * len(chunk) % tuple(itertools.chain.from_iterable(chunk))
+def _path_lines(words: Iterator[tuple[str, list]]) -> Iterator[tuple[str, list, str]]:
+    """_labeled_paths' words as _text's leaves: the word and all but the last three weights,
+    and the texts of the last three ranges' product, rendered once per call and ranges."""
+    texts = {}
+    for word, ranges in words:
+        k = max(len(ranges) - 3, 0)
+        last = tuple(ranges[k:])
+        tails = texts.get(last) or texts.setdefault(
+            last, list(map(",".join(["%d"] * len(last)).__mod__, itertools.product(*last))))
+        yield from zip(map((word + ";" + "%d," * k).__mod__, itertools.product(*ranges[:k])),
+                       itertools.repeat(tails), itertools.repeat("\n"))
 
 
 def enumerate_lbp(n: int) -> Iterator[LabeledBallotPath]:
@@ -442,33 +443,32 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "snakes": Family(
         enumerate_snakes, enumerate_snakes, permcore.format_perm,
-        lambda n: _zigzag_text(_ZIGZAGS["snakes"](n)),
+        lambda n: _text(_ZIGZAGS["snakes"](n, text=True)),
         validate_snake, lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t),
     ),
     "wip3": Family(
-        enumerate_wip3, enumerate_wip3, format_wip3, lambda n: map(format_wip3s, _chunks(enumerate_wip3(n))),
+        enumerate_wip3, enumerate_wip3, format_wip3, lambda n: _text(_wip3_lines(n)),
         lambda w: validate_wip3(w.sigma, w.pi), lambda n: springer_egf(n)[n], lambda t: parse_wip3(t),
     ),
     "rcalt": Family(
         enumerate_rcalt, enumerate_rcalt, permcore.format_perm,
-        lambda n: _zigzag_text(_ZIGZAGS["rcalt"](n)),
+        lambda n: _text(_ZIGZAGS["rcalt"](n, text=True)),
         validate_rcalt, lambda n: springer_egf(n)[n], lambda t: permcore.parse_perm(t),
     ),
     "lbp": Family(
         enumerate_lbp, enumerate_lbp, format_path,
-        lambda n: _path_text(_labeled_paths(n, BALLOT_ALPHABET, False)),
+        lambda n: _text(_path_lines(_labeled_paths(n, BALLOT_ALPHABET, False))),
         lambda p: validate_labeled_ballot(p.steps, p.weights), count_lbp_dp,
         lambda t: paths.parse_labeled_ballot(t),
     ),
     "laguerre": Family(
         enumerate_laguerre, enumerate_laguerre, format_path,
-        lambda n: _path_text(_labeled_paths(n, MOTZKIN_ALPHABET, True)),
-        lambda h: validate_laguerre(h.steps, h.weights), math.factorial,
-        lambda t: paths.parse_laguerre(t),
+        lambda n: _text(_path_lines(_labeled_paths(n, MOTZKIN_ALPHABET, True))),
+        lambda h: validate_laguerre(h.steps, h.weights), math.factorial, lambda t: paths.parse_laguerre(t),
     ),
     "altperm": Family(
         enumerate_alternating, enumerate_alternating, permcore.format_perm,
-        lambda n: _zigzag_text(_ZIGZAGS["altperm"](n)),
+        lambda n: _text(_ZIGZAGS["altperm"](n, text=True)),
         validate_alternating, lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t),
     ),
 }

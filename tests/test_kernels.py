@@ -43,6 +43,19 @@ mirrored table. No piece holds more lines than the chunk bound, and under
 tracemalloc the text of a long prefix at the ceiling, its tail texts included,
 stays under the table's worst case.
 
+Every searched family then fed one text consumer with leaves (head, tail
+texts, end): altperm's tails grew to five entries, filled by one loop to the
+family's depth; lbp and laguerre hand over each word's head with the texts
+of its last three weight ranges; wip3 hands over each sigma's text with its
+pi texts, and its sigma search takes at each position only the values under
+the prefix-maximum bound. The earlier text of each family is the oracle:
+the four-entry altperm search with its nested loops, the permutation-filter
+wip3 generator with format_wip3s, and the template-per-chunk path text, all
+kept here. Every size up to n = 8 (altperm 10) at TEXT_CHUNK = 1, 7 and 1024,
+full pieces but the last, and the first 20,000 lines at each ceiling. The
+permutation-filter generator is also the oracle of the 3-WIP objects: every
+one with n <= 8 and the first 20,000 at n = 11.
+
 The Springer and Euler numbers come from derivative polynomials at u = 1; the
 binomial recurrences of the exponential generating functions they replaced are
 oracles for every m <= 300.
@@ -80,6 +93,7 @@ as items of set(alphabet), not as substrings: _caps checks letters first for
 any step sequence, so "" and "UD" are named before a dip or a length mismatch.
 """
 
+import functools
 import io
 import itertools
 import math
@@ -114,7 +128,6 @@ from springerbij.families import (
     enumerate_snakes,
     euler_sequence,
     format_wip3,
-    format_wip3s,
     is_wip3,
     springer_egf,
     validate_permutation,
@@ -717,6 +730,130 @@ TWO_LOOP = {
 }
 
 
+# The text path before every searched family fed one consumer. altperm's search
+# then took tails of four entries, filled by three nested loops; wip3 skipped
+# sigma one whole permutation at a time and formatted 3-WIP objects in batches;
+# lbp and laguerre filled one template per chunk of a step word's weight vectors.
+
+
+def _zigzags_four_entry_oracle(n, values, slot):
+    order = [(v, 1 << slot(v)) for v in sorted(values, key=str)]
+    prevs = (0, *(v for v, _ in order))
+    tables = ({p: [(v, b) for v, b in order if v > p] for p in prevs},
+              {p: [(v, b) for v, b in order if v < p] for p in prevs})
+    pad = dict.fromkeys(prevs, [(0, 0)])
+    last_four = [tables[n % 2], tables[(n - 1) % 2]] * 2
+    ends = [pad] * (4 - n) + last_four[max(4 - n, 0):]
+    word, taken, suffixes, cut = [], 0, {}, max(4 - n, 0)
+    stack = [(iter(tables[0][0] if n > 4 else [(0, 0)] * (n >= 0)), 0)]
+    while stack:
+        for v, b in stack[-1][0]:
+            if not taken & b:
+                break
+        else:
+            taken ^= stack.pop()[1]
+            del word[-1:]
+            continue
+        if len(stack) < n - 4:
+            taken |= b
+            word.append(v)
+            stack.append((iter(tables[len(stack) % 2][v]), b))
+            continue
+        prefix = (*word, v) if n > 4 else ()
+        taken |= b
+        for u, c in ends[0][v]:
+            if taken & c:
+                continue
+            mask = taken | c
+            tails = suffixes.get((u, mask))
+            if tails is None:
+                tails = suffixes[u, mask] = []
+                for w, d in ends[1][u]:
+                    if not mask & d:
+                        for x, e in ends[2][w]:
+                            if not (mask | d) & e:
+                                for y, f in ends[3][x]:
+                                    if not (mask | d | e) & f:
+                                        tails.append((u, w, x, y)[cut:])
+            for tail in tails:
+                yield prefix + tail
+        taken ^= b
+
+
+def _alternating_four_entry_oracle(n):
+    return _zigzags_four_entry_oracle(n, range(1, n + 1), lambda v: v)
+
+
+def _wip3_permutation_filter_oracle(n):
+    order = sorted(range(1, n + 1), key=str)
+    if n <= 0:
+        yield from [ThreeWIP((), ())] * (n == 0)
+        return
+    bounds, used = [(n + j + 1) // 2 for j in range(1, n + 1)], [False] * (n + 1)
+    for sigma in itertools.permutations(order):
+        maxima = list(itertools.accumulate(sigma, max))
+        if not all(map(operator.le, maxima, bounds)):
+            continue
+        pi, stack = [], [(iter(order), 0, 0)]
+        while stack:
+            j = len(pi)
+            candidates, floor, _ = stack[-1]
+            for b in candidates:
+                top = b if b > sigma[j] else sigma[j]
+                if not (used[b] or top < floor
+                        or 2 * top + (top == maxima[j]) + (top == b or used[top]) > n + j + 3):
+                    break
+            else:
+                used[stack.pop()[2]] = False
+                del pi[-1:]
+                continue
+            if j == n - 1:
+                yield ThreeWIP(sigma, (*pi, b))
+                continue
+            used[b] = True
+            pi.append(b)
+            stack.append((iter(order), top, b))
+
+
+def _format_wip3s_oracle(wips):
+    # the batch formatter of wip3's text, with one template per batch
+    n = len(wips[0].sigma) if wips else 0
+    rows = itertools.chain.from_iterable(map(operator.attrgetter("sigma", "pi"), wips))
+    template = permcore.perm_template(n) + " / " + permcore.perm_template(n)
+    return (template + "\n") * len(wips) % tuple(itertools.chain.from_iterable(rows))
+
+
+def _batches(objects, size=1024):
+    return iter(lambda: list(itertools.islice(objects, size)), [])
+
+
+@functools.lru_cache(maxsize=None)
+def _wip3_earlier_text(n, count=None):
+    # the permutation-filter oracle costs 1.3 s at n = 8 and 3 s before its first
+    # object at n = 11, so the object and the text comparisons share one pass (its
+    # first count objects) per n; 9 MiB of text in all
+    objects = itertools.islice(_wip3_permutation_filter_oracle(n), count)
+    return "".join(map(_format_wip3s_oracle, _batches(objects)))
+
+
+def _path_text_oracle(words):
+    for word, ranges in words:
+        line = word + ";" + ",".join(["%d"] * len(word)) + "\n"
+        for chunk in _batches(itertools.product(*ranges)):
+            yield line * len(chunk) % tuple(itertools.chain.from_iterable(chunk))
+
+
+# family -> (n -> the earlier text of size n, in pieces, largest n compared in full)
+EARLIER_TEXT = {
+    "snakes": (lambda n: map(_format_perms_oracle, _batches(_snakes_two_loop_oracle(n))), 8),
+    "rcalt": (lambda n: map(_format_perms_oracle, _batches(_rcalt_two_loop_oracle(n))), 8),
+    "altperm": (lambda n: map(_format_perms_oracle, _batches(_alternating_four_entry_oracle(n))), 10),
+    "lbp": (lambda n: _path_text_oracle(families._labeled_paths(n, BALLOT_ALPHABET, False)), 8),
+    "laguerre": (lambda n: _path_text_oracle(families._labeled_paths(n, MOTZKIN_ALPHABET, True)), 8),
+    "wip3": (lambda n: [_wip3_earlier_text(n, None if n <= 8 else 20_000)], 8),
+}
+
+
 # k-th derivative of cos - sin at 0, by k mod 4
 _COS_MINUS_SIN = (1, -1, -1, 1)
 # k-th derivative of cos at 0 and of 1 + sin at 0, by k mod 4
@@ -983,7 +1120,7 @@ def test_renderers_match_the_map_str_oracles():
 
 # each batch formatter and the families whose objects it formats
 BATCHES = {_format_perms_oracle: ("snakes", "rcalt", "altperm"),
-           _format_paths_oracle: ("lbp", "laguerre"), format_wip3s: ("wip3",)}
+           _format_paths_oracle: ("lbp", "laguerre"), _format_wip3s_oracle: ("wip3",)}
 
 
 def test_batch_formatters_match_the_single_ones():
@@ -991,13 +1128,13 @@ def test_batch_formatters_match_the_single_ones():
     rng = random.Random(4096)
     batches = {_format_perms_oracle: [[perm] * 3 for perm in ((), (1,), (-2, 1))],
                _format_paths_oracle: [[LabeledBallotPath("", ())], [LaguerreHistory("UD", (0, 0))] * 2],
-               format_wip3s: [[ThreeWIP((), ())]]}
+               _format_wip3s_oracle: [[ThreeWIP((), ())]]}
     for lines, names in BATCHES.items():
         batches[lines] += [list(FAMILIES[name].generate(n)) for name in names for n in range(6)]
     batches[_format_perms_oracle].append([tuple(rng.sample(range(1, 513), 512)) for _ in range(5)])
     batches[_format_paths_oracle].append([fz(rng.sample(range(1, 513), 512)) for _ in range(5)])
     for lines, render in [(_format_perms_oracle, format_perm), (_format_paths_oracle, format_path),
-                          (format_wip3s, format_wip3)]:
+                          (_format_wip3s_oracle, format_wip3)]:
         assert lines([]) == ""
         for objects in batches[lines]:
             assert lines(objects) == "".join(render(obj) + "\n" for obj in objects)
@@ -1020,10 +1157,11 @@ WORKLOAD_N = {"snakes": 8, "wip3": 7, "rcalt": 8, "lbp": 8, "laguerre": 8, "altp
 
 @pytest.mark.parametrize("family", sorted(WORKLOAD_N))
 def test_generators_start_at_most_three_frames_per_object(family):
-    # each object may cost one resumption of the search and a record's __init__
-    # (rcalt: the mirroring generator expression); the recursive searches cost 9-17.
-    # The zigzag searches fill a suffix table key by loops in their own frame, so
-    # a key costs no frame either
+    # each object may cost one resumption of the search and a record's __init__;
+    # the recursive searches cost 9-17. The zigzag searches fill a suffix table key
+    # by one comprehension per tail position (and one per cut and mirror), and a key
+    # serves many objects: 1.3 frames an object for snakes and rcalt, 2.0 for
+    # altperm, whose five-entry keys each serve fewer
     objects = iter(FAMILIES[family].generate(WORKLOAD_N[family]))
     next(objects)
     calls = 0
@@ -1100,11 +1238,54 @@ def test_text_matches_the_rendered_objects_at_the_ceiling(family):
             == _rendered(family, itertools.islice(fam.enumerate(fam.ceiling), 20_000)))
 
 
+def _same_pieces(pieces, want, chunk):
+    # the pieces spell want, each holds chunk lines but the last, which holds 1..chunk
+    at, counts = 0, []
+    for piece in pieces:
+        assert want.startswith(piece, at), (at, piece[:80])
+        at += len(piece)
+        counts.append(piece.count("\n"))
+    assert at == len(want)
+    assert counts[:-1] == [chunk] * (len(counts) - 1) and 0 < counts[-1:][0] <= chunk if counts else not want
+
+
+def _first_lines(pieces, count):
+    return "".join(itertools.islice(itertools.chain.from_iterable(p.splitlines(True) for p in pieces), count))
+
+
+@pytest.mark.parametrize("family", sorted(EARLIER_TEXT))
+def test_text_matches_the_earlier_text_at_every_chunk(monkeypatch, family):
+    earlier, n_max = EARLIER_TEXT[family]
+    for n in range(-2, n_max + 1):  # no object has a negative length
+        want = "".join(earlier(n))
+        for chunk in (1, 7, 1024):
+            monkeypatch.setattr(families, "TEXT_CHUNK", chunk)
+            _same_pieces(FAMILIES[family].text(n), want, chunk)
+
+
+@pytest.mark.parametrize("family", sorted(EARLIER_TEXT))
+def test_text_matches_the_earlier_text_at_the_ceiling(family):
+    earlier, _ = EARLIER_TEXT[family]
+    n = FAMILIES[family].ceiling
+    assert _first_lines(FAMILIES[family].text(n), 20_000) == _first_lines(earlier(n), 20_000)
+
+
+def test_pruned_sigma_search_matches_the_permutation_filter():
+    # compared through their text, which names each 3-WIP once, and their types
+    for n, count in [*((n, None) for n in range(-2, 9)), (11, 20_000)]:
+        texts, types = [], set()
+        for w in itertools.islice(FAMILIES["wip3"].generate(n), count):
+            texts.append(format_wip3(w) + "\n")
+            types.add((type(w), type(w.sigma), type(w.pi)))
+        assert "".join(texts) == _wip3_earlier_text(n, count), n
+        assert types <= {(ThreeWIP, tuple, tuple)}, n
+
+
 def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
     # the all-U word of lbp at n = 11 alone has 11! weight vectors: its first
     # pieces come full, without the rest of its lines
     ranges = [tuple(sorted(range(h + 1), key=str)) for h in range(11)]
-    pieces = families._path_text(iter([("U" * 11, ranges)]))
+    pieces = families._text(families._path_lines(iter([("U" * 11, ranges)])))
     assert [piece.count("\n") for piece in itertools.islice(pieces, 3)] == [families.TEXT_CHUNK] * 3
     counts = [piece.count("\n") for piece in itertools.islice(FAMILIES["lbp"].text(11), 200)]
     assert len(counts) == 200 and min(counts) > 0 and max(counts) <= families.TEXT_CHUNK
@@ -1112,34 +1293,46 @@ def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
     for name, fam in FAMILIES.items():
         counts = [piece.count("\n") for piece in itertools.islice(fam.text(TEXT_N[name]), 200)]
         assert len(counts) == 200 and min(counts) > 0 and max(counts) <= 7, (name, counts)
+    # the first sigma at n = 11 has 510 pis: its texts go out 7 at a time, one head
+    leaves = list(itertools.islice(families._wip3_lines(11), 3))
+    assert [len(tails) for _, tails, _ in leaves] == [7] * 3 and len({id(h) for h, _, _ in leaves}) == 1
 
 
-# Worst case of one _zigzags call's suffix table. It has at most |values| C(n, 3)
-# keys: w_n-3 and the slots taken, which leave three free. w_n-1 lies below both
-# of its neighbours or above both, so it is the least or the greatest of the last
-# three entries, and the other two take the ends in either order: a key lists at
-# most 2 m^3 suffixes, m the values that share a slot (2 for snakes and rcalt, 1
-# for altperm). A key costs at most KEY_BYTES (its 2-tuple, the mask, the list
+# Worst case of one _zigzags call's suffix table, its tails d entries long (d = 4
+# for snakes and rcalt, 5 for altperm). It has at most |values| C(n, d - 1) keys:
+# w_n-d+1 and the slots taken, which leave d - 1 free. The last d - 1 entries of
+# a key's suffixes run down-up or up-down in the same way for every suffix, so
+# their order is one of the E_d-1 alternating orders of d - 1 values (E_3 = 2:
+# w_n-1 is the least or the greatest of three, and the other two take the ends in
+# either order; E_4 = 5), and each entry takes one of the m values of its slot
+# (2 for snakes and rcalt, 1 for altperm): a key lists at most E_d-1 m^(d-1)
+# suffixes. A key costs at most KEY_BYTES (its 2-tuple, the mask, the list
 # header and its share of the dict) and a suffix SUFFIX_BYTES (a 4-tuple of small
-# ints and its list slot), ENTRY_BYTES more per entry beyond four (rcalt's tails
-# carry their four mirror images). The candidate tables add 3 (|values| + 1)^2
+# ints and its list slot), ENTRY_BYTES more per entry beyond four (altperm's fifth
+# entry, rcalt's four mirror images). The candidate tables add 3 (|values| + 1)^2
 # pairs at most. The text adds TEXT_KEY_BYTES per key (a list and its share of a
 # dict) and TEXT_BYTES per suffix (a str of at most 4 characters per entry and
 # its list slot), and a piece of TEXT_CHUNK lines, twice while it is joined.
 # Filled by hand with every key, snakes at n = 11 measured 2.5 MiB of table and
 # 2.0 MiB of texts under tracemalloc (2640 keys, 26,400 suffixes), rcalt at
-# n = 11 2.6 and 1.7 MiB (2640 keys, 18,810 suffixes), altperm at n = 14 0.8 and
-# 0.9 MiB (4004 keys, 5005 suffixes).
+# n = 11 2.6 and 1.7 MiB (2640 keys, 18,810 suffixes). altperm at n = 14, with
+# five-entry tails, measured 4.4 MiB of table and 3.9 MiB of texts (10,010 keys,
+# 32,032 suffixes, 5 at most under one key); with four-entry tails it measured
+# 0.8 and 0.9 MiB (4004 keys, 5005 suffixes). The text's table holds the texts in
+# place of the tuples, so the bound, which counts both, is loose for the text.
 KEY_BYTES, SUFFIX_BYTES, PAIR_BYTES = 400, 96, 96
 ENTRY_BYTES, TEXT_KEY_BYTES, TEXT_BYTES = 8, 200, 128
+ALTERNATING_ORDERS = {3: 2, 4: 5}  # E_3, E_4
 
 
-def _table_bound(n, m, entries, text):
+def _table_bound(n, m, entries, depth, text):
     values = m * n
     key = KEY_BYTES + TEXT_KEY_BYTES * text
     suffix = SUFFIX_BYTES + ENTRY_BYTES * (entries - 4) + TEXT_BYTES * text
     pieces = 2 * families.TEXT_CHUNK * (4 * 2 * n + 64) * text
-    return values * math.comb(n, 3) * (key + 2 * m**3 * suffix) + 3 * (values + 1) ** 2 * PAIR_BYTES + pieces
+    suffixes = ALTERNATING_ORDERS[depth - 1] * m ** (depth - 1)
+    table = values * math.comb(n, depth - 1) * (key + suffixes * suffix)
+    return table + 3 * (values + 1) ** 2 * PAIR_BYTES + pieces
 
 
 def _peak(items, count):
@@ -1151,11 +1344,16 @@ def _peak(items, count):
         tracemalloc.stop()
 
 
+# zigzag family -> (entries of a tail in its table, entries searched by the table's loop)
+TAILS = {"snakes": (4, 4), "altperm": (5, 5), "rcalt": (8, 4)}
+FAMILY_OF = {enumerate_snakes: "snakes", enumerate_alternating: "altperm", enumerate_rcalt: "rcalt"}
+
+
 @pytest.mark.parametrize("generate, n, m, objects", [(enumerate_snakes, 11, 2, 200_000),
                                                      (enumerate_alternating, 14, 1, 50_000),
                                                      (enumerate_rcalt, 11, 2, 200_000)])
 def test_suffix_table_stays_within_its_worst_case(generate, n, m, objects):
-    bound = _table_bound(n, m, 8 if generate is enumerate_rcalt else 4, False)
+    bound = _table_bound(n, m, *TAILS[FAMILY_OF[generate]], text=False)
     drained, peak = _peak(generate(n), objects)
     assert drained == objects
     assert peak <= bound, (peak, bound)
@@ -1164,7 +1362,7 @@ def test_suffix_table_stays_within_its_worst_case(generate, n, m, objects):
 @pytest.mark.parametrize("family, n, m, lines", [("snakes", 11, 2, 200_000), ("altperm", 14, 1, 50_000),
                                                  ("rcalt", 11, 2, 200_000)])
 def test_suffix_table_and_tail_texts_stay_within_their_worst_case(family, n, m, lines):
-    bound = _table_bound(n, m, 8 if family == "rcalt" else 4, True)
+    bound = _table_bound(n, m, *TAILS[family], text=True)
     drained, peak = _peak(FAMILIES[family].text(n), lines // families.TEXT_CHUNK)
     assert drained == lines // families.TEXT_CHUNK
     assert peak <= bound, (peak, bound)
