@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Sequence
 from . import bijections, families, paths, permcore
 
 Side = tuple[str, Callable[..., bool]]  # (domain, predicate on one object of it)
+_UD = str.maketrans("UD", "DU")  # history_rc swaps U and D
 
 
 @dataclasses.dataclass
@@ -259,8 +260,8 @@ def _validator_fuzz(cap: int) -> str:
 
 
 # (name, cap, check, sides) of each row that checks one object at a time, by
-# check(cap, sides=sides), each side a (domain, predicate) pair. The predicates
-# are the one statement of each invariant; the tests run them on random objects.
+# check(cap, sides=sides), each side a (domain, predicate) pair: the one statement of each
+# invariant (of an involution, the formula of its map), which the tests run on random objects.
 PER_OBJECT: list[tuple[str, int, Callable[..., str], list[Side]]] = [
     ("bijections/bars-always-consistent", 8, _holds, [
         ("snakes", lambda snake: bijections.place_bars(bijections.unbar(snake)) == snake)]),
@@ -279,16 +280,17 @@ PER_OBJECT: list[tuple[str, int, Callable[..., str], list[Side]]] = [
     # extend_to_rc_fixed checks that history_rc fixes its image; halve_rc_fixed checks it again
     ("paths/extend-to-rc-fixed-closure", 7, _holds, [
         ("lbp", lambda lbp: paths.halve_rc_fixed(paths.extend_to_rc_fixed(lbp)) == lbp)]),
-    ("paths/history-rc-involution", 7, _holds, [
-        ("laguerre", lambda hw: paths.history_rc(paths.history_rc(hw)) == hw)]),
+    ("paths/history-rc-involution", 7, _holds, [("laguerre", lambda hw: paths.history_rc(hw) == type(hw)(
+        hw.steps[::-1].translate(_UD), tuple(map(operator.sub, paths.weight_caps(hw), hw.weights))[::-1]))]),
     ("permcore/foata-maps-cycle-peaks-to-left-peaks", 8, _holds, [("perm", _foata_peaks)]),
     ("permcore/foata-roundtrip", 8, _holds, [("perm", lambda p: permcore.foata_inverse(
         permcore.foata(p)) == p and permcore.foata(permcore.foata_inverse(p)) == p)]),
-    ("permcore/invert-involution", 8, _holds, [("perm", lambda p: permcore.invert(permcore.invert(p)) == p)]),
+    ("permcore/invert-involution", 8, _holds, [("perm", lambda p: len(q := permcore.invert(p)) == len(p)
+                                                 and [q[v - 1] for v in p] == [*range(1, len(p) + 1)])]),
     ("permcore/left-peak-has-right-valley", 8, _holds, [("perm", _peaks_alternate)]),
     ("permcore/pattern-count-rc-duality", 8, _holds, [("perm", _pattern_rc_duality)]),
     ("permcore/rc-involution", 8, _holds, [
-        ("perm", lambda p: permcore.reverse_complement(permcore.reverse_complement(p)) == p)]),
+        ("perm", lambda p: permcore.reverse_complement(p) == tuple([len(p) + 1 - v for v in reversed(p)]))]),
 ]
 
 # (name, cap, check) of every row, in name order; caps come from the documented

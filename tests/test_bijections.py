@@ -49,14 +49,23 @@ from springerbij.paths import (
     LaguerreHistory,
     format_path,
     history_rc,
+    weight_caps,
 )
 from springerbij.permcore import (
     MarkedPermutation,
+    count_pat_2_31_at,
     count_pat_31_2_at,
     format_marked,
     left_peaks,
     reverse_complement,
-    right_valleys,
+)
+from test_kernels import (  # the one reference of fz, fz_inverse, unbar and place_bars
+    _fz_draws,
+    _fz_inverse_oracle,
+    _fz_oracle,
+    _place_bars_comprehension_oracle,
+    _same_fz,
+    _unbar_comprehension_oracle,
 )
 
 ROWS = {name: check for name, _, check in verify.PROPERTIES}  # a failing row raises Counterexample
@@ -207,7 +216,6 @@ def test_middle_parity_boundary_cases():
     assert psi((1,)) == (2, 1)                # n = 1: p[2] = 1 = n
     p = psi((1, -5, -3, -6, 2, -4))           # n = 6: p[6] = 6 = n
     assert p[5] == 6 and p[6] == 7
-    ROWS["bijections/rcalt-middle-parity"](5)
 
 
 # --- fz -----------------------------------------------------------------------
@@ -248,57 +256,24 @@ def test_fz_commutes_with_rc():
     expected = LaguerreHistory("UUHDDUTHD", (0, 0, 0, 1, 0, 0, 0, 0, 0))
     assert fz(reverse_complement(p)) == expected
     assert history_rc(fz(p)) == expected
-    ROWS["bijections/fz-commutes-with-rc"](5)
-
-
-_SHAPES = {(True, True): "H", (True, False): "D", (False, True): "U", (False, False): "T"}
-
-
-def _fz_oracle(word):
-    # fz before the placeholder sweep: i's step is its local shape (ascent in,
-    # ascent out) under the p[0] = 0 and p[n+1] = +inf sentinels, and its weight
-    # the straddling descents left of it, counted for each value on its own
-    padded = (0, *word, len(word) + 1)
-    steps, weights = "", []
-    for i in range(1, len(word) + 1):
-        j = padded.index(i)
-        steps += _SHAPES[padded[j - 1] < i, padded[j + 1] > i]
-        weights.append(count_pat_31_2_at(word, i))
-    return LaguerreHistory(steps, tuple(weights))
-
-
-def _fz_inverse_oracle(hw):
-    # fz_inverse before the sweep: scan the tokens for the (w+1)-th placeholder
-    # (None) and splice the step's block in, with 0 standing for the new value
-    blocks = {"U": (None, 0, None), "H": (0, None), "D": (0,), "T": (None, 0)}
-    tokens = [None]
-    for i, (s, w) in enumerate(zip(hw.steps, hw.weights), start=1):
-        at = [t for t, tok in enumerate(tokens) if tok is None][w]
-        tokens[at:at + 1] = [i if tok == 0 else tok for tok in blocks[s]]
-    tokens.remove(None)
-    assert None not in tokens
-    return tuple(tokens)
 
 
 def test_fz_matches_the_pattern_count_rule():
+    # fz and its unchecked core on every permutation with n <= 7
     for n in range(8):
         for p in itertools.permutations(range(1, n + 1)):
-            assert fz(p) == _fz_oracle(p)
+            assert fz(p) == bijections._fz(p) == _fz_oracle(p)
 
 
 def test_fz_inverse_matches_the_token_scan():
     for n in range(8):
         for hw in enumerate_laguerre(n):
-            assert fz_inverse(hw) == _fz_inverse_oracle(hw)
+            assert fz_inverse(hw) == bijections._fz_inverse(hw) == _fz_inverse_oracle(hw)
 
 
 def test_fz_matches_the_old_rules_on_random_permutations_at_n_512():
-    rng = random.Random(512)
-    for _ in range(10):
-        p = tuple(rng.sample(range(1, 513), 512))
-        hw = fz(p)
-        assert hw == _fz_oracle(p)
-        assert fz_inverse(hw) == _fz_inverse_oracle(hw) == p
+    # the seeded draws at n = 512, uniform and down-up (test_kernels.py has n = 4096)
+    _same_fz(p for p in _fz_draws() if len(p) == 512)
 
 
 def test_fz_roundtrip_at_n_4096():
@@ -308,7 +283,11 @@ def test_fz_roundtrip_at_n_4096():
 
 
 def test_pattern_sum_matches_height_small():
-    ROWS["bijections/pattern-sum-matches-height"](5)
+    # the worked permutation: at each value, the straddling descents on its left and
+    # on its right add up to the weight cap of the value's step in fz's history
+    p = (4, 3, 1, 2, 9, 6, 8, 5, 7)
+    sums = tuple(count_pat_31_2_at(p, i) + count_pat_2_31_at(p, i) for i in range(1, 10))
+    assert sums == tuple(weight_caps(fz(p))) == (0, 1, 0, 0, 0, 1, 2, 1, 0)
 
 
 # --- halved maps and composites -------------------------------------------------
@@ -387,37 +366,19 @@ def test_bars_always_consistent_and_sign_pattern():
         ROWS[name](8)
 
 
-def _nearest_peak(word, valley):
-    # the rule before the k-th peak / k-th valley pairing: a right valley
-    # belongs to the nearest left peak before it
-    return word[max(p for p in left_peaks(word) if p < valley) - 1]
-
-
-def _unbar_oracle(snake):
-    word = tuple(abs(v) for v in snake)
-    marks = {_nearest_peak(word, q) for q in right_valleys(word) if snake[q - 1] < 0}
-    return MarkedPermutation(word, frozenset(marks))
-
-
-def _place_bars_oracle(tau_tilde):
-    word, marks = tau_tilde.perm, tau_tilde.marks
-    valleys = set(right_valleys(word))
-    barred = [_nearest_peak(word, pos) in marks if pos in valleys else pos % 2 == 0
-              for pos in range(1, len(word) + 1)]
-    return tuple(-v if bar else v for v, bar in zip(word, barred))
-
-
 def test_step3_matches_the_nearest_peak_rule():
+    # every signed permutation with n <= 6 through unbar, and every permutation with
+    # n <= 6 under every set of its left peak values through place_bars
     for n in range(7):
         for perm in itertools.permutations(range(1, n + 1)):
             for signs in itertools.product((1, -1), repeat=n):
                 signed = tuple(s * v for s, v in zip(signs, perm))
-                assert unbar(signed) == _unbar_oracle(signed)
+                assert unbar(signed) == _unbar_comprehension_oracle(signed)
             values = [perm[i - 1] for i in left_peaks(perm)]
             for k in range(len(values) + 1):
                 for marks in itertools.combinations(values, k):
                     tau_tilde = MarkedPermutation(perm, frozenset(marks))
-                    assert place_bars(tau_tilde) == _place_bars_oracle(tau_tilde)
+                    assert place_bars(tau_tilde) == _place_bars_comprehension_oracle(tau_tilde)
 
 
 def test_phi_roundtrip_on_random_snakes_at_n_512():
@@ -427,5 +388,5 @@ def test_phi_roundtrip_on_random_snakes_at_n_512():
         word = tuple(rng.sample(range(1, 513), 512))
         marks = frozenset(word[i - 1] for i in left_peaks(word) if rng.random() < 0.5)
         snake = place_bars(MarkedPermutation(word, marks))
-        assert unbar(snake) == _unbar_oracle(snake) == MarkedPermutation(word, marks)
+        assert unbar(snake) == _unbar_comprehension_oracle(snake) == MarkedPermutation(word, marks)
         assert phi(phi_inverse(snake)) == snake

@@ -1,96 +1,21 @@
-"""The per-element and enumeration kernels against the versions they replaced.
+"""Each fast kernel of src/ against its one reference.
 
-paths._caps and paths._mirror, permcore.is_alternating, left_peaks, right_valleys
-and reverse_complement, families.is_wip3 and the placeholder splices of fz and
-fz_inverse are single passes over tables, slices and map. Their earlier
-versions are kept here, unchanged but for their names, as oracles. The new code
-must return the same value, or raise the same exception class with the same
-message, on every object with n <= 7, on mutants that break one or two checks
-at once (which pins the order of the checks), and on seeded random inputs at
-n = 512. The fz sweeps are compared up to n = 4096, through the public maps and
-through the unchecked cores that the composites call.
+A kernel's reference is a plain reading of its docstring, written apart from
+the kernel: the three-pass _caps (letters, heights, weights), the recursive
+zigzag and path searches, the permutation-filter 3-WIP search, map(str)
+renderers, fz by the runs of larger values and fz_inverse by placeholder
+tokens, the k-th peak and valley pairing of phi's step 3, cycle forms for
+foata, list.index counts and the sentinel definitions of peaks and valleys.
+Each is compared with its kernel on every object up to a size, on words that
+the kernel must reject in the same way (exception class, message and args),
+and on seeded inputs at n = 512 and 4096. The searches are compared object by
+object, types included, and through Family.text at TEXT_CHUNK = 1, 7 and 1024,
+for every n up to 8 (altperm 10) and for the first 20,000 objects and lines at
+each family's ceiling; each reference runs once per size and run. CHANGES.md
+lists the kernels, their references and the inputs.
 
-The generators search candidate tables and fill the last position without a
-generator of its own, and the renderers format with '%d'. Their earlier
-versions (a generator per position, map(str)) are oracles as well: the same
-objects in the same order, and the same text.
-
-The generators then became flat searches, one candidate iterator per position
-on an explicit stack, with a pruned pi search for wip3. Their recursive
-versions (a generator frame per level, the object passed up a yield-from chain)
-are oracles too, and a profile hook counts the Python frames started or resumed
-per object. permcore.peak_valley_pairs must equal zip(left_peaks, right_valleys).
-
-The zigzag search (snakes, rcalt, altperm) then stopped three entries before
-the end and took the last three from a suffix table of the call, keyed by
-w_n-3 and the bitmask of the slots taken. Its flat version with a two-loop
-leaf is an oracle: every object with n <= 8 (altperm n <= 10), type included,
-none at n = -1 and -2, and the first 20,000 at each family's ceiling. Under
-tracemalloc, a long prefix at the ceiling stays under the table's worst case.
-
-The batch formatters (format_perms, format_paths, format_wip3s) fill one
-template per batch of objects of one size; the single formatters, joined line
-by line, are their oracles.
-
-Family.text then replaced the batch formatting of each object in the CLI: the
-zigzag search hands each prefix over with a list of tails, rcalt's tails and
-prefix with their mirror images, and the path search each step word with its
-weight ranges. The rendered objects, and the batch formatters (format_perms and
-format_paths, which left src/, are kept here), are its oracles: every size up to n = 7, 8 or
-10, none below 0, and the first 20,000 lines at each family's ceiling. rcalt's
-earlier generator, which mirrored each whole half, is the oracle of its
-mirrored table. No piece holds more lines than the chunk bound, and under
-tracemalloc the text of a long prefix at the ceiling, its tail texts included,
-stays under the table's worst case.
-
-Every searched family then fed one text consumer with leaves (head, tail
-texts, end): altperm's tails grew to five entries, filled by one loop to the
-family's depth; lbp and laguerre hand over each word's head with the texts
-of its last three weight ranges; wip3 hands over each sigma's text with its
-pi texts, and its sigma search takes at each position only the values under
-the prefix-maximum bound. The earlier text of each family is the oracle:
-the four-entry altperm search with its nested loops, the permutation-filter
-wip3 generator with format_wip3s, and the template-per-chunk path text, all
-kept here. Every size up to n = 8 (altperm 10) at TEXT_CHUNK = 1, 7 and 1024,
-full pieces but the last, and the first 20,000 lines at each ceiling. The
-permutation-filter generator is also the oracle of the 3-WIP objects: every
-one with n <= 8 and the first 20,000 at n = 11.
-
-The Springer and Euler numbers come from derivative polynomials at u = 1; the
-binomial recurrences of the exponential generating functions they replaced are
-oracles for every m <= 300.
-
-permcore.foata walks each cycle once from its maximum, counting down from n,
-and foata_inverse links each entry to the next in one pass. Their cycle-form
-versions (rotate each cycle to its maximum, sort the cycles, rebuild from
-pieces) are oracles on every permutation with n <= 8 and at n = 512 and 4096.
-Neither may hang on a word that is not a permutation, and both reject it.
-
-bijections.phi_step1 reads each mark off two neighbouring columns, and
-phi_step1_inverse rebuilds the columns by bucket, one bucket per column
-maximum. Their versions that tested marks with permcore.cycle_peaks and sorted
-the columns by a key are oracles on every 3-WIP with n <= 7, on every
-permutation with n <= 5 under every mark set in {0..n+1}, and at n = 512 and
-4096. phi_step1_inverse, foata and foata_inverse raise ValueError, never
-IndexError, on every word of length n <= 4 over -n-1..n+1 that is not a
-permutation.
-
-The kernels of the heavy verify rows are single loops: paths._caps checks each
-weight in its step loop and raises the first bad one after the closure check,
-peak_valley_pairs closes its last pair after its loop instead of padding the
-word, unbar and place_bars take absolute values and bars by map and slice, the
-pattern counts count in a loop without copying the word, and the snake sign
-predicate compares sign words. Their versions before that (a second weight
-loop, a padded tuple, comprehensions, list.index with a sum over a generator)
-are oracles: the same value, or the same exception class, message and args, on
-every path, snake and history with n <= 7, every permutation with n <= 8 (n <= 7
-for the counts, with every signed permutation with n <= 4), the _caps mutants
-and non-str step sequences, every word over -n..n with n <= 5 for the sign
-predicate, and seeded inputs at n = 512 and 4096. _caps is held to the two-loop
-version on every str input and to the three-pass one on every str error. On a
-list or tuple of letters it is held to the two-loop version that tests letters
-as items of set(alphabet), not as substrings: _caps checks letters first for
-any step sequence, so "" and "UD" are named before a dip or a length mismatch.
+The tests keep the names and the inputs of the tests that held the earlier
+references; each compares its inputs with the kernel's one reference.
 """
 
 import functools
@@ -130,17 +55,14 @@ from springerbij.families import (
     format_wip3,
     is_wip3,
     springer_egf,
-    validate_permutation,
     validate_wip3,
 )
 from springerbij.paths import (
     BALLOT_ALPHABET,
     MOTZKIN_ALPHABET,
-    STEP_RULES,
     LabeledBallotPath,
     LaguerreHistory,
     format_path,
-    validate_laguerre,
 )
 from springerbij.permcore import (
     MarkedPermutation,
@@ -161,12 +83,10 @@ CONFIGS = [(BALLOT_ALPHABET, False), (BALLOT_ALPHABET, True),
            (MOTZKIN_ALPHABET, False), (MOTZKIN_ALPHABET, True)]
 
 
-# --- the earlier versions ----------------------------------------------------
+# --- the references --------------------------------------------------------------
 
 _RISE = {"U": 1, "D": -1, "H": 0, "T": 0}
 _FLIP = {"U": "D", "D": "U", "H": "H", "T": "T"}
-_SIDES = {"U": (True, True), "H": (False, True), "D": (False, False), "T": (True, False)}
-_STEP = {sides: step for step, sides in _SIDES.items()}
 
 
 def _height_profile_oracle(steps):
@@ -183,9 +103,11 @@ def _height_profile_oracle(steps):
 
 
 def _caps_oracle(steps, weights, alphabet, closed):
-    # three passes: the letters, the heights through height_profile, the weights
+    # three passes: the letters, the heights through height_profile, the weights. A
+    # letter is one item of alphabet, so "" and "UD" in a list or tuple are none
+    letters = set(alphabet)
     for i, s in enumerate(steps, start=1):
-        if s not in alphabet:
+        if s not in letters:
             if s in _RISE:
                 raise HorizontalStepPresent(f"level step at position {i}")
             raise ValidationError(f"unknown step letter {s!r} at step {i}")
@@ -220,26 +142,21 @@ def _is_alternating_oracle(seq):
 
 
 def _left_peaks_oracle(perm):
-    n = len(perm)
-    return tuple(
-        i + 1
-        for i in range(n)
-        if (i == 0 or perm[i - 1] < perm[i]) and i + 1 < n and perm[i] > perm[i + 1]
-    )
+    # the sentinels written out; p[0] = -inf lets position 1 qualify whenever
+    # p[1] > p[2], as p[0] = 0 does for entries of 1..n, also for entries below 1
+    ext = (-math.inf, *perm, math.inf)
+    return tuple(i for i in range(1, len(perm) + 1) if ext[i - 1] < ext[i] > ext[i + 1])
 
 
 def _right_valleys_oracle(perm):
-    n = len(perm)
-    return tuple(
-        i + 1
-        for i in range(n)
-        if i > 0 and perm[i - 1] > perm[i] and (i + 1 == n or perm[i] < perm[i + 1])
-    )
+    ext = (-math.inf, *perm, math.inf)
+    return tuple(i for i in range(1, len(perm) + 1) if ext[i - 1] > ext[i] < ext[i + 1])
 
 
 def _reverse_complement_oracle(perm):
+    # entry i is n + 1 - p[n + 1 - i]
     n = len(perm)
-    return tuple(n + 1 - v for v in reversed(perm))
+    return tuple(n + 1 - perm[n - i] for i in range(1, n + 1))
 
 
 def _is_wip3_oracle(sigma, pi):
@@ -251,9 +168,16 @@ def _is_wip3_oracle(sigma, pi):
     return all(maxima[i] <= maxima[i + 1] for i in range(len(maxima) - 1))
 
 
-def _fz_splice_oracle(perm):
+# (a placeholder left of i, one right of i) -> i's step
+_STEP = {(True, True): "U", (False, True): "H", (False, False): "D", (True, False): "T"}
+
+
+def _fz_oracle(perm):
+    # i's step is its local shape under p[0] = 0 and p[n+1] = +inf: a placeholder on
+    # each side where the neighbour is larger. Its weight is the number of runs of
+    # values above i that end left of it: the index of i's run among the runs of
+    # values >= i, whose starts a list keeps, each i splitting or closing its own
     word = tuple(perm)
-    validate_permutation(word)
     n = len(word)
     position = {v: j for j, v in enumerate(word)}
     starts = [0]
@@ -267,29 +191,25 @@ def _fz_splice_oracle(perm):
         steps.append(_STEP[before, after])
         weights.append(k)
         starts[k:k + 1] = [starts[k]] * before + [j + 1] * after
-    return validate_laguerre("".join(steps), weights)
+    return LaguerreHistory("".join(steps), tuple(weights))
 
 
-def _fz_inverse_splice_oracle(hw):
-    validate_laguerre(hw.steps, hw.weights)
-    n = len(hw.steps)
-    after = [0] * (n + 1)
-    gaps = [0]
+def _fz_inverse_oracle(hw):
+    # from one placeholder (None), each step puts its block in place of the
+    # (w+1)-th placeholder, with 0 standing for the new value; one is left over
+    blocks = {"U": (None, 0, None), "H": (0, None), "D": (0,), "T": (None, 0)}
+    tokens = [None]
     for i, (s, w) in enumerate(zip(hw.steps, hw.weights), start=1):
-        left = gaps[w]
-        after[i], after[left] = after[left], i
-        before, behind = _SIDES[s]
-        gaps[w:w + 1] = [left] * before + [i] * behind
-    perm = []
-    v = 0
-    for _ in range(n):
-        v = after[v]
-        perm.append(v)
-    return tuple(perm)
+        at = tokens.index(None)
+        for _ in range(w):
+            at = tokens.index(None, at + 1)
+        tokens[at:at + 1] = [i if tok == 0 else tok for tok in blocks[s]]
+    tokens.remove(None)
+    return tuple(tokens)
 
 
 def _standard_cycle_form_oracle(perm):
-    # the cycles field of the CycleForm record it returned
+    # each cycle rotated to its maximum, the cycles sorted by their maxima
     n = len(perm)
     seen = [False] * (n + 1)
     cycles = []
@@ -308,22 +228,12 @@ def _standard_cycle_form_oracle(perm):
     return tuple(cycles)
 
 
-def _permutation_from_cycles_oracle(cycles, n):
-    out = [0] * n
-    for cyc in cycles:
-        for i, a in enumerate(cyc):
-            out[a - 1] = cyc[(i + 1) % len(cyc)]
-    return tuple(out)
-
-
 def _foata_oracle(perm):
-    out = []
-    for cyc in _standard_cycle_form_oracle(perm):
-        out.extend(cyc)
-    return tuple(out)
+    return tuple(v for cyc in _standard_cycle_form_oracle(perm) for v in cyc)
 
 
 def _foata_inverse_oracle(perm):
+    # cut before each left-to-right maximum; each piece is a cycle
     pieces = []
     best = 0
     for v in perm:
@@ -332,7 +242,11 @@ def _foata_inverse_oracle(perm):
             best = v
         else:
             pieces[-1].append(v)
-    return _permutation_from_cycles_oracle(pieces, len(perm))
+    out = [0] * len(perm)
+    for cyc in pieces:
+        for i, a in enumerate(cyc):
+            out[a - 1] = cyc[(i + 1) % len(cyc)]
+    return tuple(out)
 
 
 def _phi_step1_oracle(wip):
@@ -368,46 +282,6 @@ def _phi_step1_inverse_oracle(mp):
     sigma = tuple(i for i, _ in cols)
     pi = tuple(t for _, t in cols)
     return validate_wip3(sigma, pi)
-
-
-def _caps_two_loop_oracle(steps, weights, alphabet, closed):
-    # the axis in the step loop, the weights in a loop of their own
-    if not set(steps).issubset(alphabet):  # then name the first letter outside alphabet
-        for i, s in enumerate(steps, start=1):
-            if s not in alphabet:
-                if s in STEP_RULES:
-                    raise HorizontalStepPresent(f"level step at position {i}")
-                raise ValidationError(f"unknown step letter {s!r} at step {i}")
-    if len(steps) != len(weights):
-        raise LengthMismatch(f"{len(steps)} steps but {len(weights)} weights")
-    caps = []
-    h = 0
-    for s in steps:
-        try:
-            rise, drop = STEP_RULES[s]
-        except KeyError:  # a non-str step sequence may hold "" or "UD", which pass the letter test
-            raise ValidationError(f"unknown step letter {s!r} at step {len(caps) + 1}") from None
-        caps.append(h - drop)
-        h += rise
-        if h < 0:
-            raise HeightBelowZero(f"path dips below the axis after step {len(caps)}")
-    if closed and h != 0:
-        raise NotClosed(f"path ends at height {h}")
-    for i, (w, cap) in enumerate(zip(weights, caps), start=1):
-        if not (isinstance(w, int) and 0 <= w <= cap):  # fz_inverse indexes by weight
-            raise WeightOutOfRange(i, f"weight {w} at step {i} outside 0..{cap}")
-    return caps
-
-
-def _caps_letter_set_oracle(steps, weights, alphabet, closed):
-    # the two-loop version, but a letter is an item of set(alphabet), not a substring
-    # of alphabet, so "" and "UD" in a list or tuple are named before any other check
-    for i, s in enumerate(steps, start=1):
-        if s not in set(alphabet):
-            if s in STEP_RULES:
-                raise HorizontalStepPresent(f"level step at position {i}")
-            raise ValidationError(f"unknown step letter {s!r} at step {i}")
-    return _caps_two_loop_oracle(steps, weights, alphabet, closed)
 
 
 def _peak_valley_pairs_padded_oracle(perm):
@@ -453,7 +327,9 @@ def _snake_sign_pattern_all_oracle(snake):
     return all((v > 0) == (pos % 2 == 1)
                for pos, v in enumerate(snake, start=1) if pos not in valleys)
 
+
 def _zigzags_oracle(n, values, slot, last_ok=lambda v: True):
+    # every value tried at every position in text order, a slot taken once
     order = [(v, slot(v)) for v in sorted(values, key=str)]
     word = []
     used = [False] * (n + 1)
@@ -494,306 +370,18 @@ def _rcalt_oracle(n):
 
 
 def _wip3_oracle(n):
-    order = sorted(range(1, n + 1), key=str)
-    pi = []
-    used = [False] * (n + 1)
-
-    def rec(sigma, floor):
-        i = len(pi)
-        if i == n:
-            yield ThreeWIP(sigma, tuple(pi))
-            return
-        for b in order:
-            top = max(sigma[i], b)
-            if used[b] or top < floor:
-                continue
-            used[b] = True
-            pi.append(b)
-            yield from rec(sigma, top)
-            pi.pop()
-            used[b] = False
-
-    for sigma in itertools.permutations(order):
-        maxima = itertools.accumulate(sigma, max)
-        if all(2 * m <= n + j + 1 for j, m in enumerate(maxima, start=1)):
-            yield from rec(sigma, 0)
-
-
-def _format_perm_oracle(perm):
-    return " ".join(map(str, perm))
-
-
-def _format_path_oracle(obj):
-    return obj.steps + ";" + ",".join(map(str, obj.weights))
-
-
-def _format_perms_oracle(perms):
-    # the batch formatter that Family.text replaced for snakes, rcalt and altperm
-    line = permcore.perm_template(len(perms[0]) if perms else 0) + "\n"
-    return line * len(perms) % tuple(itertools.chain.from_iterable(perms))
-
-
-def _format_paths_oracle(objs):
-    # the same for lbp and laguerre
-    line = paths._template(len(objs[0].weights) if objs else 0) + "\n"
-    return line * len(objs) % tuple(itertools.chain.from_iterable((p.steps, *p.weights) for p in objs))
-
-
-def _paths_oracle(n, alphabet, closed, make):
-    # the path generator's order has no earlier version to compare with: every
-    # valid weighted path, by brute force, sorted by its text
-    objects = []
-    for letters in itertools.product(alphabet, repeat=n):
-        steps = "".join(letters)
-        try:
-            caps = _caps_oracle(steps, (0,) * n, alphabet, closed)
-        except ValueError:
-            continue
-        objects += [make(steps, w) for w in itertools.product(*(range(c + 1) for c in caps))]
-    return sorted(objects, key=_format_path_oracle)
-
-
-# family -> (generator oracle, renderer oracle, largest n compared)
-GENERATORS = {
-    "snakes": (_snakes_oracle, _format_perm_oracle, 7),
-    "wip3": (_wip3_oracle, lambda w: _format_perm_oracle(w.sigma) + " / " + _format_perm_oracle(w.pi), 7),
-    "rcalt": (_rcalt_oracle, _format_perm_oracle, 7),
-    "lbp": (lambda n: _paths_oracle(n, BALLOT_ALPHABET, False, LabeledBallotPath), _format_path_oracle, 7),
-    "laguerre": (lambda n: _paths_oracle(n, MOTZKIN_ALPHABET, True, LaguerreHistory),
-                 _format_path_oracle, 7),
-    "altperm": (_alternating_oracle, _format_perm_oracle, 9),
-}
-
-
-def _zigzags_recursive(n, values, slot, last_ok=lambda v: True):
-    order = [(v, slot(v)) for v in sorted(values, key=str)]
-    prevs = (0, *(v for v, _ in order))
-    tables = ({p: [(v, s) for v, s in order if v > p] for p in prevs},
-              {p: [(v, s) for v, s in order if v < p] for p in prevs})
-    last = {p: [(v, s) for v, s in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
-    word = []
-    used = [False] * (n + 1)
-
-    def rec(i, prev):
-        if i == n - 1:
-            for v, s in last[prev]:
-                if not used[s]:
-                    yield (*word, v)
-            return
-        for v, s in tables[i % 2][prev]:
-            if not used[s]:
-                used[s] = True
-                word.append(v)
-                yield from rec(i + 1, v)
-                word.pop()
-                used[s] = False
-
-    return rec(0, 0) if n else iter([()])
-
-
-def _rcalt_recursive(n):
-    size = 2 * n
-    halves = _zigzags_recursive(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
-                                lambda v: (2 * v > size + 1) == (n % 2 == 1))
-    return (half + tuple(map(operator.sub, itertools.repeat(size + 1), reversed(half)))
-            for half in halves)
-
-
-def _wip3_recursive(n):
-    if n == 0:
-        yield ThreeWIP((), ())
-        return
-    order = sorted(range(1, n + 1), key=str)
-    pi = []
-    used = [False] * (n + 1)
-
-    def rec(sigma, floor):
-        i = len(pi)
-        if i == n - 1:
-            for b in order:
-                if not used[b] and max(sigma[i], b) >= floor:
-                    yield ThreeWIP(sigma, (*pi, b))
-            return
-        for b in order:
-            top = max(sigma[i], b)
-            if used[b] or top < floor:
-                continue
-            used[b] = True
-            pi.append(b)
-            yield from rec(sigma, top)
-            pi.pop()
-            used[b] = False
-
-    for sigma in itertools.permutations(order):
-        maxima = itertools.accumulate(sigma, max)
-        if all(2 * m <= n + j + 1 for j, m in enumerate(maxima, start=1)):
-            yield from rec(sigma, 0)
-
-
-def _labeled_paths_recursive(n, alphabet, closed, make):
-    steps = []
-    ranges = []
-
-    def rec(h):
-        remaining = n - len(steps)
-        if closed and h > remaining:
-            return
-        if remaining == 0:
-            word = "".join(steps)
-            for weights in itertools.product(*ranges):
-                yield make(word, weights)
-            return
-        for s in alphabet:
-            rise, drop = STEP_RULES[s]
-            if h < drop:
-                continue
-            steps.append(s)
-            ranges.append(sorted(range(h - drop + 1), key=str))
-            yield from rec(h + rise)
-            ranges.pop()
-            steps.pop()
-
-    return rec(0)
-
-
-# family -> (recursive generator, largest n compared)
-RECURSIVE = {
-    "snakes": (lambda n: _zigzags_recursive(n, [*range(-n, 0), *range(1, n + 1)], abs), 7),
-    "wip3": (_wip3_recursive, 7),
-    "rcalt": (_rcalt_recursive, 7),
-    "lbp": (lambda n: _labeled_paths_recursive(n, "DU", False, LabeledBallotPath), 7),
-    "laguerre": (lambda n: _labeled_paths_recursive(n, "DHTU", True, LaguerreHistory), 7),
-    "altperm": (lambda n: _zigzags_recursive(n, range(1, n + 1), lambda v: v), 9),
-}
-
-
-def _zigzags_two_loop_oracle(n, values, slot, last_ok=lambda v: True):
-    order = [(v, slot(v)) for v in sorted(values, key=str)]
-    prevs = (0, *(v for v, _ in order))
-    tables = ({p: [(v, s) for v, s in order if v > p] for p in prevs},
-              {p: [(v, s) for v, s in order if v < p] for p in prevs})
-    last = {p: [(v, s) for v, s in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
-    if n < 3:
-        yield from ([()], [(v,) for v, _ in last[0]],
-                    [(u, w) for u, r in tables[0][0] for w, t in last[u] if r != t])[n]
-        return
-    word, used = [], [False] * (n + 1)
-    stack = [(iter(tables[0][0]), 0)]  # the candidates left for an entry, the slot before it
-    while stack:
-        for v, s in stack[-1][0]:
-            if not used[s]:
-                break
-        else:  # exhausted: back up and free the slot before (0, a spare, at the first entry)
-            used[stack.pop()[1]] = False
-            del word[-1:]
-            continue
-        if len(stack) < n - 2:
-            used[s] = True
-            word.append(v)
-            stack.append((iter(tables[len(stack) % 2][v]), s))
-            continue
-        for u, r in tables[n % 2][v]:  # v is w_n-2: the last two entries in nested loops
-            if not (used[r] or r == s):
-                for w, t in last[u]:
-                    if not (used[t] or t == r or t == s):
-                        yield (*word, v, u, w)
-
-
-def _rcalt_two_loop_oracle(n):
-    size = 2 * n
-    halves = _zigzags_two_loop_oracle(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
-                                      lambda v: (2 * v > size + 1) == (n % 2 == 1))
-    mirror = [size + 1 - v for v in range(size + 1)].__getitem__
-    return ((*half, *map(mirror, reversed(half))) for half in halves)
-
-
-def _rcalt_half_mirroring_oracle(n):
-    # rcalt before its table carried the mirror images: whole halves from the
-    # search, each followed by its images in reverse order
-    size = 2 * n
-    leaves = families._zigzags(n, range(1, size + 1), lambda v: min(v, size + 1 - v),
-                               lambda v: (2 * v > size + 1) == (n % 2 == 1))
-    halves = (prefix + tail for prefix, tails, _ in leaves for tail in tails)
-    mirror = [size + 1 - v for v in range(size + 1)].__getitem__
-    return ((*half, *map(mirror, reversed(half))) for half in halves)
-
-
-def _snakes_two_loop_oracle(n):
-    return _zigzags_two_loop_oracle(n, [*range(-n, 0), *range(1, n + 1)], abs)
-
-
-# family -> (flat search with the two-loop leaf, largest n compared in full, ceiling)
-TWO_LOOP = {
-    "snakes": (_snakes_two_loop_oracle, 8, 11),
-    "rcalt": (_rcalt_two_loop_oracle, 8, 11),
-    "altperm": (lambda n: _zigzags_two_loop_oracle(n, range(1, n + 1), lambda v: v), 10, 14),
-}
-
-
-# The text path before every searched family fed one consumer. altperm's search
-# then took tails of four entries, filled by three nested loops; wip3 skipped
-# sigma one whole permutation at a time and formatted 3-WIP objects in batches;
-# lbp and laguerre filled one template per chunk of a step word's weight vectors.
-
-
-def _zigzags_four_entry_oracle(n, values, slot):
-    order = [(v, 1 << slot(v)) for v in sorted(values, key=str)]
-    prevs = (0, *(v for v, _ in order))
-    tables = ({p: [(v, b) for v, b in order if v > p] for p in prevs},
-              {p: [(v, b) for v, b in order if v < p] for p in prevs})
-    pad = dict.fromkeys(prevs, [(0, 0)])
-    last_four = [tables[n % 2], tables[(n - 1) % 2]] * 2
-    ends = [pad] * (4 - n) + last_four[max(4 - n, 0):]
-    word, taken, suffixes, cut = [], 0, {}, max(4 - n, 0)
-    stack = [(iter(tables[0][0] if n > 4 else [(0, 0)] * (n >= 0)), 0)]
-    while stack:
-        for v, b in stack[-1][0]:
-            if not taken & b:
-                break
-        else:
-            taken ^= stack.pop()[1]
-            del word[-1:]
-            continue
-        if len(stack) < n - 4:
-            taken |= b
-            word.append(v)
-            stack.append((iter(tables[len(stack) % 2][v]), b))
-            continue
-        prefix = (*word, v) if n > 4 else ()
-        taken |= b
-        for u, c in ends[0][v]:
-            if taken & c:
-                continue
-            mask = taken | c
-            tails = suffixes.get((u, mask))
-            if tails is None:
-                tails = suffixes[u, mask] = []
-                for w, d in ends[1][u]:
-                    if not mask & d:
-                        for x, e in ends[2][w]:
-                            if not (mask | d) & e:
-                                for y, f in ends[3][x]:
-                                    if not (mask | d | e) & f:
-                                        tails.append((u, w, x, y)[cut:])
-            for tail in tails:
-                yield prefix + tail
-        taken ^= b
-
-
-def _alternating_four_entry_oracle(n):
-    return _zigzags_four_entry_oracle(n, range(1, n + 1), lambda v: v)
-
-
-def _wip3_permutation_filter_oracle(n):
+    # each sigma in text order whose prefix maxima m_j have 2 m_j <= n + j + 1, then a
+    # pi search under the floor of the column maxima and the count of larger values
+    # left; with the floor alone the search takes 7 s at n = 8
     order = sorted(range(1, n + 1), key=str)
     if n <= 0:
         yield from [ThreeWIP((), ())] * (n == 0)
         return
     bounds, used = [(n + j + 1) // 2 for j in range(1, n + 1)], [False] * (n + 1)
     for sigma in itertools.permutations(order):
-        maxima = list(itertools.accumulate(sigma, max))
-        if not all(map(operator.le, maxima, bounds)):
+        if not all(map(operator.le, itertools.accumulate(sigma, max), bounds)):
             continue
+        maxima = list(itertools.accumulate(sigma, max))
         pi, stack = [], [(iter(order), 0, 0)]
         while stack:
             j = len(pi)
@@ -815,43 +403,45 @@ def _wip3_permutation_filter_oracle(n):
             stack.append((iter(order), top, b))
 
 
-def _format_wip3s_oracle(wips):
-    # the batch formatter of wip3's text, with one template per batch
-    n = len(wips[0].sigma) if wips else 0
-    rows = itertools.chain.from_iterable(map(operator.attrgetter("sigma", "pi"), wips))
-    template = permcore.perm_template(n) + " / " + permcore.perm_template(n)
-    return (template + "\n") * len(wips) % tuple(itertools.chain.from_iterable(rows))
+def _paths_oracle(n, alphabet, closed, make):
+    # the step words in letter order, a step taken only where its weight range is not
+    # empty and, for a closed path, only if the axis is still in reach; each word's
+    # paths are the product of its text-ordered ranges
+    steps = []
+    ranges = []
+
+    def rec(h):
+        remaining = n - len(steps)
+        if closed and h > remaining:
+            return
+        if remaining == 0:
+            word = "".join(steps)
+            for weights in itertools.product(*ranges):
+                yield make(word, weights)
+            return
+        for s in sorted(alphabet):
+            cap = h if s in ("U", "H") else h - 1
+            if cap < 0:
+                continue
+            steps.append(s)
+            ranges.append(sorted(range(cap + 1), key=str))
+            yield from rec(h + _RISE[s])
+            ranges.pop()
+            steps.pop()
+
+    return rec(0) if n >= 0 else iter(())
 
 
-def _batches(objects, size=1024):
-    return iter(lambda: list(itertools.islice(objects, size)), [])
+def _format_perm_oracle(perm):
+    return " ".join(map(str, perm))
 
 
-@functools.lru_cache(maxsize=None)
-def _wip3_earlier_text(n, count=None):
-    # the permutation-filter oracle costs 1.3 s at n = 8 and 3 s before its first
-    # object at n = 11, so the object and the text comparisons share one pass (its
-    # first count objects) per n; 9 MiB of text in all
-    objects = itertools.islice(_wip3_permutation_filter_oracle(n), count)
-    return "".join(map(_format_wip3s_oracle, _batches(objects)))
+def _format_path_oracle(obj):
+    return obj.steps + ";" + ",".join(map(str, obj.weights))
 
 
-def _path_text_oracle(words):
-    for word, ranges in words:
-        line = word + ";" + ",".join(["%d"] * len(word)) + "\n"
-        for chunk in _batches(itertools.product(*ranges)):
-            yield line * len(chunk) % tuple(itertools.chain.from_iterable(chunk))
-
-
-# family -> (n -> the earlier text of size n, in pieces, largest n compared in full)
-EARLIER_TEXT = {
-    "snakes": (lambda n: map(_format_perms_oracle, _batches(_snakes_two_loop_oracle(n))), 8),
-    "rcalt": (lambda n: map(_format_perms_oracle, _batches(_rcalt_two_loop_oracle(n))), 8),
-    "altperm": (lambda n: map(_format_perms_oracle, _batches(_alternating_four_entry_oracle(n))), 10),
-    "lbp": (lambda n: _path_text_oracle(families._labeled_paths(n, BALLOT_ALPHABET, False)), 8),
-    "laguerre": (lambda n: _path_text_oracle(families._labeled_paths(n, MOTZKIN_ALPHABET, True)), 8),
-    "wip3": (lambda n: [_wip3_earlier_text(n, None if n <= 8 else 20_000)], 8),
-}
+def _format_wip3_oracle(wip):
+    return _format_perm_oracle(wip.sigma) + " / " + _format_perm_oracle(wip.pi)
 
 
 # k-th derivative of cos - sin at 0, by k mod 4
@@ -884,6 +474,19 @@ def _euler_sequence_oracle(m):
     return tuple(values)
 
 
+# family -> (the reference of its search, the reference's renderer, largest n compared in full)
+SEARCHES = {
+    "snakes": (_snakes_oracle, _format_perm_oracle, 8),
+    "rcalt": (_rcalt_oracle, _format_perm_oracle, 8),
+    "altperm": (_alternating_oracle, _format_perm_oracle, 10),
+    "wip3": (_wip3_oracle, _format_wip3_oracle, 8),
+    "lbp": (lambda n: _paths_oracle(n, "UD", False, LabeledBallotPath), _format_path_oracle, 8),
+    "laguerre": (lambda n: _paths_oracle(n, "UDHT", True, LaguerreHistory), _format_path_oracle, 8),
+}
+ZIGZAGS = ["altperm", "rcalt", "snakes"]
+CEILING_COUNT = 20_000  # objects and lines compared at each family's ceiling
+
+
 # --- comparisons -------------------------------------------------------------
 
 def _outcome(fn, *args):
@@ -894,18 +497,11 @@ def _outcome(fn, *args):
 
 
 def _same_caps(steps, weights):
-    # on a str, the two-loop version everywhere, and the three-pass one, which the
-    # two-loop one matched on all these inputs, where the order of the checks decides;
-    # on a list or tuple, the two-loop version with letters tested as items of set(alphabet)
-    is_str = isinstance(steps, str)
-    oracle = _caps_two_loop_oracle if is_str else _caps_letter_set_oracle
     for alphabet, closed in CONFIGS:
         got = _outcome(paths._caps, steps, weights, alphabet, closed)
-        assert got == _outcome(oracle, steps, weights, alphabet, closed), (steps, weights)
+        assert got == _outcome(_caps_oracle, steps, weights, alphabet, closed), (steps, weights)
         if isinstance(got, list):
             assert paths._mirror(steps, weights, got) == _mirror_oracle(steps, weights, got)
-        elif is_str:
-            assert got == _outcome(_caps_oracle, steps, weights, alphabet, closed), (steps, weights)
 
 
 def _put(seq, i, item):
@@ -1058,14 +654,8 @@ def test_is_wip3_matches_the_oracle():
     assert is_wip3((1, 1), (1, 2)) == _is_wip3_oracle((1, 1), (1, 2)) is False
 
 
-def test_fz_splices_match_the_slice_oracles():
-    # the public maps, their unchecked cores and the oracles, on every object with
-    # n <= 7 and on seeded random permutations, uniform and down-up, up to n = 4096
-    for n in range(8):
-        for p in itertools.permutations(range(1, n + 1)):
-            assert fz(p) == bijections._fz(p) == _fz_splice_oracle(p)
-        for hw in enumerate_laguerre(n):
-            assert fz_inverse(hw) == bijections._fz_inverse(hw) == _fz_inverse_splice_oracle(hw)
+def _fz_draws():
+    """Seeded permutations, uniform and down-up: ten of each at n = 512, two at 4096."""
     rng = random.Random(512)
     for n, count in ((512, 10), (4096, 2)):
         for _ in range(count):
@@ -1074,25 +664,26 @@ def test_fz_splices_match_the_slice_oracles():
             for i in range(1, n - 1):  # swap each pair out of down-up shape
                 if (down_up[i] < down_up[i + 1]) == (i % 2 == 0):
                     down_up[i], down_up[i + 1] = down_up[i + 1], down_up[i]
-            for p in (tuple(uniform), tuple(down_up)):
-                hw = bijections._fz(p)
-                assert fz(p) == hw == _fz_splice_oracle(p)
-                assert fz_inverse(hw) == bijections._fz_inverse(hw) == _fz_inverse_splice_oracle(hw) == p
+            yield tuple(uniform)
+            yield tuple(down_up)
+
+
+def _same_fz(perms):
+    # the public maps and the unchecked cores that the composites call
+    for p in perms:
+        hw = _fz_oracle(p)
+        assert fz(p) == bijections._fz(p) == hw, p
+        assert fz_inverse(hw) == bijections._fz_inverse(hw) == _fz_inverse_oracle(hw) == p, p
+
+
+def test_fz_splices_match_the_slice_oracles():
+    # the draws at n = 4096 (tests/test_bijections.py compares the smaller inputs)
+    _same_fz(p for p in _fz_draws() if len(p) == 4096)
 
 
 def _run(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     return main(argv, stdout=stdout, stderr=stderr), stdout.getvalue(), stderr.getvalue()
-
-
-@pytest.mark.parametrize("family", sorted(GENERATORS))
-def test_generators_and_enumerate_match_the_oracles(family):
-    generate, render, n_max = GENERATORS[family]
-    for n in range(n_max + 1):
-        want = list(generate(n))
-        assert list(FAMILIES[family].enumerate(n)) == want, n
-        code, out, err = _run(["enumerate", "--family", family, "--n", str(n)])
-        assert (code, out, err) == (0, "".join(render(obj) + "\n" for obj in want), ""), n
 
 
 def test_renderers_match_the_map_str_oracles():
@@ -1116,39 +707,134 @@ def test_renderers_match_the_map_str_oracles():
     for obj in objects:
         for weights in (obj.weights, list(obj.weights)):
             assert format_path(type(obj)(obj.steps, weights)) == _format_path_oracle(obj)
-
-
-# each batch formatter and the families whose objects it formats
-BATCHES = {_format_perms_oracle: ("snakes", "rcalt", "altperm"),
-           _format_paths_oracle: ("lbp", "laguerre"), _format_wip3s_oracle: ("wip3",)}
-
-
-def test_batch_formatters_match_the_single_ones():
-    # one template filled by one % per batch, against one render per object
-    rng = random.Random(4096)
-    batches = {_format_perms_oracle: [[perm] * 3 for perm in ((), (1,), (-2, 1))],
-               _format_paths_oracle: [[LabeledBallotPath("", ())], [LaguerreHistory("UD", (0, 0))] * 2],
-               _format_wip3s_oracle: [[ThreeWIP((), ())]]}
-    for lines, names in BATCHES.items():
-        batches[lines] += [list(FAMILIES[name].generate(n)) for name in names for n in range(6)]
-    batches[_format_perms_oracle].append([tuple(rng.sample(range(1, 513), 512)) for _ in range(5)])
-    batches[_format_paths_oracle].append([fz(rng.sample(range(1, 513), 512)) for _ in range(5)])
-    for lines, render in [(_format_perms_oracle, format_perm), (_format_paths_oracle, format_path),
-                          (_format_wip3s_oracle, format_wip3)]:
-        assert lines([]) == ""
-        for objects in batches[lines]:
-            assert lines(objects) == "".join(render(obj) + "\n" for obj in objects)
     # format_wip3 also renders rows of unequal lengths
-    assert format_wip3(ThreeWIP((1, 2), (1,))) == "1 2 / 1"
+    for wip in [ThreeWIP((), ()), ThreeWIP((1, 2), (1,)), *FAMILIES["wip3"].generate(5)]:
+        assert format_wip3(wip) == _format_wip3_oracle(wip)
 
 
-@pytest.mark.parametrize("family", sorted(RECURSIVE))
+# --- the searches: objects and Family.text against the references ---------------
+
+def _shapes(objects):
+    """The set of the objects' types and, for records, of each field's types."""
+    fields = vars(objects[0]) if objects and type(objects[0]) is not tuple else ()
+    return (set(map(type, objects)),
+            *(set(map(type, map(operator.attrgetter(field), objects))) for field in fields))
+
+
+def _lines(render, objects):
+    return "\n".join(map(render, objects)) + "\n" if objects else ""
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(family, n, count):
+    """The text of the reference's first count objects of size n (all with None), a
+    line each, and their _shapes; made once per run, about 45 MiB of text in all."""
+    oracle, render, _ = SEARCHES[family]
+    objects = list(itertools.islice(oracle(n), count))
+    return _lines(render, objects), _shapes(objects)
+
+
+def _first_difference(got, want):
+    pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
+    return next((line, a, b) for line, (a, b) in enumerate(pairs, start=1) if a != b)
+
+
+def _same_objects(family, ns, count=None):
+    # the family's objects of each n in ns (the first count) are the reference's,
+    # compared through their text, which the family's renderer writes as the
+    # reference's does, and their types
+    fam = FAMILIES[family]
+    for n in ns:
+        objects = list(itertools.islice(fam.generate(n), count))
+        got, (want, shapes) = _lines(fam.render, objects), _reference(family, n, count)
+        assert got == want, (family, n, _first_difference(got, want))
+        assert _shapes(objects) == shapes, (family, n)
+
+
+def _same_pieces(pieces, want, chunk):
+    # the pieces spell want, each holds chunk lines but the last, which holds 1..chunk
+    pieces = list(pieces)
+    got = "".join(pieces)
+    assert got == want, _first_difference(got, want)
+    counts = list(map(str.count, pieces, itertools.repeat("\n")))
+    assert counts[:-1] == [chunk] * (len(counts) - 1) and 0 < counts[-1:][0] <= chunk if counts else not want
+
+
+def _first_lines(pieces, count):
+    return "".join(itertools.islice(itertools.chain.from_iterable(p.splitlines(True) for p in pieces), count))
+
+
+def _same_text(monkeypatch, family, chunks):
+    # Family.text of every n up to the largest (none below 0) at each chunk size
+    for chunk in chunks:
+        monkeypatch.setattr(families, "TEXT_CHUNK", chunk)
+        for n in range(-2, SEARCHES[family][2] + 1):
+            _same_pieces(FAMILIES[family].text(n), _reference(family, n, None)[0], chunk)
+
+
+def _same_text_at_the_ceiling(monkeypatch, family, chunks):
+    # the largest n meets keys and weights that no smaller n has
+    n = FAMILIES[family].ceiling
+    for chunk in chunks:
+        monkeypatch.setattr(families, "TEXT_CHUNK", chunk)
+        assert _first_lines(FAMILIES[family].text(n), CEILING_COUNT) == _reference(family, n, CEILING_COUNT)[0]
+
+
+@pytest.mark.parametrize("family", sorted(SEARCHES))
+def test_generators_and_enumerate_match_the_oracles(family):
+    # the enumerate command at every n below the largest
+    for n in range(SEARCHES[family][2]):
+        assert _run(["enumerate", "--family", family, "--n", str(n)]) == (0, _reference(family, n, None)[0], ""), n
+
+
+@pytest.mark.parametrize("family", sorted(SEARCHES))
 def test_flat_generators_match_the_recursive_ones(family):
-    recursive, n_max = RECURSIVE[family]
-    for n in range(n_max + 1):
-        flat = FAMILIES[family].generate(n)
-        for count, (new, old) in enumerate(itertools.zip_longest(flat, recursive(n)), start=1):
-            assert new == old and type(new) is type(old), (n, count, new, old)
+    # the objects at every n below the largest
+    _same_objects(family, range(SEARCHES[family][2]))
+
+
+@pytest.mark.parametrize("family", ZIGZAGS)
+def test_suffix_tables_match_the_two_loop_leaf(family):
+    # the objects at the largest n, and none at n = -1 and -2
+    _same_objects(family, (-2, -1, SEARCHES[family][2]))
+
+
+@pytest.mark.parametrize("family", ZIGZAGS)
+def test_suffix_tables_match_the_two_loop_leaf_at_the_ceiling(family):
+    # the largest n meets keys (w_n-3, three free slots) that no smaller n has
+    _same_objects(family, [FAMILIES[family].ceiling], CEILING_COUNT)
+
+
+def test_mirrored_tables_match_the_half_mirroring_generator():
+    # rcalt's reference mirrors each whole half: every n up to 8 and the ceiling
+    _same_objects("rcalt", range(-2, SEARCHES["rcalt"][2] + 1))
+    _same_objects("rcalt", [FAMILIES["rcalt"].ceiling], CEILING_COUNT)
+
+
+def test_pruned_sigma_search_matches_the_permutation_filter():
+    # the objects at the largest n, none below 0, and the first 20,000 at the ceiling
+    _same_objects("wip3", (-2, -1, SEARCHES["wip3"][2]))
+    _same_objects("wip3", [FAMILIES["wip3"].ceiling], CEILING_COUNT)
+
+
+@pytest.mark.parametrize("family", sorted(SEARCHES))
+def test_text_matches_the_rendered_objects(monkeypatch, family):
+    _same_text(monkeypatch, family, [1024])
+
+
+@pytest.mark.parametrize("family", sorted(SEARCHES))
+def test_text_matches_the_rendered_objects_at_the_ceiling(monkeypatch, family):
+    _same_text_at_the_ceiling(monkeypatch, family, [1024])
+
+
+@pytest.mark.parametrize("family", sorted(SEARCHES))
+def test_text_matches_the_earlier_text_at_every_chunk(monkeypatch, family):
+    _same_text(monkeypatch, family, [1, 7])
+
+
+@pytest.mark.parametrize("family", sorted(SEARCHES))
+def test_text_matches_the_earlier_text_at_the_ceiling(monkeypatch, family):
+    _same_text_at_the_ceiling(monkeypatch, family, [1, 7])
 
 
 # the enumerate workload's n per family
@@ -1180,107 +866,6 @@ def test_generators_start_at_most_three_frames_per_object(family):
     assert calls <= 3 * 2000, calls / 2000
 
 
-def _same_objects(new, old, n):
-    for count, (a, b) in enumerate(itertools.zip_longest(new, old), start=1):
-        assert a == b and type(a) is type(b), (n, count, a, b)
-
-
-@pytest.mark.parametrize("family", sorted(TWO_LOOP))
-def test_suffix_tables_match_the_two_loop_leaf(family):
-    two_loop, n_max, _ = TWO_LOOP[family]
-    for n in range(-2, n_max + 1):  # no word has a negative length
-        _same_objects(FAMILIES[family].generate(n), two_loop(n), n)
-
-
-@pytest.mark.parametrize("family", sorted(TWO_LOOP))
-def test_suffix_tables_match_the_two_loop_leaf_at_the_ceiling(family):
-    # the largest n meets keys (w_n-3, three free slots) that no smaller n has
-    two_loop, _, n = TWO_LOOP[family]
-    assert FAMILIES[family].ceiling == n
-    new = itertools.islice(FAMILIES[family].generate(n), 20_000)
-    _same_objects(new, itertools.islice(two_loop(n), 20_000), n)
-
-
-def test_mirrored_tables_match_the_half_mirroring_generator():
-    for n in range(-2, 9):
-        _same_objects(FAMILIES["rcalt"].generate(n), _rcalt_half_mirroring_oracle(n), n)
-    n = FAMILIES["rcalt"].ceiling
-    _same_objects(itertools.islice(FAMILIES["rcalt"].generate(n), 20_000),
-                  itertools.islice(_rcalt_half_mirroring_oracle(n), 20_000), n)
-
-
-# family -> the largest n whose whole text is compared
-TEXT_N = {"snakes": 8, "rcalt": 8, "altperm": 10, "lbp": 7, "laguerre": 7, "wip3": 7}
-
-
-def _rendered(family, objects):
-    render = FAMILIES[family].render
-    return "".join(render(obj) + "\n" for obj in objects)
-
-
-@pytest.mark.parametrize("family", sorted(TEXT_N))
-def test_text_matches_the_rendered_objects(family):
-    fam = FAMILIES[family]
-    batch = next(lines for lines, names in BATCHES.items() if family in names)
-    for n in range(-2, TEXT_N[family] + 1):  # no object has a negative length
-        objects = list(fam.enumerate(n))
-        text = "".join(fam.text(n))
-        assert text == _rendered(family, objects), n
-        assert text == (batch(objects) if objects else ""), n
-
-
-@pytest.mark.parametrize("family", sorted(TEXT_N))
-def test_text_matches_the_rendered_objects_at_the_ceiling(family):
-    # the largest n meets keys and weights that no smaller n has
-    fam = FAMILIES[family]
-    lines = itertools.chain.from_iterable(piece.splitlines(True) for piece in fam.text(fam.ceiling))
-    assert ("".join(itertools.islice(lines, 20_000))
-            == _rendered(family, itertools.islice(fam.enumerate(fam.ceiling), 20_000)))
-
-
-def _same_pieces(pieces, want, chunk):
-    # the pieces spell want, each holds chunk lines but the last, which holds 1..chunk
-    at, counts = 0, []
-    for piece in pieces:
-        assert want.startswith(piece, at), (at, piece[:80])
-        at += len(piece)
-        counts.append(piece.count("\n"))
-    assert at == len(want)
-    assert counts[:-1] == [chunk] * (len(counts) - 1) and 0 < counts[-1:][0] <= chunk if counts else not want
-
-
-def _first_lines(pieces, count):
-    return "".join(itertools.islice(itertools.chain.from_iterable(p.splitlines(True) for p in pieces), count))
-
-
-@pytest.mark.parametrize("family", sorted(EARLIER_TEXT))
-def test_text_matches_the_earlier_text_at_every_chunk(monkeypatch, family):
-    earlier, n_max = EARLIER_TEXT[family]
-    for n in range(-2, n_max + 1):  # no object has a negative length
-        want = "".join(earlier(n))
-        for chunk in (1, 7, 1024):
-            monkeypatch.setattr(families, "TEXT_CHUNK", chunk)
-            _same_pieces(FAMILIES[family].text(n), want, chunk)
-
-
-@pytest.mark.parametrize("family", sorted(EARLIER_TEXT))
-def test_text_matches_the_earlier_text_at_the_ceiling(family):
-    earlier, _ = EARLIER_TEXT[family]
-    n = FAMILIES[family].ceiling
-    assert _first_lines(FAMILIES[family].text(n), 20_000) == _first_lines(earlier(n), 20_000)
-
-
-def test_pruned_sigma_search_matches_the_permutation_filter():
-    # compared through their text, which names each 3-WIP once, and their types
-    for n, count in [*((n, None) for n in range(-2, 9)), (11, 20_000)]:
-        texts, types = [], set()
-        for w in itertools.islice(FAMILIES["wip3"].generate(n), count):
-            texts.append(format_wip3(w) + "\n")
-            types.add((type(w), type(w.sigma), type(w.pi)))
-        assert "".join(texts) == _wip3_earlier_text(n, count), n
-        assert types <= {(ThreeWIP, tuple, tuple)}, n
-
-
 def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
     # the all-U word of lbp at n = 11 alone has 11! weight vectors: its first
     # pieces come full, without the rest of its lines
@@ -1291,7 +876,7 @@ def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
     assert len(counts) == 200 and min(counts) > 0 and max(counts) <= families.TEXT_CHUNK
     monkeypatch.setattr(families, "TEXT_CHUNK", 7)
     for name, fam in FAMILIES.items():
-        counts = [piece.count("\n") for piece in itertools.islice(fam.text(TEXT_N[name]), 200)]
+        counts = [piece.count("\n") for piece in itertools.islice(fam.text(SEARCHES[name][2]), 200)]
         assert len(counts) == 200 and min(counts) > 0 and max(counts) <= 7, (name, counts)
     # the first sigma at n = 11 has 510 pis: its texts go out 7 at a time, one head
     leaves = list(itertools.islice(families._wip3_lines(11), 3))
@@ -1367,17 +952,6 @@ def test_suffix_table_and_tail_texts_stay_within_their_worst_case(family, n, m, 
     assert drained == lines // families.TEXT_CHUNK
     assert peak <= bound, (peak, bound)
 
-
-def test_peak_valley_pairs_match_left_peaks_zipped_with_right_valleys():
-    words = [perm for n in range(9) for perm in itertools.permutations(range(1, n + 1))]
-    for n in range(6):  # signed permutations: distinct entries, as _unbar passes them
-        words += [tuple(s * v for s, v in zip(signs, perm))
-                  for perm in itertools.permutations(range(1, n + 1))
-                  for signs in itertools.product((1, -1), repeat=n)]
-    rng = random.Random(512)
-    words += [tuple(rng.sample(range(1, 513), 512)) for _ in range(10)]
-    for word in words:
-        assert peak_valley_pairs(word) == tuple(zip(left_peaks(word), right_valleys(word))), word
 
 
 def test_foata_walks_match_the_cycle_form_oracles():
@@ -1514,6 +1088,21 @@ def _same_values(new, old, inputs, apply=map):
         pytest.fail(f"{new.__name__} differs from {old.__name__} on {first!r}")
 
 
+
+def test_peak_valley_pairs_match_left_peaks_zipped_with_right_valleys():
+    # the pairing's docstring zips left_peaks and right_valleys; here against the padded
+    # oracle on signed permutations with n <= 5 (distinct entries, as _unbar passes
+    # them) and on ten seeded permutations at n = 512
+    words = []
+    for n in range(6):
+        words += [tuple(s * v for s, v in zip(signs, perm))
+                  for perm in itertools.permutations(range(1, n + 1))
+                  for signs in itertools.product((1, -1), repeat=n)]
+    rng = random.Random(512)
+    words += [tuple(rng.sample(range(1, 513), 512)) for _ in range(10)]
+    _same_values(peak_valley_pairs, _peak_valley_pairs_padded_oracle, words)
+
+
 def test_peak_valley_pairs_match_the_padded_oracle():
     # every permutation with n <= 8, which covers the relative order of every snake
     # with n <= 8, and seeded words at n = 512 and 4096, also as lists
@@ -1527,14 +1116,10 @@ def test_peak_valley_pairs_match_the_padded_oracle():
 
 
 def test_unbar_and_place_bars_match_the_comprehension_oracles():
-    # unbar on every snake with n <= 7 and on seeded signed words; place_bars on
-    # what unbar gives and on every permutation with n <= 6, with no mark and with
-    # its left peak values marked
+    # unbar on every snake with n <= 7 and on seeded signed words; place_bars on what
+    # unbar gives and on seeded permutations with random marks (every permutation with
+    # n <= 6 under every set of left peak values marked is in test_bijections.py)
     marked = []
-    for n in range(7):
-        for p in itertools.permutations(range(1, n + 1)):
-            peaks = frozenset(p[i - 1] for i in left_peaks(p))
-            marked += [MarkedPermutation(p, frozenset()), MarkedPermutation(p, peaks)]
     snakes = _snakes_up_to(7)
     for rng, p, signed in _large_inputs():
         snakes += signed

@@ -39,3 +39,32 @@ def test_no_module_reads_a_private_name_of_another():
                   and node.value.id in siblings and node.attr.startswith("_")
                   and not node.attr.startswith("__")]
     assert found == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _bound_names(node):
+    """The names a module-level statement binds: a def or class, or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _unused_private_names(paths):
+    """(file, line, name) of each module-level private function or table in paths that no
+    statement but its own definition names, in any of the files."""
+    statements = [(path.name, node) for path in paths
+                  for node in ast.parse(path.read_text(), filename=str(path)).body]
+    reads = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} for _, node in statements]
+    return [(name, node.lineno, bound) for i, (name, node) in enumerate(statements)
+            for bound in _bound_names(node) if bound.startswith("_") and not bound.startswith("__")
+            and not any(bound in names for j, names in enumerate(reads) if j != i)]
+
+
+def test_no_test_module_keeps_an_unused_private_function_or_table():
+    # a reference, helper or table that no test reads any more is dead weight: a retired
+    # oracle must go with the last comparison that ran it
+    assert _unused_private_names(sorted(TESTS.glob("*.py"))) == []

@@ -26,6 +26,12 @@ from springerbij.permcore import (
     right_valleys,
 )
 
+from test_kernels import (  # the one reference of each of these kernels
+    _left_peaks_oracle,
+    _reverse_complement_oracle,
+    _right_valleys_oracle,
+)
+
 
 def all_perms(n):
     return itertools.permutations(range(1, n + 1))
@@ -38,51 +44,9 @@ def oracle_invert(p):
     return tuple(list(p).index(k) + 1 for k in range(1, len(p) + 1))
 
 
-def oracle_rc(p):
-    n = len(p)
-    return tuple(n + 1 - p[n + 1 - i - 1] for i in range(1, n + 1))
-
-
-def sentinel_extended(p):
-    # materialized sentinels, unlike the guarded comparisons in the library
-    return (0,) + tuple(p) + (math.inf,)
-
-
-def oracle_left_peaks(p):
-    ext = sentinel_extended(p)
-    return tuple(i for i in range(1, len(p) + 1) if ext[i - 1] < ext[i] > ext[i + 1])
-
-
-def oracle_right_valleys(p):
-    ext = sentinel_extended(p)
-    return tuple(i for i in range(1, len(p) + 1) if ext[i - 1] > ext[i] < ext[i + 1])
-
-
 def oracle_cycle_peaks(p):
     inv = oracle_invert(p)
     return {k for k in range(2, len(p) + 1) if inv[k - 1] < k and p[k - 1] < k}
-
-
-def vincular_31_2(p):
-    """All position triples (a, a+1, c) order-isomorphic to 3-1-2 with 31 adjacent."""
-    n = len(p)
-    return [
-        (a, a + 1, c)
-        for a in range(n - 1)
-        for c in range(a + 2, n)
-        if p[a + 1] < p[c] < p[a]
-    ]
-
-
-def vincular_2_31(p):
-    """All position triples (c, a, a+1) order-isomorphic to 2-3-1 with 31 adjacent."""
-    n = len(p)
-    return [
-        (c, a, a + 1)
-        for a in range(n - 1)
-        for c in range(a)
-        if p[a + 1] < p[c] < p[a]
-    ]
 
 
 # --- validity predicates --------------------------------------------------
@@ -148,7 +112,7 @@ def test_reverse_complement_examples():
 def test_reverse_complement_matches_oracle_and_involutes():
     for n in range(7):
         for p in all_perms(n):
-            assert reverse_complement(p) == oracle_rc(p)
+            assert reverse_complement(p) == _reverse_complement_oracle(p)
             assert reverse_complement(reverse_complement(p)) == p
 
 
@@ -194,8 +158,8 @@ def test_right_valleys_examples():
 def test_peaks_valleys_match_sentinel_oracle():
     for n in range(7):
         for p in all_perms(n):
-            assert left_peaks(p) == oracle_left_peaks(p)
-            assert right_valleys(p) == oracle_right_valleys(p)
+            assert left_peaks(p) == _left_peaks_oracle(p)
+            assert right_valleys(p) == _right_valleys_oracle(p)
 
 
 def test_every_left_peak_has_a_right_valley_before_next_peak():
@@ -291,16 +255,6 @@ def test_count_pat_2_31_examples():
     assert count_pat_2_31_at(p, 6) == 1
     assert count_pat_2_31_at(p, 5) == 0
     assert count_pat_2_31_at((1, 2, 3), 1) == 0
-
-
-def test_pattern_counts_match_vincular_oracle():
-    for n in range(7):
-        for p in all_perms(n):
-            occ312 = vincular_31_2(p)
-            occ231 = vincular_2_31(p)
-            for i in range(1, n + 1):
-                assert count_pat_31_2_at(p, i) == sum(1 for (_, _, c) in occ312 if p[c] == i)
-                assert count_pat_2_31_at(p, i) == sum(1 for (c, _, _) in occ231 if p[c] == i)
 
 
 def test_pattern_rc_duality():

@@ -137,13 +137,12 @@ def _word_reversed(good):
     return lambda perm: good(tuple(perm)[::-1])
 
 
-# (module, kernel, fault) -> the per-object row that fails at n <= 4. An identity
-# invert, reverse_complement or history_rc passes its own involution row; the row
-# named here is the one that catches it (see test_involution_rows_pass_an_identity_fault)
+# (module, kernel, fault) -> the per-object row that fails at n <= 4. The involution
+# rows state their maps' defining formulas, so each catches an identity of its map
 KERNEL_FAULTS = {
-    (permcore, "invert", "identity"): "permcore/foata-maps-cycle-peaks-to-left-peaks",
+    (permcore, "invert", "identity"): "permcore/invert-involution",
     (permcore, "invert", "reversal"): "permcore/invert-involution",
-    (permcore, "reverse_complement", "identity"): "permcore/pattern-count-rc-duality",
+    (permcore, "reverse_complement", "identity"): "permcore/rc-involution",
     (permcore, "reverse_complement", "reversal"): "permcore/pattern-count-rc-duality",
     (permcore, "foata", "identity"): "permcore/foata-roundtrip",
     (permcore, "foata", "reversal"): "permcore/foata-roundtrip",
@@ -155,7 +154,7 @@ KERNEL_FAULTS = {
     (permcore, "right_valleys", "reversal"): "permcore/left-peak-has-right-valley",
     (permcore, "cycle_peaks", "identity"): "permcore/foata-maps-cycle-peaks-to-left-peaks",
     (permcore, "cycle_peaks", "reversal"): "permcore/foata-maps-cycle-peaks-to-left-peaks",
-    (paths, "history_rc", "identity"): "bijections/fz-commutes-with-rc",
+    (paths, "history_rc", "identity"): "paths/history-rc-involution",
     (paths, "history_rc", "reversal"): "paths/history-rc-involution",
 }
 
@@ -169,15 +168,18 @@ def test_wrong_kernel_fails_its_row(monkeypatch, module, name, fault):
         _row(KERNEL_FAULTS[module, name, fault])(4)
 
 
-@pytest.mark.parametrize("module, name, row", [
-    (permcore, "invert", "permcore/invert-involution"),
-    (permcore, "reverse_complement", "permcore/rc-involution"),
-    (paths, "history_rc", "paths/history-rc-involution"),
+@pytest.mark.parametrize("module, name, row, first", [
+    (permcore, "invert", "permcore/invert-involution", "perm '2 3 1'"),
+    (permcore, "reverse_complement", "permcore/rc-involution", "perm '1 3 2'"),
+    (paths, "history_rc", "paths/history-rc-involution", "laguerre 'HUD;0,0,0'"),
 ], ids=["invert", "reverse_complement", "history_rc"])
-def test_involution_rows_pass_an_identity_fault(monkeypatch, module, name, row):
-    # f(f(x)) == x holds for f = identity, so these rows alone cannot catch it
+def test_involution_rows_fail_an_identity_fault(monkeypatch, module, name, row, first):
+    # f(f(x)) == x holds for f = identity; each row checks the formula that defines f
+    # and names the first object in canonical order that the identity gets wrong
     monkeypatch.setattr(module, name, FAULTS["identity"](getattr(module, name)))
-    assert _row(row)(4) == ""
+    with pytest.raises(verify.Counterexample) as excinfo:
+        _row(row)(4)
+    assert str(excinfo.value) == first
 
 
 def _laguerre_typed(good):
