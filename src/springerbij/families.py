@@ -9,10 +9,12 @@ Each family shape has one backtracking search, with family-specific pruning,
 that produces its objects in strictly increasing order of their canonical
 text: nothing is collected or sorted, and the working memory depends on n
 only: O(n^2) candidate tables and weight ranges, a suffix table for the
-zigzag families, O(n) for wip3. The searches keep one candidate iterator per
-position on an explicit stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B). Each
-search feeds the object generator, and Family.text, which writes a whole
-size from leaves (head, tail texts, end) without making the objects.
+zigzag families, a table of pi's last four entries for wip3 (at most
+3((n-2)(n-3))^2 keys, 15,552 and 5.1 MiB at n = 11). The searches keep one
+candidate iterator per position on an explicit stack (Knuth, TAOCP 4A,
+7.2.2, Algorithm B). Each search feeds the object generator, and
+Family.text, which writes a whole size from leaves (head, tail texts, end)
+without making the objects.
 The order rests on one rule. All objects of one size render to the same
 number of tokens (decimals, or the letters of a step word of fixed length),
 and the separators that end a token, ' ' and ',', sort below '-' and the
@@ -296,9 +298,10 @@ def enumerate_rcalt(n: int) -> Iterator[tuple[int, ...]]:
     return _words(_ZIGZAGS["rcalt"](n))
 
 
-def _wip3s(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The 3-WIPs of length n as (sigma, pi) pairs in text order, each sigma (one
-    tuple for all its pairs) fixed before pi is searched under the column-max rule.
+def _wip3s(n: int, text: bool = False) -> Iterator[tuple]:
+    """The 3-WIPs of length n in text order, as leaves (sigma, pi prefix, tails) that
+    stand for the pairs (sigma, prefix + tail). Each sigma (one tuple for all its
+    leaves) is fixed before pi is searched under the column-max rule.
 
     A prefix maximum m_j = max(sigma_1..sigma_j) has 2 m_j <= n + j + 1: the
     n - j + 1 columns from j on all need an entry >= m_j, and only 2 (n - m_j + 1)
@@ -308,13 +311,18 @@ def _wip3s(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     with sigma below top needs a pi entry >= top. All entries so far are <= top,
     so the branch is dead when fewer unused values, n - top + 1 - [top in pi_1..j],
     are >= top than columns, top - 1 - j + [top in sigma_1..j], need one.
+    The search fills pi up to pi_n-4; a table of the call, keyed by the floor, the
+    bitmask of the unused values and sigma's last four entries, lists the tails
+    (pi's last four entries) in text order. With text, the leaves are _text's:
+    sigma's text, ' / ' and the prefix's text; the tails' texts; a newline.
     """
-    order = _in_text_order(range(1, n + 1))
+    order = [(v, 1 << v) for v in _in_text_order(range(1, n + 1))]
     if n <= 0:  # one empty 3-WIP at n = 0, none below
-        yield from [((), ())] * (n == 0)
+        yield from [(" / ", [""], "\n") if text else ((), (), [()])] * (n == 0)
         return
-    candidates = [[v for v in order if 2 * v <= n + j + 1] for j in range(1, n + 1)]
-    sigma, taken, used, stack = [], [False] * (n + 1), [False] * (n + 1), [(iter(candidates[0]), 0)]
+    candidates = [[v for v, _ in order if 2 * v <= n + j + 1] for j in range(1, n + 1)]
+    cut, template, suffixes = max(n - 4, 0), permcore.perm_template(n) + " / ", {}
+    sigma, taken, stack = [], [False] * (n + 1), [(iter(candidates[0]), 0)]
     while stack:  # the sigma search: the candidates left for sigma_j+1 and sigma_j (0, a spare, at sigma_1)
         for v in stack[-1][0]:
             if not taken[v]:
@@ -329,39 +337,40 @@ def _wip3s(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
             stack.append((iter(candidates[len(stack)]), v))
             continue
         row = (*sigma, v)
-        maxima, pi, pis = list(itertools.accumulate(row, max)), [], [(iter(order), 0, 0)]
-        while pis:  # the pi search: the candidates left for pi_j+1, its floor, pi_j
+        head, last = template % row + "%d " * cut if text else row, row[cut:]
+        maxima, pi, used, pis = list(itertools.accumulate(row, max)), [], 0, [(iter(order), 0, 0)]
+        while pis:  # the pi search: the candidates left for pi_j+1, its floor, the bit of pi_j
             j = len(pi)
             left, floor, _ = pis[-1]
-            for b in left:
+            for b, c in left if j < cut else ():
                 top = b if b > row[j] else row[j]
-                if not (used[b] or top < floor
-                        or 2 * top + (top == maxima[j]) + (top == b or used[top]) > n + j + 3):
+                if not (used & c or top < floor
+                        or 2 * top + (top == maxima[j]) + (top == b or used >> top & 1) > n + j + 3):
                     break
-            else:
-                used[pis.pop()[2]] = False
+            else:  # exhausted, or a full prefix, which takes its tails from the table: back up
+                if j == cut:
+                    key = (floor, used, last)
+                    tails = suffixes.get(key)
+                    if tails is None:  # first met: grow the tails one position at a time
+                        tails = [((), floor, used)]
+                        for s in last:
+                            tails = [(t + (b,), top, m | c) for t, f, m in tails for b, c in order
+                                     if not m & c for top in [b if b > s else s] if top >= f]
+                        tails = suffixes[key] = [permcore.format_perm(t) if text else t for t, _, _ in tails]
+                    if tails:
+                        yield (head % tuple(pi), tails, "\n") if text else (head, tuple(pi), tails)
+                used ^= pis.pop()[2]
                 del pi[-1:]
                 continue
-            if j == n - 1:
-                yield row, (*pi, b)
-                continue
-            used[b] = True
+            used |= c
             pi.append(b)
-            pis.append((iter(order), top, b))
+            pis.append((iter(order), top, c))
 
 
 def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
     """All weakly increasing 3-dimensional permutations of length n (S_n many)."""
-    return itertools.starmap(ThreeWIP, _wip3s(n))
-
-
-def _wip3_lines(n: int) -> Iterator[tuple[str, list, str]]:
-    """_wip3s' pairs as _text's leaves: sigma's text and ' / ', and up to TEXT_CHUNK pi texts."""
-    template = permcore.perm_template(n)
-    for sigma, pairs in itertools.groupby(_wip3s(n), operator.itemgetter(0)):
-        head, pis = template % sigma + " / ", map(operator.itemgetter(1), pairs)
-        while tails := list(map(template.__mod__, itertools.islice(pis, TEXT_CHUNK))):
-            yield head, tails, "\n"
+    return itertools.chain.from_iterable(map(ThreeWIP, itertools.repeat(sigma), map(prefix.__add__, tails))
+                                         for sigma, prefix, tails in _wip3s(n))
 
 
 def _labeled_paths(n: int, alphabet: str, closed: bool) -> Iterator[tuple[str, list]]:
@@ -447,7 +456,7 @@ FAMILIES: dict[str, Family] = {
         validate_snake, lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t),
     ),
     "wip3": Family(
-        enumerate_wip3, enumerate_wip3, format_wip3, lambda n: _text(_wip3_lines(n)),
+        enumerate_wip3, enumerate_wip3, format_wip3, lambda n: _text(_wip3s(n, text=True)),
         lambda w: validate_wip3(w.sigma, w.pi), lambda n: springer_egf(n)[n], lambda t: parse_wip3(t),
     ),
     "rcalt": Family(

@@ -878,9 +878,14 @@ def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
     for name, fam in FAMILIES.items():
         counts = [piece.count("\n") for piece in itertools.islice(fam.text(SEARCHES[name][2]), 200)]
         assert len(counts) == 200 and min(counts) > 0 and max(counts) <= 7, (name, counts)
-    # the first sigma at n = 11 has 510 pis: its texts go out 7 at a time, one head
-    leaves = list(itertools.islice(families._wip3_lines(11), 3))
-    assert [len(tails) for _, tails, _ in leaves] == [7] * 3 and len({id(h) for h, _, _ in leaves}) == 1
+    # the first sigma at n = 11 has 510 pis: they come as leaves of at most 8 tails and go
+    # out 7 lines a piece, so its lines are never collected whole
+    first = next(FAMILIES["wip3"].text(11)).partition(" / ")[0] + " / "
+    leaves = list(itertools.takewhile(lambda leaf: leaf[0].startswith(first), families._wip3s(11, text=True)))
+    assert sum(len(tails) for _, tails, _ in leaves) == 510 and max(len(tails) for _, tails, _ in leaves) <= 8
+    pieces = list(itertools.islice(FAMILIES["wip3"].text(11), 73))
+    assert [piece.count("\n") for piece in pieces] == [7] * 73
+    assert [line.startswith(first) for line in "".join(pieces).splitlines()] == [True] * 510 + [False]
 
 
 # Worst case of one _zigzags call's suffix table, its tails d entries long (d = 4
@@ -905,6 +910,23 @@ def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
 # 32,032 suffixes, 5 at most under one key); with four-entry tails it measured
 # 0.8 and 0.9 MiB (4004 keys, 5005 suffixes). The text's table holds the texts in
 # place of the tuples, so the bound, which counts both, is loose for the text.
+#
+# Worst case of one _wip3s call's tail table, its tails the last d = 4 entries of
+# pi. sigma_1..sigma_n-4 are at most n - 2 by the prefix-maximum bound, so sigma's
+# last four entries hold n - 1, n (n in one of the last two places) and an
+# ordered pair below n - 1: 6 (n - 2)(n - 3) of them. A pi prefix that holds
+# n - 1 or n leaves fewer values >= its floor than the four columns left need,
+# and the prune drops it, so the unused values are n - 1, n and two of the
+# values below: C(n - 2, 2) masks. The floor is the largest value placed, fixed
+# by the other two. That is at most 3 ((n - 2)(n - 3))^2 keys, 15,552 at n = 11;
+# full runs meet all of them at n = 4..9. A key's tails depend only on the order
+# of its values, and n = 9's keys, which take every order, list 8 tails at most.
+# A key costs at most KEY_BYTES (its 3-tuple, sigma's tail, the mask, the list
+# header and its share of the dict) and a tail SUFFIX_BYTES, or TEXT_BYTES as a
+# text; the text adds the pieces as above. Under tracemalloc, full runs at n = 9
+# peaked at 1.4 MiB for the objects and 1.6 MiB for the text (5292 keys, 11,137
+# tails); filled by hand with every key at n = 11, the table took 5.0 MiB of
+# tuples and 5.1 MiB of texts (29,989 tails).
 KEY_BYTES, SUFFIX_BYTES, PAIR_BYTES = 400, 96, 96
 ENTRY_BYTES, TEXT_KEY_BYTES, TEXT_BYTES = 8, 200, 128
 ALTERNATING_ORDERS = {3: 2, 4: 5}  # E_3, E_4
@@ -914,10 +936,19 @@ def _table_bound(n, m, entries, depth, text):
     values = m * n
     key = KEY_BYTES + TEXT_KEY_BYTES * text
     suffix = SUFFIX_BYTES + ENTRY_BYTES * (entries - 4) + TEXT_BYTES * text
-    pieces = 2 * families.TEXT_CHUNK * (4 * 2 * n + 64) * text
     suffixes = ALTERNATING_ORDERS[depth - 1] * m ** (depth - 1)
     table = values * math.comb(n, depth - 1) * (key + suffixes * suffix)
-    return table + 3 * (values + 1) ** 2 * PAIR_BYTES + pieces
+    return table + 3 * (values + 1) ** 2 * PAIR_BYTES + _pieces_bound(n, text)
+
+
+def _wip3_table_bound(n, text):
+    keys = 3 * ((n - 2) * (n - 3)) ** 2
+    return keys * (KEY_BYTES + 8 * (TEXT_BYTES if text else SUFFIX_BYTES)) + _pieces_bound(n, text)
+
+
+def _pieces_bound(n, text):
+    # a piece of TEXT_CHUNK lines of at most 2n entries, twice while it is joined
+    return 2 * families.TEXT_CHUNK * (4 * 2 * n + 64) * text
 
 
 def _peak(items, count):
@@ -951,6 +982,31 @@ def test_suffix_table_and_tail_texts_stay_within_their_worst_case(family, n, m, 
     drained, peak = _peak(FAMILIES[family].text(n), lines // families.TEXT_CHUNK)
     assert drained == lines // families.TEXT_CHUNK
     assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("text", [False, True])
+def test_wip3_tail_table_stays_within_its_worst_case(text):
+    # the first 200,000 objects or lines at the ceiling
+    n, count = FAMILIES["wip3"].ceiling, 200_000 // families.TEXT_CHUNK if text else 200_000
+    bound = _wip3_table_bound(n, text)
+    drained, peak = _peak(FAMILIES["wip3"].text(n) if text else FAMILIES["wip3"].generate(n), count)
+    assert drained == count
+    assert peak <= bound, (peak, bound)
+
+
+def test_wip3_tail_table_meets_every_key_of_its_worst_case():
+    # full runs meet the worst case's 3 ((n - 2)(n - 3))^2 keys from n = 4 on, none of
+    # them with more than 8 tails; a key without sigma's tail would meet fewer, a prune
+    # or sigma bound that lets dead prefixes through more. The table is the search's
+    # local `suffixes`, read off its frame
+    for n, keys in {1: 1, 2: 2, 3: 4, **{n: 3 * ((n - 2) * (n - 3)) ** 2 for n in range(4, 9)}}.items():
+        leaves = families._wip3s(n)
+        next(leaves)
+        table = leaves.gi_frame.f_locals["suffixes"]
+        for _ in leaves:
+            pass
+        assert len(table) == keys, (n, len(table))
+        assert max(map(len, table.values())) <= 8, n
 
 
 

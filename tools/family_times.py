@@ -11,8 +11,11 @@ the null device, with the two trees' order alternating from round to round.
 The times are perf_counter seconds.
 
 The output is one JSON object: per "family@n", the best and the median
-seconds of each tree, and the method. Each tree's output is checked against
-the other's by its SHA-256 before timing; a difference exits with status 1.
+seconds of each tree, each tree's tracemalloc peak of one call in MiB (the
+memory the call allocates beyond what the process held before it, measured
+in an untimed call of its own), and the method. Each tree's output is checked
+against the other's by its SHA-256 before timing; a difference exits with
+status 1.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 # the enumerate workload of perfbench/run.py: family -> n
 CALLS = {"snakes": 8, "wip3": 7, "rcalt": 8, "lbp": 8, "laguerre": 8, "altperm": 11}
@@ -58,6 +62,16 @@ def time_once(cli, family: str, n: int, sink) -> float:
     return elapsed
 
 
+def peak_once(cli, family: str, n: int, sink) -> int:
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        cli.main(["enumerate", "--family", family, "--n", str(n)], stdout=sink, stderr=sink)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", help="the src/ directory of the first tree")
@@ -73,18 +87,22 @@ def main(argv=None) -> int:
             return 1
     times = {(side, family): [] for side in trees for family in CALLS}
     with open(os.devnull, "w") as sink:
+        peaks = {(side, family): peak_once(cli, family, n, sink)
+                 for family, n in CALLS.items() for side, cli in trees.items()}
         for round_no in range(args.rounds):
             order = list(trees) if round_no % 2 == 0 else list(reversed(trees))
             for family, n in CALLS.items():
                 for side in order:
                     times[side, family].append(time_once(trees[side], family, n, sink))
     report = {"method": f"in process: cli.main(['enumerate', ...]) into the null device, the two trees "
-                        f"alternated, {args.rounds} rounds, seconds of perf_counter, best and median"}
+                        f"alternated, {args.rounds} rounds, seconds of perf_counter, best and median; "
+                        f"the tracemalloc peak of one more call per tree, in MiB"}
     for family, n in CALLS.items():
         row = {}
         for side in trees:
             row[f"{side}_best_s"] = round(min(times[side, family]), 4)
             row[f"{side}_median_s"] = round(statistics.median(times[side, family]), 4)
+            row[f"{side}_peak_mib"] = round(peaks[side, family] / 2**20, 3)
         report[f"{family}@{n}"] = row
     for side in trees:
         report[f"total_best_{side}_s"] = round(sum(min(times[side, f]) for f in CALLS), 4)
