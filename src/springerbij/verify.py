@@ -74,7 +74,7 @@ def _holds(cap: int, sides: Sequence[Side]) -> str:
     return ""
 
 
-def _bijective(cap: int, name: str, sides: Sequence[Side] = ()) -> str:
+def _bijective(cap: int, name: str, sides: Sequence[Side]) -> str:
     """The bijection maps each size of its domain one-to-one onto its codomain.
 
     Each side's predicate also holds on each domain object x, given f(x); with
@@ -115,13 +115,12 @@ def _counts(cap: int, names: Sequence[str]) -> str:
 # properties of one object
 
 def _roundtrip(name: str) -> list[Side]:
-    """The sides inverse(f(x)) == x on the domain and f(inverse(y)) == y on the codomain
-    of the named bijection; a caller that holds x's image under the first map passes it."""
+    """The sides inverse(f(x)) == x on the domain and f(inverse(y)) == y on the codomain of
+    the named bijection. A bijective row passes the first the image f(x) that it holds."""
+    bij = bijections.BIJECTIONS[name]
     def undone(x, image=None, back=False) -> bool:
-        bij = bijections.BIJECTIONS[name]
         there, again = (bij.inverse, bij.forward) if back else (bij.forward, bij.inverse)
         return again(there(x) if image is None else image) == x
-    bij = bijections.BIJECTIONS[name]
     return [(bij.domain, undone), (bij.codomain, functools.partial(undone, back=True))]
 
 
@@ -152,17 +151,18 @@ def _pattern_sum_matches_height(perm: Sequence[int]) -> bool:
                for i, cap in enumerate(caps, start=1))
 
 
-def _wbar_involution(cap: int) -> str:
+def _wbar_complements(lbp, caps: Sequence[int]) -> bool:
     """wbar is the complement of each weight within its cap, record type included. Each size's
-    paths are closed under that involution, so this gives wbar(wbar(x)) = x as well."""
-    caps: dict[str, list[int]] = {}  # step word -> weight cap of each step
+    paths are closed under that involution, so on all of them this gives wbar(wbar(x)) = x."""
+    return paths.wbar(lbp) == type(lbp)(lbp.steps, tuple(map(operator.sub, caps, lbp.weights)))
 
+
+def _wbar_involution(cap: int) -> str:
+    caps: dict[str, list[int]] = {}  # step word -> weight cap of each step, computed once
     def complements(lbp) -> bool:
         if lbp.steps not in caps:
             caps[lbp.steps] = paths.weight_caps(lbp)
-        return paths.wbar(lbp) == paths.LabeledBallotPath(
-            lbp.steps, tuple(map(operator.sub, caps[lbp.steps], lbp.weights)))
-
+        return _wbar_complements(lbp, caps[lbp.steps])
     return _holds(cap, [("lbp", complements)])
 
 
@@ -268,10 +268,13 @@ PER_OBJECT: list[tuple[str, int, Callable[..., str], list[Side]]] = [
     ("bijections/bigpsi-roundtrip", 6, _holds, _roundtrip("bigpsi")),
     ("bijections/fz-commutes-with-rc", 7, _holds, [("perm", lambda p: bijections.fz(
         permcore.reverse_complement(p)) == paths.history_rc(bijections.fz(p)))]),
-    ("bijections/fz-roundtrip", 7, _holds, _roundtrip("fz")),
+    ("bijections/fz-bijective", 7, functools.partial(_bijective, name="fz"), _roundtrip("fz")[:1]),
+    ("bijections/fz-roundtrip", 7, _holds, _roundtrip("fz")[1:]),
     ("bijections/pattern-sum-matches-height", 7, _holds, [("perm", _pattern_sum_matches_height)]),
-    ("bijections/phi-roundtrip", 6, _holds, _roundtrip("phi")),
-    ("bijections/psi-roundtrip", 6, _holds, _roundtrip("psi")),
+    ("bijections/phi-bijective", 6, functools.partial(_bijective, name="phi"), _roundtrip("phi")[:1]),
+    ("bijections/phi-roundtrip", 6, _holds, _roundtrip("phi")[1:]),
+    ("bijections/psi-bijective", 6, functools.partial(_bijective, name="psi"), _roundtrip("psi")[:1]),
+    ("bijections/psi-roundtrip", 6, _holds, _roundtrip("psi")[1:]),
     ("bijections/rcalt-history-is-rc-fixed-dyck", 6, _holds, [("rcalt", _rcalt_image_shape)]),
     ("bijections/rcalt-middle-parity", 6, _holds, [("rcalt", _middle_parity)]),
     ("bijections/snake-sign-pattern", 8, _holds, [("snakes", _snake_sign_pattern)]),
@@ -297,9 +300,6 @@ PER_OBJECT: list[tuple[str, int, Callable[..., str], list[Side]]] = [
 # ranges of each invariant, and each check looks up the library when it runs
 PROPERTIES: list[tuple[str, int, Callable[[int], str]]] = sorted([
     *((name, cap, functools.partial(check, sides=sides)) for name, cap, check, sides in PER_OBJECT),
-    ("bijections/fz-bijective", 7, lambda cap: _bijective(cap, "fz")),
-    ("bijections/phi-bijective", 6, lambda cap: _bijective(cap, "phi")),
-    ("bijections/psi-bijective", 6, lambda cap: _bijective(cap, "psi")),
     ("families/alternating-count-matches-euler", 8, lambda cap: _counts(cap, ["altperm"])),
     ("families/canonical-order", 6, _canonical_order),
     ("families/four-way-count-equality", 6, lambda cap: _counts(cap, ["snakes", "wip3", "rcalt", "lbp"])),

@@ -153,11 +153,11 @@ test_rc_is_involution = _row_test("permcore/rc-involution", "perm")
 test_foata_roundtrips = _row_test("permcore/foata-roundtrip", "perm")
 test_foata_transports_cycle_peaks_to_left_peaks = _row_test("permcore/foata-maps-cycle-peaks-to-left-peaks", "perm")
 test_pattern_rc_duality = _row_test("permcore/pattern-count-rc-duality", "perm")
-test_fz_roundtrip = _row_test("bijections/fz-roundtrip", "perm")
+test_fz_roundtrip = _row_test("bijections/fz-bijective", "perm")
 test_fz_commutes_with_rc = _row_test("bijections/fz-commutes-with-rc", "perm")
 test_fz_inverse_then_fz = _row_test("bijections/fz-roundtrip", "laguerre")
 test_pattern_sum_matches_height = _row_test("bijections/pattern-sum-matches-height", "perm")
-test_psi_roundtrip_and_membership = _row_test("bijections/psi-roundtrip", "snakes")
+test_psi_roundtrip_and_membership = _row_test("bijections/psi-bijective", "snakes")
 test_snake_to_lbp_roundtrip = _row_test("bijections/snake2lbp-bijective", "snakes")
 test_history_rc_is_involution = _row_test("paths/history-rc-involution", "laguerre")
 test_extend_halve_roundtrip = _row_test("paths/extend-to-rc-fixed-closure", "lbp")
@@ -173,8 +173,8 @@ def test_every_predicate_holds_on_uniform_samples(domain, n, count):
 
 @given(labeled_ballot_paths())
 def test_wbar_is_involution(lbp):
-    # the wbar row checks each path against the complement of its weights, with
-    # the caps of each step word computed once per row, so it is no predicate
+    # the wbar row's predicate, which takes the caps that the row computes once per step word
+    assert verify._wbar_complements(lbp, paths.weight_caps(lbp))
     assert paths.wbar(paths.wbar(lbp)) == lbp
 
 

@@ -2,6 +2,7 @@
 self-checks and the verify rows also run under python -O, and wrong maps fail rows."""
 
 import ast
+import collections
 import dataclasses
 import io
 import os
@@ -45,9 +46,11 @@ def test_faulty_bijection_fails_under_optimize_flag():
         "    print(r.name, 'PASS' if r.passed else 'FAIL', r.detail)\n"
     )
     rows = {line.split()[0]: line for line in stdout.splitlines()}
+    assert rows["bijections/psi-bijective"].split()[1] == "FAIL"
     assert rows["bijections/psi-roundtrip"].split()[1] == "FAIL"
-    # the detail names the first counterexample in canonical text
-    assert "Counterexample: snakes '1 -2'" in rows["bijections/psi-roundtrip"]
+    # each detail names the first counterexample of its side in canonical text
+    assert "Counterexample: snakes '1 -2'" in rows["bijections/psi-bijective"]
+    assert "Counterexample: rcalt '2 1 4 3'" in rows["bijections/psi-roundtrip"]
 
 
 def test_map_self_check_runs_under_optimize_flag():
@@ -278,6 +281,34 @@ def test_bars_row_finds_the_peak_valley_pairs_twice_per_snake(monkeypatch):
     assert len(calls) == 2 * sum(1 for n in range(7) for _ in families.enumerate_snakes(n))
 
 
+# bijection -> its forward and inverse function, as its BIJECTIONS lambdas look them up by
+# name, and the domains that its rows walk; snake2lbp's one row walks the snakes alone
+WALKS = {
+    "bigpsi": ("rcalt_to_lbp", "lbp_to_rcalt", ["rcalt", "lbp"]),
+    "fz": ("fz", "fz_inverse", ["perm", "laguerre"]),
+    "phi": ("phi", "phi_inverse", ["wip3", "snakes"]),
+    "psi": ("psi", "psi_inverse", ["snakes", "rcalt"]),
+    "snake2lbp": ("snake_to_lbp", "lbp_to_snake", ["snakes"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_bijection_rows_map_each_object_once(monkeypatch, name):
+    # the bijective row checks inverse(f(x)) == x with the f(x) that it holds, and the
+    # roundtrip row f(inverse(y)) == y: each map runs once per object of each walked domain
+    forward, inverse, domains = WALKS[name]
+    calls = collections.Counter()
+    for fn in (forward, inverse):
+        real = getattr(bijections, fn)
+        monkeypatch.setattr(bijections, fn, lambda x, fn=fn, real=real: calls.update([fn]) or real(x))
+    rows = [row for row, _, _ in verify.PROPERTIES
+            if row in (f"bijections/{name}-bijective", f"bijections/{name}-roundtrip")]
+    for row in rows:
+        _row(row)(5)
+    objects = sum(1 for domain in domains for n in range(6) for _ in verify._objects(domain, n))
+    assert rows and calls == {forward: objects, inverse: objects}
+
+
 # --- the failure branches of the generic checks, each under one fault ---------
 
 def _replace_family(monkeypatch, name, **fields):
@@ -290,7 +321,7 @@ def test_dropped_domain_object_fails_the_bijective_row(monkeypatch):
     last = list(good(3))[-1]
     _replace_family(monkeypatch, "wip3", generate=lambda n: (w for w in good(n) if n != 3 or w != last))
     with pytest.raises(verify.Counterexample) as excinfo:
-        verify._bijective(6, "phi")
+        _row("bijections/phi-bijective")(6)
     assert str(excinfo.value) == f"snakes {verify._text('snakes', bijections.phi(last))!r} is no image"
 
 
