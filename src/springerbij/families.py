@@ -10,11 +10,15 @@ that produces its objects in strictly increasing order of their canonical
 text: nothing is collected or sorted, and the working memory depends on n
 only: O(n^2) candidate tables and weight ranges, a suffix table for the
 zigzag families, a table of pi's last four entries for wip3 (at most
-3((n-2)(n-3))^2 keys, 15,552 and 5.1 MiB at n = 11). The searches keep one
+3((n-2)(n-3))^2 keys, 15,552 and 5.1 MiB at n = 11). Each search keeps one
 candidate iterator per position on an explicit stack (Knuth, TAOCP 4A,
-7.2.2, Algorithm B). Each search feeds the object generator, and
-Family.text, which writes a whole size from leaves (head, tail texts, end)
-without making the objects.
+7.2.2, Algorithm B), so no n is too deep. The zigzag and pi searches, whose
+steps make leaves of objects (19,608 for snakes at n = 8, 8,600 for wip3 at
+n = 7), are written out, since a call per step costs; the cold ones, wip3's
+first rows (516 at n = 7) and the paths' step words (70 and 1,430 at n = 8
+for 250,737 lbp paths and 40,320 laguerre histories), share _walk. Each
+search feeds the object generator, and Family.text, which writes a whole
+size from leaves (head, tail texts, end) without making the objects.
 The order rests on one rule. All objects of one size render to the same
 number of tokens (decimals, or the letters of a step word of fixed length),
 and the separators that end a token, ' ' and ',', sort below '-' and the
@@ -182,6 +186,18 @@ def _in_text_order(values: Iterable[int]) -> list[int]:
     return sorted(values, key=str)
 
 
+def _walk(n: int, start: tuple, moves: Callable[..., Iterator]) -> Iterator:
+    """The states (tuples) n moves from start, depth first, in the order of the lazy moves(*state)."""
+    stack = [iter([start])] if n >= 0 else []  # stack[i]: the states i moves from start not yet tried
+    while stack:
+        if len(stack) > n:
+            yield from stack.pop()
+        elif (state := next(stack[-1], None)) is None:  # exhausted: back up
+            stack.pop()
+        else:
+            stack.append(moves(*state))
+
+
 def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
              last_ok: Callable[[int], bool] = lambda v: True, mirror: Callable[[int], int] | None = None,
              depth: int = 4, text: bool = False) -> Iterator[tuple]:
@@ -301,7 +317,7 @@ def enumerate_rcalt(n: int) -> Iterator[tuple[int, ...]]:
 def _wip3s(n: int, text: bool = False) -> Iterator[tuple]:
     """The 3-WIPs of length n in text order, as leaves (sigma, pi prefix, tails) that
     stand for the pairs (sigma, prefix + tail). Each sigma (one tuple for all its
-    leaves) is fixed before pi is searched under the column-max rule.
+    leaves, from _walk) is fixed before pi is searched under the column-max rule.
 
     A prefix maximum m_j = max(sigma_1..sigma_j) has 2 m_j <= n + j + 1: the
     n - j + 1 columns from j on all need an entry >= m_j, and only 2 (n - m_j + 1)
@@ -317,26 +333,12 @@ def _wip3s(n: int, text: bool = False) -> Iterator[tuple]:
     sigma's text, ' / ' and the prefix's text; the tails' texts; a newline.
     """
     order = [(v, 1 << v) for v in _in_text_order(range(1, n + 1))]
-    if n <= 0:  # one empty 3-WIP at n = 0, none below
-        yield from [(" / ", [""], "\n") if text else ((), (), [()])] * (n == 0)
-        return
-    candidates = [[v for v, _ in order if 2 * v <= n + j + 1] for j in range(1, n + 1)]
+
+    def rows(row, taken):  # sigma_j for j = len(row) + 1: the values not taken with 2 v <= n + j + 1
+        return ((row + (v,), taken | b) for v, b in order if not taken & b and 2 * v <= n + len(row) + 2)
+
     cut, template, suffixes = max(n - 4, 0), permcore.perm_template(n) + " / ", {}
-    sigma, taken, stack = [], [False] * (n + 1), [(iter(candidates[0]), 0)]
-    while stack:  # the sigma search: the candidates left for sigma_j+1 and sigma_j (0, a spare, at sigma_1)
-        for v in stack[-1][0]:
-            if not taken[v]:
-                break
-        else:  # exhausted: back up and free the entry before
-            taken[stack.pop()[1]] = False
-            del sigma[-1:]
-            continue
-        if len(stack) < n:
-            taken[v] = True
-            sigma.append(v)
-            stack.append((iter(candidates[len(stack)]), v))
-            continue
-        row = (*sigma, v)
+    for row, _ in _walk(n, ((), 0), rows):
         head, last = template % row + "%d " * cut if text else row, row[cut:]
         maxima, pi, used, pis = list(itertools.accumulate(row, max)), [], 0, [(iter(order), 0, 0)]
         while pis:  # the pi search: the candidates left for pi_j+1, its floor, the bit of pi_j
@@ -375,31 +377,19 @@ def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
 
 def _labeled_paths(n: int, alphabet: str, closed: bool) -> Iterator[tuple[str, list]]:
     """The step words of the weighted paths of length n over alphabet, in letter
-    order, each with its text-ordered weight ranges: the word's paths, in text
-    order, are the product of its ranges. A step whose range is empty (D or T on
-    the axis) is never taken; closed paths must end on the axis.
+    order (a _walk), each with its text-ordered weight ranges: the word's paths, in
+    text order, are the product of its ranges. A step whose range is empty (D or T
+    on the axis) is never taken; closed paths must end on the axis.
     """
-    if n <= 0:  # one empty word at n = 0, none below
-        yield from [("", [])] * (n == 0)
-        return
     # moves[h]: (letter, height after it, weights) of each step open at height h
     moves = [[(s, h + rise, tuple(_in_text_order(range(h - drop + 1)))) for s in sorted(alphabet)
               for rise, drop in [STEP_RULES[s]] if h >= drop] for h in range(n)]
-    steps, ranges, stack = [], [], [iter(moves[0])]  # stack[i]: the steps left for step i + 1
-    while stack:
-        for s, h, weights in stack[-1]:
-            if not closed or h < n - len(steps):  # a closed path must get back to the axis
-                break
-        else:  # exhausted: back up
-            stack.pop()
-            del steps[-1:], ranges[-1:]
-            continue
-        if len(steps) < n - 1:
-            steps.append(s)
-            ranges.append(weights)
-            stack.append(iter(moves[h]))
-            continue
-        yield "".join(steps) + s, [*ranges, weights]
+
+    def extend(word, height, ranges):  # a closed path must get back to the axis
+        return ((word + s, h, ranges + [weights]) for s, h, weights in moves[height]
+                if not closed or h < n - len(word))
+
+    return ((word, ranges) for word, _, ranges in _walk(n, ("", 0, []), extend))
 
 
 def _paths(leaves: Iterator[tuple[str, list]], make: Callable) -> Iterator:

@@ -130,10 +130,10 @@ def _refuse_to_run(n):
 @pytest.mark.parametrize("command", [["enumerate"], ["count", "--method", "enumerate"]],
                          ids=["enumerate", "count-enumerate"])
 def test_enumeration_above_the_ceiling_is_a_usage_error(monkeypatch, family, command):
-    # the generators are replaced, so a missing check fails here instead of running
+    # the generators and the text are replaced, so a missing check fails here instead of running
     fam = families.FAMILIES[family]
     monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(
-        fam, enumerate=_refuse_to_run, generate=_refuse_to_run))
+        fam, enumerate=_refuse_to_run, generate=_refuse_to_run, text=_refuse_to_run))
     n = str(CEILINGS[family] + 1)
     code, out, err = run_cli([*command, "--family", family, "--n", n])
     assert code == 2 and out == ""

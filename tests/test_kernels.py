@@ -19,6 +19,7 @@ references; each compares its inputs with the kernel's one reference.
 """
 
 import functools
+import hashlib
 import io
 import itertools
 import math
@@ -76,6 +77,8 @@ from springerbij.permcore import (
     reverse_complement,
     right_valleys,
 )
+
+from test_benchmark_names import _literal
 
 # (alphabet, closed) of every caller of _caps: labeled ballot paths, halve_rc_fixed,
 # weight_caps and Laguerre histories
@@ -838,7 +841,7 @@ def test_text_matches_the_earlier_text_at_the_ceiling(monkeypatch, family):
 
 
 # the enumerate workload's n per family
-WORKLOAD_N = {"snakes": 8, "wip3": 7, "rcalt": 8, "lbp": 8, "laguerre": 8, "altperm": 11}
+WORKLOAD_N = {family: n for family, n, _, _ in _literal("run", "ENUMERATE_CALLS")["full"]}
 
 
 @pytest.mark.parametrize("family", sorted(WORKLOAD_N))
@@ -864,6 +867,17 @@ def test_generators_start_at_most_three_frames_per_object(family):
     finally:
         sys.setprofile(previous)
     assert calls <= 3 * 2000, calls / 2000
+
+
+def test_walked_searches_go_deeper_than_the_recursion_limit():
+    # n = 1100 is above CPython's default recursion limit of 1000, so a search that
+    # recursed once per position would raise RecursionError here
+    path = next(enumerate_lbp(1100))
+    assert (path.steps, path.weights) == ("UD" * 550, (0,) * 1100)
+    text = format_wip3(next(FAMILIES["wip3"].generate(1100)))
+    assert text.startswith("1 10 100 101 ")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d8635a2c6e7b3fffa6c58a79c978a590bfa0a7f8d1aae62edb5a548d039328c6")
 
 
 def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):

@@ -21,6 +21,7 @@ status 1.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import importlib
 import io
@@ -31,8 +32,16 @@ import sys
 import time
 import tracemalloc
 
-# the enumerate workload of perfbench/run.py: family -> n
-CALLS = {"snakes": 8, "wip3": 7, "rcalt": 8, "lbp": 8, "laguerre": 8, "altperm": 11}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def workload() -> dict[str, int]:
+    """The enumerate workload of perfbench/run.py, family -> n: ENUMERATE_CALLS["full"], read, not imported."""
+    with open(os.path.join(ROOT, "perfbench", "run.py")) as f:
+        tree = ast.parse(f.read())
+    calls = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ENUMERATE_CALLS"])
+    return {family: n for family, n, _, _ in calls["full"]}
 
 
 def load(src: str):
@@ -80,24 +89,25 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="also write the JSON to this file")
     args = parser.parse_args(argv)
     trees = {"before": load(args.before), "after": load(args.after)}
-    for family, n in CALLS.items():
+    calls = workload()
+    for family, n in calls.items():
         sums = {side: digest(cli, family, n) for side, cli in trees.items()}
         if len(set(sums.values())) != 1:
             print(f"{family}@{n}: the two trees write different text {sums}", file=sys.stderr)
             return 1
-    times = {(side, family): [] for side in trees for family in CALLS}
+    times = {(side, family): [] for side in trees for family in calls}
     with open(os.devnull, "w") as sink:
         peaks = {(side, family): peak_once(cli, family, n, sink)
-                 for family, n in CALLS.items() for side, cli in trees.items()}
+                 for family, n in calls.items() for side, cli in trees.items()}
         for round_no in range(args.rounds):
             order = list(trees) if round_no % 2 == 0 else list(reversed(trees))
-            for family, n in CALLS.items():
+            for family, n in calls.items():
                 for side in order:
                     times[side, family].append(time_once(trees[side], family, n, sink))
     report = {"method": f"in process: cli.main(['enumerate', ...]) into the null device, the two trees "
                         f"alternated, {args.rounds} rounds, seconds of perf_counter, best and median; "
                         f"the tracemalloc peak of one more call per tree, in MiB"}
-    for family, n in CALLS.items():
+    for family, n in calls.items():
         row = {}
         for side in trees:
             row[f"{side}_best_s"] = round(min(times[side, family]), 4)
@@ -105,7 +115,7 @@ def main(argv=None) -> int:
             row[f"{side}_peak_mib"] = round(peaks[side, family] / 2**20, 3)
         report[f"{family}@{n}"] = row
     for side in trees:
-        report[f"total_best_{side}_s"] = round(sum(min(times[side, f]) for f in CALLS), 4)
+        report[f"total_best_{side}_s"] = round(sum(min(times[side, f]) for f in calls), 4)
     text = json.dumps(report, indent=1)
     print(text)
     if args.out:
