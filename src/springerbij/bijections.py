@@ -21,11 +21,11 @@ cores (_phi, _fz, _fz_inverse) where a neighbouring check covers them.
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import chain
 from operator import itemgetter, neg
-from typing import Any, Callable, Iterable, Sequence
+from typing import Sequence
 
 from . import paths
 from .errors import MarkNotCyclePeak, ValidationError
@@ -318,13 +318,10 @@ def lbp_to_snake(lbp: LabeledBallotPath) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # one record per bijection
 
-@dataclasses.dataclass(frozen=True)
-class Bijection:
-    domain: str                   # a families.domain name
-    codomain: str
-    forward: Callable[[Any], Any]
-    inverse: Callable[[Any], Any]
-    trace: Callable[[Any], Iterable[tuple[str, str]]] | None = None  # member, unchecked: map ran first
+# domain and codomain are families.domain names; forward and inverse map one
+# object; trace, if any, maps a member (unchecked: map ran first) to its
+# (label, text) lines
+Bijection = namedtuple("Bijection", "domain codomain forward inverse trace", defaults=(None,))
 
 
 def _phi_lines(wip: ThreeWIP) -> tuple[tuple[str, str], ...]:

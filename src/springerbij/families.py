@@ -36,6 +36,7 @@ import dataclasses
 import itertools
 import math
 import operator
+from collections import namedtuple
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import paths, permcore
@@ -53,12 +54,10 @@ from .paths import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class ThreeWIP:
-    """A pair of equal-length permutations whose columnwise maxima weakly increase."""
+class ThreeWIP(permcore.Record, namedtuple("ThreeWIP", "sigma pi")):
+    """A pair of equal-length permutations (tuples) whose columnwise maxima weakly increase."""
 
-    sigma: tuple[int, ...]
-    pi: tuple[int, ...]
+    __slots__ = ()
 
 
 _NOT_WIP3 = "columnwise maxima are not weakly increasing over two permutations"

@@ -12,8 +12,8 @@ is exact integer arithmetic throughout.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+from collections import namedtuple
 from operator import sub
 from typing import Sequence
 
@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
     WeightOutOfRange,
 )
+from .permcore import Record
 
 BALLOT_ALPHABET = "UD"
 MOTZKIN_ALPHABET = "UDHT"
@@ -38,20 +39,16 @@ _RULES = {a: {s: STEP_RULES[s] for s in a} for a in (BALLOT_ALPHABET, MOTZKIN_AL
 _FLIP = str.maketrans("UD", "DU")
 
 
-@dataclasses.dataclass(frozen=True)
-class LabeledBallotPath:
-    """A U/D step word plus one weight per step, within the height bounds."""
+class LabeledBallotPath(Record, namedtuple("LabeledBallotPath", "steps weights")):
+    """A U/D step word (a str) plus a tuple of one weight per step, within the height bounds."""
 
-    steps: str
-    weights: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class LaguerreHistory:
-    """A closed two-colored Motzkin word plus one weight per step."""
+class LaguerreHistory(Record, namedtuple("LaguerreHistory", "steps weights")):
+    """A closed two-colored Motzkin word (a str) plus a tuple of one weight per step."""
 
-    steps: str
-    weights: tuple[int, ...]
+    __slots__ = ()
 
 
 def height_profile(steps: str) -> tuple[int, ...]:

@@ -12,9 +12,9 @@ Everything here is a pure function on immutable values.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
+from collections import namedtuple
 from itertools import chain, repeat
 from operator import gt, lt, sub
 from typing import Sequence
@@ -249,16 +249,28 @@ def count_pat_2_31_at(perm: Sequence[int], value: int) -> int:
     return count
 
 
-@dataclasses.dataclass(frozen=True)
-class MarkedPermutation:
-    """A permutation with a set of marked values.
+class Record(tuple):
+    """Base of the value records, named tuples: a record iterates, unpacks and sorts
+    as the tuple of its fields, but equals only a record of its own class."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
+class MarkedPermutation(Record, namedtuple("MarkedPermutation", "perm marks")):
+    """A permutation (a tuple) with a frozenset of marked values.
 
     Marks travel with values, not positions, which is what lets them survive
     the trip between cycle form and one-line form.
     """
 
-    perm: tuple[int, ...]
-    marks: frozenset[int]
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

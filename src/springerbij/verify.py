@@ -17,12 +17,12 @@ the row runs, never at import time.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
 import os
 import time
+from collections import namedtuple
 from typing import Callable, Iterator, Sequence
 
 from . import bijections, families, paths, permcore
@@ -31,13 +31,8 @@ Side = tuple[str, Callable[..., bool]]  # (domain, predicate on one object of it
 _UD = str.maketrans("UD", "DU")  # history_rc swaps U and D
 
 
-@dataclasses.dataclass
-class PropertyResult:
-    name: str
-    bound: int          # highest n actually covered
-    passed: bool
-    elapsed: float
-    detail: str = ""
+# bound is the highest n actually covered; elapsed is in seconds
+PropertyResult = namedtuple("PropertyResult", "name bound passed elapsed detail", defaults=("",))
 
 
 class Counterexample(Exception):
@@ -217,21 +212,20 @@ def _canonical_order(cap: int) -> str:
 def _mutations(obj) -> Iterator:
     """One-step mutations of an object, by its type: a step word gets one letter
     replaced by each other step letter; an int tuple gets two entries swapped, or
-    one entry negated or raised by one; a record gets one field mutated."""
+    one entry negated or raised by one; a record (a tuple too) gets one field mutated."""
     if isinstance(obj, str):
         for i, s in enumerate(obj):
             yield from (obj[:i] + t + obj[i + 1:] for t in paths.STEP_RULES if t != s)
-    elif isinstance(obj, tuple):
+    elif isinstance(obj, permcore.Record):
+        for field, value in zip(obj._fields, obj):
+            yield from (obj._replace(**{field: mutated}) for mutated in _mutations(value))
+    else:
         for i, j in itertools.combinations(range(len(obj)), 2):
             mutated = list(obj)
             mutated[i], mutated[j] = mutated[j], mutated[i]
             yield tuple(mutated)
         for i, v in enumerate(obj):
             yield from (obj[:i] + (w,) + obj[i + 1:] for w in (-v, v + 1))
-    else:
-        for field in dataclasses.fields(obj):
-            for value in _mutations(getattr(obj, field.name)):
-                yield dataclasses.replace(obj, **{field.name: value})
 
 
 def _validates(name: str, obj) -> bool:

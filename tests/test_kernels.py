@@ -719,7 +719,7 @@ def test_renderers_match_the_map_str_oracles():
 
 def _shapes(objects):
     """The set of the objects' types and, for records, of each field's types."""
-    fields = vars(objects[0]) if objects and type(objects[0]) is not tuple else ()
+    fields = objects[0]._fields if objects and type(objects[0]) is not tuple else ()
     return (set(map(type, objects)),
             *(set(map(type, map(operator.attrgetter(field), objects))) for field in fields))
 

@@ -1,4 +1,4 @@
-"""The modules of springerbij share no private names."""
+"""The modules of springerbij share no private names, and only Family is a dataclass."""
 
 import ast
 from pathlib import Path
@@ -39,6 +39,23 @@ def test_no_module_reads_a_private_name_of_another():
                   and node.value.id in siblings and node.attr.startswith("_")
                   and not node.attr.startswith("__")]
     assert found == []
+
+
+def _names_a_dataclass(node):
+    name = (node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name)
+            else node.name if isinstance(node, ast.alias) else None)
+    return name in ("dataclass", "make_dataclass")
+
+
+def test_family_is_the_only_dataclass():
+    # each dataclass generates its methods with exec at import, about 1 ms of every CLI
+    # start per decoration; the value records are permcore.Record named tuples instead.
+    # Family stays a dataclass because perfbench/tracer.py rebuilds it with dataclasses.replace.
+    found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
+             if _names_a_dataclass(node)]
+    family = next(node for node in ast.parse((SRC / "families.py").read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == "Family")
+    assert found == [f"families.py:{family.decorator_list[0].lineno}"]
 
 
 TESTS = Path(__file__).resolve().parent

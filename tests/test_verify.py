@@ -115,9 +115,9 @@ def test_faulty_lines_fails_the_canonical_order_row(monkeypatch, family):
 def _reversed(obj):
     if isinstance(obj, ThreeWIP):
         return ThreeWIP(obj.sigma[::-1], obj.pi[::-1])
-    if isinstance(obj, tuple):
-        return obj[::-1]
-    return type(obj)(obj.steps[::-1], obj.weights[::-1])
+    if isinstance(obj, (paths.LabeledBallotPath, paths.LaguerreHistory)):
+        return type(obj)(obj.steps[::-1], obj.weights[::-1])
+    return obj[::-1]
 
 
 FAULTS = {"identity": lambda good: lambda obj: obj,
@@ -187,7 +187,7 @@ def test_involution_rows_fail_an_identity_fault(monkeypatch, module, name, row, 
 
 def _laguerre_typed(good):
     # the right step word and weights, in the wrong record
-    return lambda lbp: paths.LaguerreHistory(*dataclasses.astuple(good(lbp)))
+    return lambda lbp: paths.LaguerreHistory(*good(lbp))
 
 
 def _wrong_on_one(good):
@@ -387,7 +387,7 @@ def test_history_rc_off_by_one_weight_fails_the_closure_row(monkeypatch):
         image = good(hw)
         if not hw.steps:
             return image
-        return dataclasses.replace(image, weights=image.weights[:-1] + (image.weights[-1] + 1,))
+        return image._replace(weights=image.weights[:-1] + (image.weights[-1] + 1,))
 
     monkeypatch.setattr(paths, "history_rc", off_by_one)
     with pytest.raises(NotRcFixed, match="^the extension is not fixed by reverse-complement$"):
