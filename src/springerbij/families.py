@@ -369,9 +369,9 @@ def _wip3s(n: int, text: bool = False) -> Iterator[tuple]:
 
 
 def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:
-    """All weakly increasing 3-dimensional permutations of length n (S_n many)."""
-    return itertools.chain.from_iterable(map(ThreeWIP, itertools.repeat(sigma), map(prefix.__add__, tails))
-                                         for sigma, prefix, tails in _wip3s(n))
+    """All weakly increasing 3-dimensional permutations of length n (S_n many), made in C."""
+    return itertools.chain.from_iterable(map(tuple.__new__, itertools.repeat(ThreeWIP), zip(
+        itertools.repeat(sigma), map(prefix.__add__, tails))) for sigma, prefix, tails in _wip3s(n))
 
 
 def _labeled_paths(n: int, alphabet: str, closed: bool) -> Iterator[tuple[str, list]]:
@@ -391,10 +391,10 @@ def _labeled_paths(n: int, alphabet: str, closed: bool) -> Iterator[tuple[str, l
     return ((word, ranges) for word, _, ranges in _walk(n, ("", 0, []), extend))
 
 
-def _paths(leaves: Iterator[tuple[str, list]], make: Callable) -> Iterator:
-    """The paths of _labeled_paths' words, made in C."""
-    return itertools.chain.from_iterable(
-        map(make, itertools.repeat(word), itertools.product(*ranges)) for word, ranges in leaves)
+def _paths(leaves: Iterator[tuple[str, list]], cls: type) -> Iterator:
+    """The paths of _labeled_paths' words, made in C: tuple.__new__ skips the record's Python __new__."""
+    return itertools.chain.from_iterable(map(tuple.__new__, itertools.repeat(cls), zip(
+        itertools.repeat(word), itertools.product(*ranges))) for word, ranges in leaves)
 
 
 def _path_lines(words: Iterator[tuple[str, list]]) -> Iterator[tuple[str, list, str]]:

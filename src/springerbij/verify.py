@@ -47,13 +47,8 @@ def _text(domain: str, obj) -> str:
     return families.domain(domain).render(obj)
 
 
-def _named(domain: str, obj, fn: Callable):
-    """fn(obj); an exception from it becomes a Counterexample naming obj."""
-    try:
-        return fn(obj)
-    except Exception as exc:
-        raise Counterexample(
-            f"{domain} {_text(domain, obj)!r}: {type(exc).__name__}: {exc}") from exc
+def _raised(domain: str, obj, exc: Exception) -> Counterexample:  # exc came from a call on obj
+    return Counterexample(f"{domain} {_text(domain, obj)!r}: {type(exc).__name__}: {exc}")
 
 
 # each check takes the clamped bound and returns a detail string (often empty);
@@ -64,7 +59,11 @@ def _holds(cap: int, sides: Sequence[Side]) -> str:
     for domain, prop in sides:
         for n in range(cap + 1):
             for obj in _objects(domain, n):
-                if not _named(domain, obj, prop):
+                try:
+                    held = prop(obj)
+                except Exception as exc:
+                    raise _raised(domain, obj, exc) from exc
+                if not held:
                     raise Counterexample(f"{domain} {_text(domain, obj)!r}")
     return ""
 
@@ -78,19 +77,25 @@ def _bijective(cap: int, name: str, sides: Sequence[Side]) -> str:
     bij = bijections.BIJECTIONS[name]
     domain, codomain = bij.domain, bij.codomain
     for n in range(cap + 1):
-        targets = set(_objects(codomain, n))
-        images = set()
+        unhit = set(_objects(codomain, n))  # the codomain objects that no image has hit yet
         for obj in _objects(domain, n):
-            image = _named(domain, obj, bij.forward)
-            if image in images or image not in targets:
-                why = "repeats" if image in images else f"is not in {codomain}"
+            try:
+                image = bij.forward(obj)
+            except Exception as exc:
+                raise _raised(domain, obj, exc) from exc
+            if image not in unhit:  # hit before, or never in the codomain
+                why = "repeats" if image in _objects(codomain, n) else f"is not in {codomain}"
                 raise Counterexample(f"{domain} {_text(domain, obj)!r}: image {why}")
+            unhit.remove(image)
             for _, undone in sides:
-                if not _named(domain, obj, lambda x: undone(x, image)):
+                try:
+                    held = undone(obj, image)
+                except Exception as exc:
+                    raise _raised(domain, obj, exc) from exc
+                if not held:
                     raise Counterexample(f"{domain} {_text(domain, obj)!r}: inverse(f(x)) != x")
-            images.add(image)
-        if len(images) < len(targets):
-            missed = next(t for t in _objects(codomain, n) if t not in images)
+        if unhit:
+            missed = next(t for t in _objects(codomain, n) if t in unhit)
             raise Counterexample(f"{codomain} {_text(codomain, missed)!r} is no image")
     return ""
 

@@ -325,6 +325,70 @@ def test_dropped_domain_object_fails_the_bijective_row(monkeypatch):
     assert str(excinfo.value) == f"snakes {verify._text('snakes', bijections.phi(last))!r} is no image"
 
 
+def test_repeated_image_fails_the_bijective_row(monkeypatch):
+    # psi maps every snake to the image of the first snake of its size: '1 -2', then '2 -1'
+    good = bijections.psi
+    firsts = {n: good(next(families.enumerate_snakes(n))) for n in range(7)}
+    monkeypatch.setattr(bijections, "psi", lambda snake: firsts[len(snake)])
+    with pytest.raises(verify.Counterexample) as excinfo:
+        _row("bijections/psi-bijective")(6)
+    assert str(excinfo.value) == "snakes '2 -1': image repeats"
+
+
+def test_image_outside_the_codomain_fails_the_bijective_row(monkeypatch):
+    # a Laguerre history of length 2 is no image of the empty permutation
+    monkeypatch.setattr(bijections, "fz", lambda perm: paths.LaguerreHistory("UD", (0, 0)))
+    with pytest.raises(verify.Counterexample) as excinfo:
+        _row("bijections/fz-bijective")(7)
+    assert str(excinfo.value) == "perm '': image is not in laguerre"
+
+
+def test_predicate_that_raises_fails_its_row_naming_the_object():
+    def no_231(p):
+        if tuple(p) == (2, 3, 1):
+            raise ZeroDivisionError("no 2 3 1")
+        return True
+
+    with pytest.raises(verify.Counterexample) as excinfo:
+        verify._holds(4, [("perm", no_231)])
+    assert str(excinfo.value) == "perm '2 3 1': ZeroDivisionError: no 2 3 1"
+
+
+@pytest.mark.parametrize("fn, target", [("psi", (2, -1)), ("psi_inverse", (3, 1, 4, 2))])
+def test_map_that_raises_fails_the_bijective_row_naming_the_object(monkeypatch, fn, target):
+    # psi is the forward map; psi_inverse runs in the side inverse(f(x)) == x, on
+    # psi(2 -1) = 3 1 4 2, and the row names the snake either way
+    good = getattr(bijections, fn)
+
+    def refuses(x):
+        if tuple(x) == target:
+            raise NotRcFixed(f"{fn} refuses")
+        return good(x)
+
+    monkeypatch.setattr(bijections, fn, refuses)
+    with pytest.raises(verify.Counterexample) as excinfo:
+        _row("bijections/psi-bijective")(6)
+    assert str(excinfo.value) == f"snakes '2 -1': NotRcFixed: {fn} refuses"
+
+
+def test_generator_that_raises_fails_its_rows_naming_no_object(monkeypatch):
+    # at n = 3 the snake generator raises after its last snake; each row that walks the
+    # snakes as a domain, a codomain or a predicate's side fails with that error alone
+    good = families.FAMILIES["snakes"].generate
+
+    def runs_dry(n):
+        yield from good(n)
+        if n == 3:
+            raise RuntimeError("snakes ran dry")
+
+    _replace_family(monkeypatch, "snakes", generate=runs_dry)
+    rows = {r.name: r for r in verify.run(4)}
+    for name in ("bars-always-consistent", "phi-bijective", "psi-bijective",
+                 "snake-sign-pattern", "snake2lbp-bijective"):
+        assert not rows[f"bijections/{name}"].passed
+        assert rows[f"bijections/{name}"].detail == "RuntimeError: snakes ran dry"
+
+
 def test_off_by_one_oracle_fails_the_count_row(monkeypatch):
     good = families.FAMILIES["lbp"].oracle
     _replace_family(monkeypatch, "lbp", oracle=lambda n: good(n) + (n == 2))
