@@ -114,15 +114,14 @@ def _cmd_verify(args, out: TextIO) -> int:
 
 def _cmd_springer(args, out: TextIO) -> int:
     values = families.springer_egf(args.n_max)
-    check = families.springer_dp(min(args.n_max, 12))
-    if values[: len(check)] != check:
+    if values != families.springer_dp(args.n_max):  # the DP checks every value printed
         raise RuntimeError("the EGF and the DP give different Springer numbers")
     for value in values:
         out.write(f"{value}\n")
     return 0
 
 
-ORACLE_N_MAX = 1000  # the largest n of count --method oracle and springer: about 0.5 s each
+ORACLE_N_MAX = 1000  # the largest n of count --method oracle (about 0.5 s) and springer (EGF and DP, 1 s)
 
 
 def _usage_error(args) -> str:

@@ -10,15 +10,18 @@ that produces its objects in strictly increasing order of their canonical
 text: nothing is collected or sorted, and the working memory depends on n
 only: O(n^2) candidate tables and weight ranges, a suffix table for the
 zigzag families, a table of pi's last four entries for wip3 (at most
-3((n-2)(n-3))^2 keys, 15,552 and 5.1 MiB at n = 11). Each search keeps one
-candidate iterator per position on an explicit stack (Knuth, TAOCP 4A,
-7.2.2, Algorithm B), so no n is too deep. The zigzag and pi searches, whose
-steps make leaves of objects (19,608 for snakes at n = 8, 8,600 for wip3 at
-n = 7), are written out, since a call per step costs; the cold ones, wip3's
-first rows (516 at n = 7) and the paths' step words (70 and 1,430 at n = 8
-for 250,737 lbp paths and 40,320 laguerre histories), share _walk. Each
-search feeds the object generator, and Family.text, which writes a whole
-size from leaves (head, tail texts, end) without making the objects.
+3((n-2)(n-3))^2 keys, 15,552 and 5.1 MiB at n = 11). Every search takes its
+states from _walk, which keeps one candidate iterator per position on an
+explicit stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B), so no n is too deep.
+The tables end the zigzag and pi searches four or five positions early, so a
+walk lists the moves of few states beside the objects it stands for; at the
+enumerate workload's sizes: 709 for 250,737 snakes and 1,025 for as many
+rcalts (n = 8), 9,439 for 353,792 altperms (n = 11), 1,077 for wip3's 576
+sigma rows and 9,432 for their 10,440 pi prefixes (24,611 objects at n = 7),
+and 78 and 2,475 for the step words of 250,737 lbp paths and 40,320 laguerre
+histories (n = 8). Each search feeds the object generator, and Family.text,
+which writes a whole size from leaves (head, tail texts, end) without making
+the objects.
 The order rests on one rule. All objects of one size render to the same
 number of tokens (decimals, or the letters of a step word of fixed length),
 and the separators that end a token, ' ' and ',', sort below '-' and the
@@ -158,8 +161,8 @@ def springer_egf(m: int) -> tuple[int, ...]:
 
 
 def springer_dp(m: int) -> tuple[int, ...]:
-    """S_0..S_m via the weighted ballot-path dynamic program (independent oracle)."""
-    return tuple(count_lbp_dp(n) for n in range(m + 1))
+    """S_0..S_m via the weighted ballot-path dynamic program (independent oracle), run once."""
+    return paths.lbp_dp_counts(m)[:m + 1]
 
 
 def euler_sequence(m: int) -> tuple[int, ...]:
@@ -205,14 +208,16 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     Entries come from values; no two share a slot(v) in 1..n. The last entry
     must also pass last_ok. Each previous entry p (0 before the first) has its
     text-ordered candidates above p (odd positions) and below p (even ones)
-    in a table, the last position's already filtered by last_ok. The search
-    fills the prefix up to w_n-depth and loops over w_n-depth+1; a table of the
-    call, keyed by it and the bitmask of the slots taken, lists the tails (the
-    last depth entries) in text order. A leaf (prefix, tails, back) stands for
-    the words prefix + tail + back. With a mirror, each word goes on with the
-    mirror images of its entries in reverse order: a tail carries its own, back
-    the prefix's. For n <= depth, w_n-depth is w0 = 0 and 0s pad the positions
-    below 1 (no slots). With text, the leaves are _text's, tails as texts.
+    in a table, the last position's already filtered by last_ok. A _walk over
+    (prefix, bitmask of the slots taken) fills the prefix up to w_n-depth (709
+    moves for 3,990 prefixes of snakes at n = 8), and a loop over w_n-depth+1
+    follows; a table of the call, keyed by it and the slots taken, lists the
+    tails (the last depth entries) in text order. A leaf (prefix, tails, back)
+    stands for the words prefix + tail + back. With a mirror, each word goes on
+    with the mirror images of its entries in reverse order: a tail carries its
+    own, back the prefix's. For n <= depth, w_n-depth is w0 = 0 and 0s pad the
+    positions below 1 (no slots). With text, the leaves are _text's, tails as
+    texts.
     """
     order = [(v, 1 << slot(v)) for v in _in_text_order(values)]
     prevs = (0, *(v for v, _ in order))
@@ -221,27 +226,18 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     last = {p: [(v, b) for v, b in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
     pad = dict.fromkeys(prevs, [(0, 0)])  # a position below 1 holds a 0, which takes no slot
     ends = [pad if i < 1 else last if i == n else tables[(i - 1) % 2] for i in range(n - depth + 1, n + 1)]
-    word, taken, suffixes, cut = [], 0, {}, max(depth - n, 0)  # taken: the bits of the slots taken
-    # the candidates left and the bit of the slot before; for n <= depth only w0 (none for n < 0)
-    stack = [(iter(tables[0][0] if n > depth else [(0, 0)] * (n >= 0)), 0)]
-    while stack:
-        for v, b in stack[-1][0]:
-            if not taken & b:
-                break
-        else:  # exhausted: back up and free the slot before (none at the first entry)
-            taken ^= stack.pop()[1]
-            del word[-1:]
-            continue
-        if len(stack) < n - depth:
-            taken |= b
-            word.append(v)
-            stack.append((iter(tables[len(stack) % 2][v]), b))
-            continue
-        prefix = (*word, v) if n > depth else ()  # v is w_n-depth; each w_n-depth+1 after it makes a leaf
+    suffixes, cut = {}, max(depth - n, 0)
+
+    def grow(word, taken):  # w_j for j = len(word) + 1: the candidates after w_j-1 (w0 = 0) in a free slot
+        candidates = tables[len(word) % 2][word[-1] if word else 0]
+        return ((word + (v,), taken | b) for v, b in candidates if not taken & b)
+
+    # the prefixes up to w_n-depth and the slots they take; for n <= depth only (), none for n < 0
+    for prefix, taken in _walk(max(n - depth, min(n, 0)), ((), 0), grow):
+        v = prefix[-1] if prefix else 0  # w_n-depth; each w_n-depth+1 after it makes a leaf
         back = tuple(map(mirror, reversed(prefix))) if mirror else ()
         if text:
             prefix, back = "%d " * len(prefix) % prefix, " %d" * len(back) % back + "\n"
-        taken |= b
         for u, c in ends[0][v]:
             if taken & c:
                 continue
@@ -255,7 +251,6 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
                 tails = suffixes[u, taken | c] = list(map(permcore.format_perm, tails)) if text else tails
             if tails:
                 yield prefix, tails, back
-        taken ^= b
 
 
 def _words(leaves: Iterator[tuple[tuple, list, tuple]]) -> Iterator[tuple[int, ...]]:
@@ -316,7 +311,8 @@ def enumerate_rcalt(n: int) -> Iterator[tuple[int, ...]]:
 def _wip3s(n: int, text: bool = False) -> Iterator[tuple]:
     """The 3-WIPs of length n in text order, as leaves (sigma, pi prefix, tails) that
     stand for the pairs (sigma, prefix + tail). Each sigma (one tuple for all its
-    leaves, from _walk) is fixed before pi is searched under the column-max rule.
+    leaves, from a _walk) is fixed before a second _walk searches pi under the
+    column-max rule.
 
     A prefix maximum m_j = max(sigma_1..sigma_j) has 2 m_j <= n + j + 1: the
     n - j + 1 columns from j on all need an entry >= m_j, and only 2 (n - m_j + 1)
@@ -326,46 +322,42 @@ def _wip3s(n: int, text: bool = False) -> Iterator[tuple]:
     with sigma below top needs a pi entry >= top. All entries so far are <= top,
     so the branch is dead when fewer unused values, n - top + 1 - [top in pi_1..j],
     are >= top than columns, top - 1 - j + [top in sigma_1..j], need one.
-    The search fills pi up to pi_n-4; a table of the call, keyed by the floor, the
-    bitmask of the unused values and sigma's last four entries, lists the tails
-    (pi's last four entries) in text order. With text, the leaves are _text's:
-    sigma's text, ' / ' and the prefix's text; the tails' texts; a newline.
+    The pi walk, over (prefix, floor, bitmask of the used values), fills pi up to
+    pi_n-4 (9,432 moves for the 10,440 prefixes of 576 sigmas at n = 7); a table
+    of the call, keyed by the floor, the used values and sigma's last four
+    entries, lists the tails (pi's last four entries) in text order. With text,
+    the leaves are _text's: sigma's text, ' / ' and the prefix's text; the
+    tails' texts; a newline.
     """
     order = [(v, 1 << v) for v in _in_text_order(range(1, n + 1))]
 
     def rows(row, taken):  # sigma_j for j = len(row) + 1: the values not taken with 2 v <= n + j + 1
         return ((row + (v,), taken | b) for v, b in order if not taken & b and 2 * v <= n + len(row) + 2)
 
+    def pis(pi, floor, used):  # pi_j for j = len(pi) + 1, its floor and the values used, under the prune
+        # a generator itself, not a function that returns one: one frame start per prefix, not two
+        j = len(pi)
+        for b, c in order:
+            top = b if b > row[j] else row[j]
+            if not (used & c or top < floor
+                    or 2 * top + (top == maxima[j]) + (top == b or used >> top & 1) > n + j + 3):
+                yield pi + (b,), top, used | c
+
     cut, template, suffixes = max(n - 4, 0), permcore.perm_template(n) + " / ", {}
     for row, _ in _walk(n, ((), 0), rows):
         head, last = template % row + "%d " * cut if text else row, row[cut:]
-        maxima, pi, used, pis = list(itertools.accumulate(row, max)), [], 0, [(iter(order), 0, 0)]
-        while pis:  # the pi search: the candidates left for pi_j+1, its floor, the bit of pi_j
-            j = len(pi)
-            left, floor, _ = pis[-1]
-            for b, c in left if j < cut else ():
-                top = b if b > row[j] else row[j]
-                if not (used & c or top < floor
-                        or 2 * top + (top == maxima[j]) + (top == b or used >> top & 1) > n + j + 3):
-                    break
-            else:  # exhausted, or a full prefix, which takes its tails from the table: back up
-                if j == cut:
-                    key = (floor, used, last)
-                    tails = suffixes.get(key)
-                    if tails is None:  # first met: grow the tails one position at a time
-                        tails = [((), floor, used)]
-                        for s in last:
-                            tails = [(t + (b,), top, m | c) for t, f, m in tails for b, c in order
-                                     if not m & c for top in [b if b > s else s] if top >= f]
-                        tails = suffixes[key] = [permcore.format_perm(t) if text else t for t, _, _ in tails]
-                    if tails:
-                        yield (head % tuple(pi), tails, "\n") if text else (head, tuple(pi), tails)
-                used ^= pis.pop()[2]
-                del pi[-1:]
-                continue
-            used |= c
-            pi.append(b)
-            pis.append((iter(order), top, c))
+        maxima = list(itertools.accumulate(row, max))
+        for pi, floor, used in _walk(cut, ((), 0, 0), pis):  # full prefixes take their tails from the table
+            key = (floor, used, last)
+            tails = suffixes.get(key)
+            if tails is None:  # first met: grow the tails one position at a time
+                tails = [((), floor, used)]
+                for s in last:
+                    tails = [(t + (b,), top, m | c) for t, f, m in tails for b, c in order
+                             if not m & c for top in [b if b > s else s] if top >= f]
+                tails = suffixes[key] = [permcore.format_perm(t) if text else t for t, _, _ in tails]
+            if tails:
+                yield (head % pi, tails, "\n") if text else (head, pi, tails)
 
 
 def enumerate_wip3(n: int) -> Iterator[ThreeWIP]:

@@ -181,15 +181,22 @@ def count_lbp_dp(n: int) -> int:
     >>> count_lbp_dp(3)
     11
     """
-    layer = {0: 1}
-    for _ in range(n):
+    return lbp_dp_counts(n)[-1]
+
+
+def lbp_dp_counts(m: int) -> tuple[int, ...]:
+    """count_lbp_dp(n) for n = 0..max(m, 0) from one run of the dynamic program, the sum
+    of each layer: O(m^2) big-integer steps, where a run per n would take O(m^3)."""
+    layer, counts = {0: 1}, [1]
+    for _ in range(m):
         nxt: dict[int, int] = {}
         for h, ways in layer.items():
             nxt[h + 1] = nxt.get(h + 1, 0) + ways * (h + 1)
             if h:
                 nxt[h - 1] = nxt.get(h - 1, 0) + ways * h
         layer = nxt
-    return sum(layer.values())
+        counts.append(sum(layer.values()))
+    return tuple(counts)
 
 
 def wbar(lbp: LabeledBallotPath) -> LabeledBallotPath:

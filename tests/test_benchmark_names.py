@@ -98,9 +98,11 @@ def test_verify_metrics_are_the_verify_rows():
     assert _literal("child", "VERIFY_ROWS") == len(verify.PROPERTIES)
 
 
-@pytest.mark.parametrize("family, n, count, digest", _literal("run", "ENUMERATE_CALLS")["smoke"])
+@pytest.mark.parametrize("family, n, count, digest", [call for scale in ("smoke", "full")
+                                                      for call in _literal("run", "ENUMERATE_CALLS")[scale]])
 def test_enumerate_reproduces_the_benchmark_digests(family, n, count, digest):
-    # the benchmark child rejects every enumerate pass whose output has another SHA-256
+    # the benchmark child rejects every enumerate pass whose output has another SHA-256;
+    # the full calls (about 0.4 s in all) pin each search's text and order at the workload's n
     out, err = io.StringIO(), io.StringIO()
     assert main(["enumerate", "--family", family, "--n", str(n)], stdout=out, stderr=err) == 0
     assert (err.getvalue(), out.getvalue().count("\n")) == ("", count)

@@ -849,8 +849,9 @@ def test_generators_start_at_most_three_frames_per_object(family):
     # each object may cost one resumption of the search and a record's __init__;
     # the recursive searches cost 9-17. The zigzag searches fill a suffix table key
     # by one comprehension per tail position (and one per cut and mirror), and a key
-    # serves many objects: 1.3 frames an object for snakes and rcalt, 2.0 for
-    # altperm, whose five-entry keys each serve fewer
+    # serves many objects: 1.3 frames an object for snakes, 1.4 for rcalt, 2.2 for
+    # altperm, whose five-entry keys each serve fewer. wip3 reads 2.6: its pi walk
+    # resumes the walker and the moves of a prefix for each leaf of about 3 objects
     objects = iter(FAMILIES[family].generate(WORKLOAD_N[family]))
     next(objects)
     calls = 0

@@ -396,20 +396,23 @@ def test_off_by_one_oracle_fails_the_count_row(monkeypatch):
         _row("paths/lbp-count-dp-matches-enumeration")(9)
 
 
-def _springer_dp_wrong_at_5(good):
-    return lambda m: tuple(v + (n == 5) for n, v in enumerate(good(m)))
+def _springer_dp_wrong_at(wrong, good):
+    return lambda m: tuple(v + (n == wrong) for n, v in enumerate(good(m)))
 
 
 def test_springer_dp_wrong_at_one_n_fails_the_egf_row(monkeypatch):
-    monkeypatch.setattr(families, "springer_dp", _springer_dp_wrong_at_5(families.springer_dp))
+    monkeypatch.setattr(families, "springer_dp", _springer_dp_wrong_at(5, families.springer_dp))
     with pytest.raises(verify.Counterexample, match=r"^n=5: egf 361, dp 362$"):
         _row("paths/lbp-count-dp-matches-egf")(12)
 
 
 def test_springer_dp_wrong_at_one_n_stops_the_springer_command(monkeypatch):
-    monkeypatch.setattr(families, "springer_dp", _springer_dp_wrong_at_5(families.springer_dp))
-    with pytest.raises(RuntimeError, match="the EGF and the DP give different Springer numbers"):
-        main(["springer", "--n-max", "6"], stdout=io.StringIO(), stderr=io.StringIO())
+    # the command checks every value it prints, not only those up to the egf row's cap of 12
+    good = families.springer_dp
+    for wrong, n_max in [(5, "6"), (13, "20")]:
+        monkeypatch.setattr(families, "springer_dp", _springer_dp_wrong_at(wrong, good))
+        with pytest.raises(RuntimeError, match="the EGF and the DP give different Springer numbers"):
+            main(["springer", "--n-max", n_max], stdout=io.StringIO(), stderr=io.StringIO())
 
 
 def test_objects_out_of_order_fail_the_canonical_order_row(monkeypatch):

@@ -100,11 +100,16 @@ sink = open(os.devnull, "w")
 """
 
 ENUMERATE = CALLS + """
+import statistics
+TIMES = 5  # timed calls of each; the call's part is their median
 check, parts = {name: run(family, n, Digest()).sha.hexdigest() for name, family, n in calls}, {}
 for name, family, n in calls:
-    start = time.perf_counter()
-    run(family, n, sink).flush()
-    parts[name] = time.perf_counter() - start
+    times = []
+    for _ in range(TIMES):
+        start = time.perf_counter()
+        run(family, n, sink).flush()
+        times.append(time.perf_counter() - start)
+    parts[name] = statistics.median(times)
 total = sum(parts.values())
 """ + REPORT
 
@@ -132,8 +137,9 @@ MEASURES = {
                "its rows as run times them; tracemalloc peaks from one more child per tree, each row run alone"),
     "enumerate": (ENUMERATE, ENUMERATE_PEAKS, 7, lambda args: json.dumps(workload()),
                   "each running every call of {arg} once untimed (its SHA-256; warm caches), then timing "
-                  "one more cli.main(['enumerate', ...]) per call into the null device; tracemalloc peaks "
-                  "from one more child per tree, after one warm call of each"),
+                  "five more cli.main(['enumerate', ...]) per call into the null device, the call's part "
+                  "the median of its five and the total the sum of the parts; tracemalloc peaks from one "
+                  "more child per tree, after one warm call of each"),
 }
 
 
