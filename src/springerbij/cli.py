@@ -81,10 +81,14 @@ def _cmd_map(args, stdin: TextIO, out: TextIO, err: TextIO) -> int:
                     pass  # drop the rest of the line, read in pieces of the same size
                 raise LineTooLong(f"line longer than {MAP_LINE_MAX} characters")
             line = raw.rstrip("\n")
-            obj = source.parse(line)
-            if source.render(obj) != line:
-                raise NotCanonical(f"{line!r} is not canonical text")
-            result = apply(obj)
+            try:  # read checks nothing: the map's input check, as strict as the parse, is the one check
+                obj = source.read(line)
+                if source.render(obj) != line:
+                    raise NotCanonical(f"{line!r} is not canonical text")
+                result = apply(obj)
+            except ValueError:  # the parse's error, if it has one, else NotCanonical or the map's
+                source.parse(line)
+                raise
             if args.trace and bij.trace:  # an inverse line is traced through its image
                 for label, text in bij.trace(result if args.inverse else obj):
                     err.write(f"trace {lineno} {label}: {text}\n")

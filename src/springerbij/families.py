@@ -92,10 +92,7 @@ def parse_wip3(text: str) -> ThreeWIP:
     head, sep, tail = text.partition("/")
     if not sep:
         raise ValueError(f"expected 'sigma / pi' in {text!r}")
-    sigma, pi = permcore.parse_perm(head), permcore.parse_perm(tail)  # checks both rows
-    if len(sigma) != len(pi) or not _maxima_rise(sigma, pi):
-        raise ValueError(_NOT_WIP3)
-    return ThreeWIP(sigma, pi)
+    return validate_wip3(permcore.parse_perm(head), permcore.parse_perm(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +409,10 @@ def enumerate_laguerre(n: int) -> Iterator[LaguerreHistory]:
     return _paths(_labeled_paths(n, MOTZKIN_ALPHABET, True), LaguerreHistory)
 
 
+def _ints(text: str) -> tuple[int, ...]:  # the read of the one-line domains
+    return tuple(map(int, text.split()))
+
+
 @dataclasses.dataclass(frozen=True)
 class Family:
     enumerate: Callable[[int], Iterator]  # n -> objects in canonical text order
@@ -421,6 +422,7 @@ class Family:
     validate: Callable[[Any], object]     # object -> raises ValueError on a non-member
     oracle: Callable[[int], int]          # n -> count, closed form
     parse: Callable[[str], Any]           # text -> object; raises ValueError on malformed text
+    read: Callable[[str], Any]            # text -> object from the tokens alone, unchecked
 
     @property
     def ceiling(self) -> int:
@@ -434,32 +436,34 @@ FAMILIES: dict[str, Family] = {
     "snakes": Family(
         enumerate_snakes, enumerate_snakes, permcore.format_perm,
         lambda n: _text(_ZIGZAGS["snakes"](n, text=True)),
-        validate_snake, lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t),
+        validate_snake, lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t), _ints,
     ),
     "wip3": Family(
         enumerate_wip3, enumerate_wip3, format_wip3, lambda n: _text(_wip3s(n, text=True)),
         lambda w: validate_wip3(w.sigma, w.pi), lambda n: springer_egf(n)[n], lambda t: parse_wip3(t),
+        lambda t: ThreeWIP(*map(_ints, t.partition("/")[::2])),  # the rows either side of the first '/'
     ),
     "rcalt": Family(
         enumerate_rcalt, enumerate_rcalt, permcore.format_perm,
         lambda n: _text(_ZIGZAGS["rcalt"](n, text=True)),
-        validate_rcalt, lambda n: springer_egf(n)[n], lambda t: permcore.parse_perm(t),
+        validate_rcalt, lambda n: springer_egf(n)[n], lambda t: permcore.parse_perm(t), _ints,
     ),
     "lbp": Family(
         enumerate_lbp, enumerate_lbp, format_path,
         lambda n: _text(_path_lines(_labeled_paths(n, BALLOT_ALPHABET, False))),
         lambda p: validate_labeled_ballot(p.steps, p.weights), count_lbp_dp,
-        lambda t: paths.parse_labeled_ballot(t),
+        lambda t: paths.parse_labeled_ballot(t), lambda t: LabeledBallotPath(*paths.parse_path_text(t)),
     ),
     "laguerre": Family(
         enumerate_laguerre, enumerate_laguerre, format_path,
         lambda n: _text(_path_lines(_labeled_paths(n, MOTZKIN_ALPHABET, True))),
         lambda h: validate_laguerre(h.steps, h.weights), math.factorial, lambda t: paths.parse_laguerre(t),
+        lambda t: LaguerreHistory(*paths.parse_path_text(t)),
     ),
     "altperm": Family(
         enumerate_alternating, enumerate_alternating, permcore.format_perm,
         lambda n: _text(_ZIGZAGS["altperm"](n, text=True)),
-        validate_alternating, lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t),
+        validate_alternating, lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t), _ints,
     ),
 }
 
@@ -473,7 +477,7 @@ def _permutations(n: int) -> Iterator[tuple[int, ...]]:
 _PERM = Family(
     _permutations, _permutations, lambda p: permcore.format_perm(p),
     lambda n: (permcore.format_perm(p) + "\n" for p in _permutations(n)),
-    lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t),
+    lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t), _ints,
 )
 
 

@@ -211,50 +211,55 @@ def test_map_snake2lbp():
     assert code == 0 and out == "UUUDDUU;0,0,1,2,0,0,0\n"
 
 
+# (map arguments, input line, output line, the lengths of the words
+# permcore.is_permutation checks, the step lengths of the paths paths._caps
+# checks) for every mode. A line is read unchecked, so the map's own input
+# check is the only one a good line meets; the domain's parse runs on a
+# rejected line only.
+SNAKE7, LBP7 = "2 -1 5 4 7 -6 -3\n", "UUUDDUU;0,0,1,2,0,0,0\n"
+RCALT14 = "5 2 14 11 12 7 9 6 8 3 4 1 13 10\n"
+PERM9, HISTORY9 = "4 3 1 2 9 6 8 5 7\n", "UHTDUUHDD;0,1,0,0,0,0,2,1,0\n"
+WIP9, SNAKE9 = "1 5 2 6 7 3 8 9 4 / 2 5 6 3 1 7 8 4 9\n", "5 -7 -1 -2 6 3 8 -9 -4\n"
+CHECKS = [
+    # psi's input and output checks (fz's stands in for the latter), then
+    # halve_rc_fixed's check of the history
+    (["snake2lbp"], SNAKE7, LBP7, [7, 14], [14]),
+    # extend_to_rc_fixed's checks of its input and of the history (the latter
+    # stands in for fz_inverse's), then psi_inverse's input and output checks
+    (["snake2lbp", "--inverse"], LBP7, SNAKE7, [14, 7], [7, 14]),
+    # rcalt_to_lbp's one input check (fz's stands in for it), halve_rc_fixed's
+    (["bigpsi"], RCALT14, LBP7, [14], [14]),
+    # extend_to_rc_fixed's two, then lbp_to_rcalt's output check
+    (["bigpsi", "--inverse"], LBP7, RCALT14, [14], [7, 14]),
+    # fz's input and output checks; fz_inverse's input check, and no output check
+    (["fz"], PERM9, HISTORY9, [9], [9]),
+    (["fz", "--inverse"], HISTORY9, PERM9, [], [9]),
+    # phi's check of both rows, then of the snake; phi_inverse's check of the
+    # snake, then phi_step1_inverse's of both rows (the round trip re-checks nothing)
+    (["phi"], WIP9, SNAKE9, [9, 9, 9], []),
+    (["phi", "--inverse"], SNAKE9, WIP9, [9, 9, 9], []),
+    # the input and output checks of psi and of psi_inverse
+    (["psi"], SNAKE7, RCALT14, [7, 14], []),
+    (["psi", "--inverse"], RCALT14, SNAKE7, [14, 7], []),
+    # wbar's one check; its image needs none
+    (["wbar"], LBP7, "UUUDDUU;0,1,1,0,1,1,2\n", [], [7]),
+    (["wbar", "--inverse"], "UUUDDUU;0,1,1,0,1,1,2\n", LBP7, [], [7]),
+]
+
+
 def test_map_snake2lbp_checks_each_permutation_once(monkeypatch):
-    # the lengths of the words is_permutation checks: the snake's parse and psi's
-    # input check, then psi's output check, which fz's stands in for; inverse,
-    # psi_inverse's two. bigpsi: the parse, then rcalt_to_lbp's one check, which
-    # fz's stands in for; inverse, lbp_to_rcalt's output check. The step lengths
-    # of the paths paths._caps checks: forward, halve_rc_fixed's check of the
-    # history; inverse, the parse, then extend_to_rc_fixed's checks of its input
-    # and of the history (the latter stands in for fz_inverse's)
     lengths, steps = [], []
     real, real_caps = permcore.is_permutation, paths._caps
     monkeypatch.setattr(permcore, "is_permutation", lambda word: lengths.append(len(word)) or real(word))
     monkeypatch.setattr(paths, "_caps", lambda s, *a, **k: steps.append(len(s)) or real_caps(s, *a, **k))
-
-    def run(argv, text):
+    assert sorted(" ".join(argv) for argv, *_ in CHECKS) == sorted(
+        name + " --inverse" * inverse for name in BIJECTIONS for inverse in (False, True))
+    for argv, text, image, want_lengths, want_steps in CHECKS:
         lengths.clear()
         steps.clear()
-        return run_cli(["map", "--bijection", *argv], text)
-
-    snake, lbp = "2 -1 5 4 7 -6 -3\n", "UUUDDUU;0,0,1,2,0,0,0\n"
-    assert run(["snake2lbp"], snake) == (0, lbp, "")
-    assert (lengths, steps) == ([7, 7, 14], [14])
-    assert run(["snake2lbp", "--inverse"], lbp) == (0, snake, "")
-    assert (lengths, steps) == ([14, 7], [7, 7, 14])
-    rcalt = "5 2 14 11 12 7 9 6 8 3 4 1 13 10\n"
-    assert run(["bigpsi"], rcalt) == (0, lbp, "")
-    assert (lengths, steps) == ([14, 14], [14])
-    assert run(["bigpsi", "--inverse"], lbp) == (0, rcalt, "")
-    assert (lengths, steps) == ([14], [7, 7, 14])
-    # fz: the parse and fz's input check, then fz's output check; inverse, the
-    # parse and fz_inverse's input check
-    perm, history = "4 3 1 2 9 6 8 5 7\n", "UHTDUUHDD;0,1,0,0,0,0,2,1,0\n"
-    assert run(["fz"], perm) == (0, history, "")
-    assert (lengths, steps) == ([9, 9], [9])
-    assert run(["fz", "--inverse"], history) == (0, perm, "")
-    assert (lengths, steps) == ([], [9, 9])
-    # phi: the parse of both rows (the 3-WIP check re-checks neither), phi's
-    # input check of both rows, then its output check of the snake
-    wip, snake9 = "1 5 2 6 7 3 8 9 4 / 2 5 6 3 1 7 8 4 9\n", "5 -7 -1 -2 6 3 8 -9 -4\n"
-    assert run(["phi"], wip) == (0, snake9, "")
-    assert (lengths, steps) == ([9, 9, 9, 9, 9], [])
-    # phi inverse: the snake's parse and phi_inverse's input check, then
-    # phi_step1_inverse's check of both rows; the round trip re-checks nothing
-    assert run(["phi", "--inverse"], snake9) == (0, wip, "")
-    assert (lengths, steps) == ([9, 9, 9, 9], [])
+        assert run_cli(["map", "--bijection", *argv], text) == (0, image, ""), argv
+        assert (lengths, steps) == (want_lengths, want_steps), argv
+    assert sum(len(row[3]) for row in CHECKS) == 17 and sum(len(row[4]) for row in CHECKS) == 10
 
 
 def test_map_fz_inverse():
@@ -348,7 +353,8 @@ def test_map_rejects_non_canonical_text(argv, line):
 def test_map_looks_up_library_functions_at_call_time(monkeypatch):
     # perfbench/tracer.py rebinds module functions after springerbij.cli is
     # imported (it is, at the top of this file); a record that bound a
-    # function object at import time would bypass the rebinding
+    # function object at import time would bypass the rebinding. A good line
+    # meets the reader and the map only; the parse names a rejected line's error
     calls = []
 
     def spy(module, name):
@@ -356,11 +362,18 @@ def test_map_looks_up_library_functions_at_call_time(monkeypatch):
         monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
 
     spy(bijections, "psi")
+    spy(paths, "wbar")
+    spy(paths, "parse_path_text")
     spy(permcore, "parse_signed")
     spy(paths, "parse_labeled_ballot")
     assert run_cli(["map", "--bijection", "psi"], "1\n") == (0, "2 1\n", "")
     assert run_cli(["map", "--bijection", "wbar"], "U;0\n") == (0, "U;0\n", "")
-    assert calls == ["parse_signed", "psi", "parse_labeled_ballot"]
+    assert calls == ["psi", "parse_path_text", "wbar"]
+    calls.clear()
+    assert run_cli(["map", "--bijection", "psi"], "1 1\n")[0] == 1
+    assert run_cli(["map", "--bijection", "wbar"], "U;1\n")[0] == 1
+    assert calls == ["psi", "parse_signed",
+                     "parse_path_text", "wbar", "parse_labeled_ballot", "parse_path_text"]
 
 
 # --- verify -------------------------------------------------------------------------

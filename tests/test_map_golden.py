@@ -15,6 +15,12 @@ A second test holds --trace to adding only `trace ` lines: for every
 bijection and direction, stdout, the exit code and the other stderr lines are
 those of the run without it.
 
+The map loop checks a good line once, with the map's own input check, and
+runs the domain's parse only on a rejected line. Two more tests hold it to
+the loop that parses every line first, kept here as the reference: the same
+output in every mode on the golden inputs and on hostile lines, and, on the
+same lines, every map rejects what its domain's parse rejects.
+
 A change meant to keep the CLI output byte-identical must pass this test
 unchanged. After a deliberate change of output, print new digests with
 
@@ -27,9 +33,10 @@ import random
 
 import pytest
 
-from springerbij import families
+from springerbij import cli, families
 from springerbij.bijections import BIJECTIONS
 from springerbij.cli import main
+from springerbij.errors import LineTooLong, NotCanonical
 
 RISE = {"U": 1, "D": -1, "H": 0, "T": 0}
 
@@ -152,6 +159,130 @@ def test_every_mode_has_valid_and_rejected_lines():
         lines = text.count("\n")
         assert lines // 3 <= stdout.getvalue().count("\n") < lines, (name, inverse)
         assert stderr.getvalue().count("ERROR") >= lines // 4, (name, inverse)
+
+
+def _parse_first_map(args, stdin, out, err):
+    """The map loop that checks each line with the domain's parse before the map
+    checks it again: the reference for cli._cmd_map, which leaves a good line to
+    the map's own check."""
+    bij = BIJECTIONS[args.bijection]
+    if args.inverse:
+        source, target, apply = bij.codomain, bij.domain, bij.inverse
+    else:
+        source, target, apply = bij.domain, bij.codomain, bij.forward
+    source, target = families.domain(source), families.domain(target)
+    status, lineno = 0, 0
+    while raw := stdin.readline(cli.MAP_LINE_MAX + 1):
+        lineno += 1
+        try:
+            if len(raw) > cli.MAP_LINE_MAX and raw[-1] != "\n":
+                while stdin.readline(cli.MAP_LINE_MAX + 1)[-1:] not in ("\n", ""):
+                    pass
+                raise LineTooLong(f"line longer than {cli.MAP_LINE_MAX} characters")
+            line = raw.rstrip("\n")
+            obj = source.parse(line)
+            if source.render(obj) != line:
+                raise NotCanonical(f"{line!r} is not canonical text")
+            result = apply(obj)
+            if args.trace and bij.trace:
+                for label, text in bij.trace(result if args.inverse else obj):
+                    err.write(f"trace {lineno} {label}: {text}\n")
+        except ValueError as exc:
+            reason = str(exc) or type(exc).__name__
+            err.write(f"ERROR {lineno}: {type(exc).__name__}: {reason}\n")
+            status = 1
+            continue
+        out.write(target.render(result) + "\n")
+    return status
+
+
+# characters a mutant may bring into any domain's text besides its own: the
+# separators, a sign, a zero, the level steps (foreign to ballot paths) and junk
+HOSTILE = " -/;,0HTx\t+"
+
+
+def _hostile_lines(source):
+    """The golden input's lines, a few hundred seeded mutants of its valid lines with
+    1-3 characters replaced, deleted or inserted, for paths each valid line with one
+    step letter changed, a 5,000-digit token and a line of exactly cli.MAP_LINE_MAX
+    characters."""
+    rng = random.Random(f"hostile {source}")
+    golden = _input(source).splitlines()
+    valid = golden[::3]
+    alphabet = sorted(set("".join(valid)) | set(HOSTILE))
+    mutants = []
+    for _ in range(300):
+        line = rng.choice(valid)
+        for _ in range(rng.randint(1, 3)):
+            line = _mutant(rng, line, alphabet)
+        mutants.append(line)
+    for line in valid if source in ("lbp", "laguerre") else ():  # the weights kept
+        word, _, weights = line.partition(";")
+        if word:
+            i = rng.randrange(len(word))
+            mutants.append(f"{word[:i]}{rng.choice([c for c in 'UDHT' if c != word[i]])}{word[i + 1:]};{weights}")
+    big = "9" * 5000
+    if source in ("lbp", "laguerre"):
+        extremes = [f"U;{big}", "U" * (cli.MAP_LINE_MAX - 2) + ";0"]
+    else:
+        row = "1 " * (cli.MAP_LINE_MAX // 4)
+        longest = (row + "/ " + row if source == "wip3" else row + row)[:cli.MAP_LINE_MAX - 1] + "1"
+        extremes = [f"1 {big} / 1" if source == "wip3" else f"1 {big}", longest]
+    assert len(extremes[1]) == cli.MAP_LINE_MAX
+    return golden + mutants + extremes
+
+
+@pytest.mark.parametrize("name, inverse", [(name, inverse) for name, inverse, trace in _modes() if trace])
+def test_map_matches_the_parse_first_loop(name, inverse):
+    # the same stdout, ERROR lines and exit code as the loop that parses first,
+    # with and without --trace; the longest line, which is rejected and so has
+    # no trace lines, goes in once
+    bij = BIJECTIONS[name]
+    lines = _hostile_lines(bij.codomain if inverse else bij.domain)
+    for trace in (False, True):
+        text = "".join(line + "\n" for line in lines[:len(lines) - trace])
+        argv = ["map", "--bijection", name] + ["--inverse"] * inverse + ["--trace"] * trace
+        runs = []
+        for run in (lambda *streams: main(argv, *streams),
+                    lambda *streams: _parse_first_map(cli.build_parser().parse_args(argv), *streams)):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            runs.append((run(io.StringIO(text), stdout, stderr), stdout.getvalue(), stderr.getvalue()))
+        assert runs[0] == runs[1], trace
+        assert runs[0][2].count("ERROR") > 300
+
+
+@pytest.mark.parametrize("source", sorted({bij.domain for bij in BIJECTIONS.values()}
+                                          | {bij.codomain for bij in BIJECTIONS.values()}))
+def test_every_map_rejects_what_the_parse_rejects(source):
+    # the rule the map loop rests on: where the parse rejects a line that read
+    # takes, each map out of the domain rejects read's object; where the parse
+    # takes a line, read gives the parse's object. One case is left to the
+    # canonical-text check: a blank line reads as the empty 3-WIP, whose text
+    # is " / ", so the loop rejects it as NotCanonical before any map runs
+    fam = families.domain(source)
+    maps = [bij.forward for bij in BIJECTIONS.values() if bij.domain == source]
+    maps += [bij.inverse for bij in BIJECTIONS.values() if bij.codomain == source]
+    rejected = 0
+    for line in _hostile_lines(source):
+        try:
+            obj = fam.read(line)
+        except ValueError:
+            with pytest.raises(ValueError):
+                fam.parse(line)
+            continue
+        try:
+            parsed = fam.parse(line)
+        except ValueError:
+            rejected += 1
+            if source == "wip3" and not line.strip():
+                assert fam.render(obj) != line
+                continue
+            for apply in maps:
+                with pytest.raises(ValueError):
+                    apply(obj)
+        else:
+            assert parsed == obj
+    assert rejected >= 20
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import pytest
 
 import springerbij
 from springerbij import cli, verify
+from springerbij.bijections import BIJECTIONS
 
 SRC = Path(springerbij.__file__).resolve().parent.parent
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_times.py"
@@ -87,6 +88,46 @@ def test_enumerate_times_stops_when_a_family_writes_other_text(tool, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "snakes@3" in captured.err and "wip3" not in captured.err
+
+
+@pytest.fixture
+def small_map(tool, monkeypatch):
+    """The map measure cut to three lines per input set."""
+    monkeypatch.setattr(tool, "map_job", lambda n: [n, 3, tool.literal("child.py", "MAP_CHAIN"), tool.PERFBENCH])
+    return tool
+
+
+def test_map_times_reports_each_mode_of_the_chain(small_map, capsys):
+    assert small_map.main(["map", str(SRC), str(SRC), "--samples", "2", "--n", "8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    modes = [" ".join([bijection] + ["--inverse"] * inverse)
+             for bijection, inverse, _, _ in small_map.literal("child.py", "MAP_CHAIN")]
+    assert sorted(modes) == sorted(name + " --inverse" * inverse for name in BIJECTIONS for inverse in (False, True))
+    for side in ("before", "after"):
+        tree = report[side]
+        assert tree["check"] == report["before"]["check"] and len(tree["check"]["sha256"]) == 64
+        assert list(tree["parts"]) == modes and list(tree["peak_mib"]) == modes
+        assert all(0 < part["min_s"] <= part["median_s"] for part in tree["parts"].values())
+        assert tree["maxrss_mib"] > 0
+    assert report["after_faster_in"].endswith(" of 2") and "n = 8" in report["method"]
+
+
+def test_map_times_stops_when_a_tree_maps_otherwise(small_map, tmp_path, capsys):
+    shutil.copytree(SRC / "springerbij", tmp_path / "springerbij", ignore=shutil.ignore_patterns("__pycache__"))
+    bijections = tmp_path / "springerbij" / "bijections.py"
+    wbar = '"wbar": Bijection("lbp", "lbp", lambda x: paths.wbar(x)'
+    assert wbar in bijections.read_text()
+    bijections.write_text(bijections.read_text().replace(wbar, '"wbar": Bijection("lbp", "lbp", lambda x: x'))
+    assert small_map.main(["map", str(SRC), str(tmp_path), "--samples", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sha256" in captured.err
+
+
+def test_map_times_takes_the_n_of_a_map_workload(tool, capsys):
+    assert sorted(tool.map_lines()) == [8, 512]
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["map", str(SRC), str(SRC), "--n", "64"])
+    assert exit_.value.code == 2 and "--n" in capsys.readouterr().err
 
 
 def test_one_sample_is_a_usage_error(tool, capsys):

@@ -1,7 +1,7 @@
-"""A/B timing of two source trees of springerbij: import, verify or enumerate.
+"""A/B timing of two source trees of springerbij: import, verify, enumerate or map.
 
-    python3 tools/ab_times.py {import,verify,enumerate} BEFORE_SRC AFTER_SRC
-                              [--samples N] [--n-max 8] [--out FILE]
+    python3 tools/ab_times.py {import,verify,enumerate,map} BEFORE_SRC AFTER_SRC
+                              [--samples N] [--n-max 8] [--n 8] [--out FILE]
 
 Each SRC holds the `springerbij` package (a checkout's `src/`). Every child is
 a fresh `python -E -s -c CODE ARG` interpreter run in SRC, which `-c` puts
@@ -99,17 +99,22 @@ def run(family, n, out):
 sink = open(os.devnull, "w")
 """
 
-ENUMERATE = CALLS + """
-import statistics
-TIMES = 5  # timed calls of each; the call's part is their median
-check, parts = {name: run(family, n, Digest()).sha.hexdigest() for name, family, n in calls}, {}
-for name, family, n in calls:
+# a part is the median of TIMES timed calls, the total the sum of the parts
+MEDIANS = """
+import statistics, time
+TIMES = 5
+def median_s(call, *args):
     times = []
     for _ in range(TIMES):
         start = time.perf_counter()
-        run(family, n, sink).flush()
+        call(*args)
         times.append(time.perf_counter() - start)
-    parts[name] = statistics.median(times)
+    return statistics.median(times)
+"""
+
+ENUMERATE = CALLS + MEDIANS + """
+check = {name: run(family, n, Digest()).sha.hexdigest() for name, family, n in calls}
+parts = {name: median_s(lambda: run(family, n, sink).flush()) for name, family, n in calls}
 total = sum(parts.values())
 """ + REPORT
 
@@ -119,14 +124,66 @@ warm = [run(family, n, sink) for _, family, n in calls]
 print(json.dumps({"peak_mib": {name: peak_mib(run, family, n, sink) for name, family, n in calls}}))
 """
 
+# the chain of the map workloads on one input set, seeded by n: perfbench's
+# own sampler draws it in the child, untimed, and a first run of the chain,
+# also untimed, gives each mode's input and the SHA-256 of all outputs
+CHAIN = """
+import hashlib, io, json, random, sys
+from springerbij import cli
+n, lines, chain, perfbench = json.loads(sys.argv[1])
+sys.path.append(perfbench)
+import sampling
+rng = random.Random(n)
+rows = sampling.lbp_completions(n)
+sets = {"L": [sampling.sample_lbp(n, rng, rows) for _ in range(lines)],
+        "P": [sampling.sample_perm(n, rng) for _ in range(lines)]}
+def run(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    cli.main(argv, stdin=io.StringIO(text), stdout=out, stderr=err)
+    return out.getvalue(), err.getvalue()
+modes, digest = [], hashlib.sha256()
+for bijection, inverse, source, target in chain:
+    argv = ["map", "--bijection", bijection] + ["--inverse"] * inverse
+    text = "".join(line + "\\n" for line in sets[source])
+    out, err = run(argv, text)
+    digest.update((out + err).encode())
+    sets.setdefault(target, out.splitlines())
+    modes.append((" ".join(argv[2:]), argv, text))
+"""
+
+MAP = CHAIN + MEDIANS + """
+check, parts = {"sha256": digest.hexdigest()}, {name: median_s(run, argv, text) for name, argv, text in modes}
+total = sum(parts.values())
+""" + REPORT
+
+MAP_PEAKS = CHAIN + TRACE + """
+print(json.dumps({"peak_mib": {name: peak_mib(run, argv, text) for name, argv, text in modes}}))
+"""
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+def literal(file: str, name: str):
+    """The value of the top-level assignment `name = ...` in perfbench/file, read, not imported."""
+    with open(os.path.join(PERFBENCH, file)) as f:
+        tree = ast.parse(f.read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name])
+
 
 def workload() -> list[list]:
-    """The enumerate workload of perfbench/run.py, [family, n] per call: ENUMERATE_CALLS["full"], read, not imported."""
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")) as f:
-        tree = ast.parse(f.read())
-    calls = next(ast.literal_eval(node.value) for node in tree.body
-                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ENUMERATE_CALLS"])
-    return [[family, n] for family, n, _, _ in calls["full"]]
+    """The enumerate workload of perfbench/run.py, [family, n] per call: ENUMERATE_CALLS["full"]."""
+    return [[family, n] for family, n, _, _ in literal("run.py", "ENUMERATE_CALLS")["full"]]
+
+
+def map_lines() -> dict[int, int]:
+    """n -> lines per input set of the map workloads of perfbench/run.py: MAP_SIZES, full scale."""
+    return {n: lines for n, lines, _ in (sizes["full"] for sizes in literal("run.py", "MAP_SIZES").values())}
+
+
+def map_job(n: int) -> list:
+    """[n, lines, chain, perfbench]: one input set of the map workload at n, and MAP_CHAIN of perfbench/child.py."""
+    return [n, map_lines()[n], literal("child.py", "MAP_CHAIN"), PERFBENCH]
 
 
 # measure -> (timed child, detail child, default samples, the child's argument, what the method runs)
@@ -140,6 +197,12 @@ MEASURES = {
                   "five more cli.main(['enumerate', ...]) per call into the null device, the call's part "
                   "the median of its five and the total the sum of the parts; tracemalloc peaks from one "
                   "more child per tree, after one warm call of each"),
+    "map": (MAP, MAP_PEAKS, 7, lambda args: json.dumps(map_job(args.n)),
+            "each drawing one seeded input set of the map workload at n = {args.n} (perfbench's sampler) and "
+            "running perfbench's 12-mode MAP_CHAIN on it once untimed (the SHA-256 of all outputs), then "
+            "timing five more cli.main(['map', ...]) per mode on that mode's input, the mode's part the "
+            "median of its five and the total the sum of the parts; tracemalloc peaks from one more child "
+            "per tree, after the untimed chain"),
 }
 
 
@@ -162,8 +225,10 @@ def main(argv=None) -> int:
     parser.add_argument("before", help="the src/ directory of the first tree")
     parser.add_argument("after", help="the src/ directory of the second tree")
     parser.add_argument("--samples", type=int,
-                        help="timed children per tree, at least 2 (default: 40 import, 5 verify, 7 enumerate)")
+                        help="timed children per tree, at least 2 (default: 40 import, 5 verify, 7 enumerate and map)")
     parser.add_argument("--n-max", type=int, default=8, help="the bound that verify.run takes")
+    parser.add_argument("--n", type=int, default=8, choices=sorted(map_lines()),
+                        help="the size of the map measure's objects, as in map-small or map-large")
     parser.add_argument("--out", help="also write the JSON to this file")
     args = parser.parse_args(argv)
     timed, detail, samples, arg, what = MEASURES[args.measure]
@@ -192,7 +257,7 @@ def main(argv=None) -> int:
     faster = sum(after["total_s"] < before["total_s"] for after, before in zip(runs["after"], runs["before"]))
     report["after_faster_in"] = f"{faster} of {samples}"
     report["method"] = (f"{samples} fresh `{os.path.basename(sys.executable)} -E -s` interpreters per tree, one at "
-                        f"a time, the trees alternated, {what.format(arg=arg)}; seconds of perf_counter, "
+                        f"a time, the trees alternated, {what.format(arg=arg, args=args)}; seconds of perf_counter, "
                         f"inclusive quartiles; ru_maxrss at the child's end")
     text = json.dumps(report, indent=1)
     print(text)
