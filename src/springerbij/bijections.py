@@ -13,12 +13,10 @@
 
 BIJECTIONS holds one record per bijection of the CLI, with at most one trace,
 of a domain object. Every public map here rejects a non-member of its domain,
-at least as strictly as the domain's Family.parse (`map` reads a line unchecked
-and parses it only to name a rejected line's error), and, but for fz_inverse,
-checks what the theorems guarantee of its output, each once. fz_inverse links
-each value into its word exactly once, so its output is a permutation by
-construction. The composites and self-checks run the unchecked cores (_phi,
-_fz, _fz_inverse) where a neighbouring check covers them.
+at least as strictly as the domain's Family.parse, and, but for fz_inverse,
+checks what the theorems guarantee of its output, each once; fz_inverse's output
+is a permutation by construction. The composites and self-checks run the
+unchecked cores (_phi, _fz, _fz_inverse) where a neighbouring check covers them.
 """
 
 from __future__ import annotations

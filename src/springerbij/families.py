@@ -92,7 +92,10 @@ def parse_wip3(text: str) -> ThreeWIP:
     head, sep, tail = text.partition("/")
     if not sep:
         raise ValueError(f"expected 'sigma / pi' in {text!r}")
-    return validate_wip3(permcore.parse_perm(head), permcore.parse_perm(tail))
+    sigma, pi = permcore.parse_perm(head), permcore.parse_perm(tail)  # checks both rows
+    if len(sigma) != len(pi) or not _maxima_rise(sigma, pi):
+        raise ValueError(_NOT_WIP3)
+    return ThreeWIP(sigma, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +412,6 @@ def enumerate_laguerre(n: int) -> Iterator[LaguerreHistory]:
     return _paths(_labeled_paths(n, MOTZKIN_ALPHABET, True), LaguerreHistory)
 
 
-def _ints(text: str) -> tuple[int, ...]:  # the read of the one-line domains
-    return tuple(map(int, text.split()))
-
-
 @dataclasses.dataclass(frozen=True)
 class Family:
     enumerate: Callable[[int], Iterator]  # n -> objects in canonical text order
@@ -435,18 +434,18 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "snakes": Family(
         enumerate_snakes, enumerate_snakes, permcore.format_perm,
-        lambda n: _text(_ZIGZAGS["snakes"](n, text=True)),
-        validate_snake, lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t), _ints,
+        lambda n: _text(_ZIGZAGS["snakes"](n, text=True)), validate_snake,
+        lambda n: springer_egf(n)[n], lambda t: permcore.parse_signed(t), lambda t: permcore.read_perm(t),
     ),
     "wip3": Family(
         enumerate_wip3, enumerate_wip3, format_wip3, lambda n: _text(_wip3s(n, text=True)),
         lambda w: validate_wip3(w.sigma, w.pi), lambda n: springer_egf(n)[n], lambda t: parse_wip3(t),
-        lambda t: ThreeWIP(*map(_ints, t.partition("/")[::2])),  # the rows either side of the first '/'
+        lambda t: ThreeWIP(*map(permcore.read_perm, t.partition("/")[::2])),  # the rows beside the first '/'
     ),
     "rcalt": Family(
         enumerate_rcalt, enumerate_rcalt, permcore.format_perm,
-        lambda n: _text(_ZIGZAGS["rcalt"](n, text=True)),
-        validate_rcalt, lambda n: springer_egf(n)[n], lambda t: permcore.parse_perm(t), _ints,
+        lambda n: _text(_ZIGZAGS["rcalt"](n, text=True)), validate_rcalt,
+        lambda n: springer_egf(n)[n], lambda t: permcore.parse_perm(t), lambda t: permcore.read_perm(t),
     ),
     "lbp": Family(
         enumerate_lbp, enumerate_lbp, format_path,
@@ -462,8 +461,8 @@ FAMILIES: dict[str, Family] = {
     ),
     "altperm": Family(
         enumerate_alternating, enumerate_alternating, permcore.format_perm,
-        lambda n: _text(_ZIGZAGS["altperm"](n, text=True)),
-        validate_alternating, lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t), _ints,
+        lambda n: _text(_ZIGZAGS["altperm"](n, text=True)), validate_alternating,
+        lambda n: euler_sequence(n)[n], lambda t: permcore.parse_perm(t), lambda t: permcore.read_perm(t),
     ),
 }
 
@@ -476,8 +475,8 @@ def _permutations(n: int) -> Iterator[tuple[int, ...]]:
 # order for n <= 9); kept out of FAMILIES, whose names are the --family choices.
 _PERM = Family(
     _permutations, _permutations, lambda p: permcore.format_perm(p),
-    lambda n: (permcore.format_perm(p) + "\n" for p in _permutations(n)),
-    lambda p: validate_permutation(p), math.factorial, lambda t: permcore.parse_perm(t), _ints,
+    lambda n: (permcore.format_perm(p) + "\n" for p in _permutations(n)), lambda p: validate_permutation(p),
+    math.factorial, lambda t: permcore.parse_perm(t), lambda t: permcore.read_perm(t),
 )
 
 

@@ -288,18 +288,21 @@ def format_perm(perm: Sequence[int]) -> str:
     return perm_template(len(perm)) % tuple(perm)
 
 
+def read_perm(text: str) -> tuple[int, ...]:
+    """Space-separated integers, unchecked: what parse_perm and parse_signed validate."""
+    return tuple(map(int, text.split()))
+
+
 def parse_perm(text: str) -> tuple[int, ...]:
-    """Parse space-separated values and validate them as a permutation."""
-    values = tuple(map(int, text.split()))
-    if not is_permutation(values):
+    """Read space-separated values and validate them as a permutation."""
+    if not is_permutation(values := read_perm(text)):
         raise ValueError(f"not a permutation: {text!r}")
     return values
 
 
 def parse_signed(text: str) -> tuple[int, ...]:
-    """Parse space-separated values and validate them as a signed permutation."""
-    values = tuple(map(int, text.split()))
-    if not is_signed_permutation(values):
+    """Read space-separated values and validate them as a signed permutation."""
+    if not is_signed_permutation(values := read_perm(text)):
         raise ValueError(f"not a signed permutation: {text!r}")
     return values
 

@@ -363,16 +363,17 @@ def test_map_looks_up_library_functions_at_call_time(monkeypatch):
 
     spy(bijections, "psi")
     spy(paths, "wbar")
+    spy(permcore, "read_perm")
     spy(paths, "parse_path_text")
     spy(permcore, "parse_signed")
     spy(paths, "parse_labeled_ballot")
     assert run_cli(["map", "--bijection", "psi"], "1\n") == (0, "2 1\n", "")
     assert run_cli(["map", "--bijection", "wbar"], "U;0\n") == (0, "U;0\n", "")
-    assert calls == ["psi", "parse_path_text", "wbar"]
+    assert calls == ["read_perm", "psi", "parse_path_text", "wbar"]
     calls.clear()
     assert run_cli(["map", "--bijection", "psi"], "1 1\n")[0] == 1
     assert run_cli(["map", "--bijection", "wbar"], "U;1\n")[0] == 1
-    assert calls == ["psi", "parse_signed",
+    assert calls == ["read_perm", "psi", "parse_signed", "read_perm",
                      "parse_path_text", "wbar", "parse_labeled_ballot", "parse_path_text"]
 
 

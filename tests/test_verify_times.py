@@ -93,7 +93,8 @@ def test_enumerate_times_stops_when_a_family_writes_other_text(tool, tmp_path, c
 @pytest.fixture
 def small_map(tool, monkeypatch):
     """The map measure cut to three lines per input set."""
-    monkeypatch.setattr(tool, "map_job", lambda n: [n, 3, tool.literal("child.py", "MAP_CHAIN"), tool.PERFBENCH])
+    monkeypatch.setattr(tool, "map_job", lambda n, mutants: [n, 3, tool.literal("child.py", "MAP_CHAIN"),
+                                                              tool.PERFBENCH, mutants])
     return tool
 
 
@@ -109,7 +110,19 @@ def test_map_times_reports_each_mode_of_the_chain(small_map, capsys):
         assert list(tree["parts"]) == modes and list(tree["peak_mib"]) == modes
         assert all(0 < part["min_s"] <= part["median_s"] for part in tree["parts"].values())
         assert tree["maxrss_mib"] > 0
+    assert report["before"]["check"]["rejected_lines"] == "0 of 36"  # three valid lines per mode
     assert report["after_faster_in"].endswith(" of 2") and "n = 8" in report["method"]
+    assert "mutants" not in report["method"]
+
+
+def test_map_times_with_mutants_counts_the_rejected_lines(small_map, capsys):
+    # each valid line and its two mutants, as in the golden inputs: a third of
+    # the lines are valid, and at least half of the mutants are rejected
+    assert small_map.main(["map", str(SRC), str(SRC), "--samples", "2", "--mutants"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rejected, of, lines = report["before"]["check"]["rejected_lines"].split()
+    assert (of, lines) == ("of", "108") and 36 <= int(rejected) <= 72
+    assert report["after"]["check"] == report["before"]["check"] and "two mutants" in report["method"]
 
 
 def test_map_times_stops_when_a_tree_maps_otherwise(small_map, tmp_path, capsys):

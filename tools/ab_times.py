@@ -1,7 +1,7 @@
 """A/B timing of two source trees of springerbij: import, verify, enumerate or map.
 
     python3 tools/ab_times.py {import,verify,enumerate,map} BEFORE_SRC AFTER_SRC
-                              [--samples N] [--n-max 8] [--n 8] [--out FILE]
+                              [--samples N] [--n-max 8] [--n 8] [--mutants] [--out FILE]
 
 Each SRC holds the `springerbij` package (a checkout's `src/`). Every child is
 a fresh `python -E -s -c CODE ARG` interpreter run in SRC, which `-c` puts
@@ -126,11 +126,15 @@ print(json.dumps({"peak_mib": {name: peak_mib(run, family, n, sink) for name, fa
 
 # the chain of the map workloads on one input set, seeded by n: perfbench's
 # own sampler draws it in the child, untimed, and a first run of the chain,
-# also untimed, gives each mode's input and the SHA-256 of all outputs
+# also untimed, gives each mode's input. With mutants, each input line is
+# followed by two mutants, as in tests/test_map_golden.py: one with a
+# character replaced by another of the line, one with two entries (two letters
+# of a step word) swapped. One more untimed run of each mode's input gives the
+# SHA-256 of all outputs and the count of rejected lines
 CHAIN = """
 import hashlib, io, json, random, sys
 from springerbij import cli
-n, lines, chain, perfbench = json.loads(sys.argv[1])
+n, lines, chain, perfbench, mutants = json.loads(sys.argv[1])
 sys.path.append(perfbench)
 import sampling
 rng = random.Random(n)
@@ -141,24 +145,38 @@ def run(argv, text):
     out, err = io.StringIO(), io.StringIO()
     cli.main(argv, stdin=io.StringIO(text), stdout=out, stderr=err)
     return out.getvalue(), err.getvalue()
-modes, digest = [], hashlib.sha256()
+def with_mutants(line):
+    pos = rng.randrange(len(line))
+    word, sep, weights = line.partition(";")
+    items = list(word) if sep else line.split(" ")
+    i, j = rng.randrange(len(items)), rng.randrange(len(items))
+    items[i], items[j] = items[j], items[i]
+    return [line, line[:pos] + rng.choice(line) + line[pos + 1:],
+            "".join(items) + sep + weights if sep else " ".join(items)]
+modes = []
 for bijection, inverse, source, target in chain:
     argv = ["map", "--bijection", bijection] + ["--inverse"] * inverse
-    text = "".join(line + "\\n" for line in sets[source])
-    out, err = run(argv, text)
-    digest.update((out + err).encode())
+    out, _ = run(argv, "".join(line + "\\n" for line in sets[source]))
     sets.setdefault(target, out.splitlines())
+    text = "".join(m + "\\n" for line in sets[source] for m in (with_mutants(line) if mutants else [line]))
     modes.append((" ".join(argv[2:]), argv, text))
+outputs = [run(argv, text) for _, argv, text in modes]
+digest = hashlib.sha256("".join(out + err for out, err in outputs).encode())
+rejected = sum(err.count("ERROR") for _, err in outputs), sum(text.count("\\n") for *_, text in modes)
 """
 
 MAP = CHAIN + MEDIANS + """
-check, parts = {"sha256": digest.hexdigest()}, {name: median_s(run, argv, text) for name, argv, text in modes}
+check = {"sha256": digest.hexdigest(), "rejected_lines": "%d of %d" % rejected}
+parts = {name: median_s(run, argv, text) for name, argv, text in modes}
 total = sum(parts.values())
 """ + REPORT
 
 MAP_PEAKS = CHAIN + TRACE + """
 print(json.dumps({"peak_mib": {name: peak_mib(run, argv, text) for name, argv, text in modes}}))
 """
+
+MUTANTS = (", each line followed by two mutants (one character replaced by another of the line; two "
+           "entries or step letters swapped)")
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -181,9 +199,10 @@ def map_lines() -> dict[int, int]:
     return {n: lines for n, lines, _ in (sizes["full"] for sizes in literal("run.py", "MAP_SIZES").values())}
 
 
-def map_job(n: int) -> list:
-    """[n, lines, chain, perfbench]: one input set of the map workload at n, and MAP_CHAIN of perfbench/child.py."""
-    return [n, map_lines()[n], literal("child.py", "MAP_CHAIN"), PERFBENCH]
+def map_job(n: int, mutants: bool) -> list:
+    """[n, lines, chain, perfbench, mutants]: one input set of the map workload at n, MAP_CHAIN of
+    perfbench/child.py, and whether two mutants follow each line."""
+    return [n, map_lines()[n], literal("child.py", "MAP_CHAIN"), PERFBENCH, mutants]
 
 
 # measure -> (timed child, detail child, default samples, the child's argument, what the method runs)
@@ -197,9 +216,10 @@ MEASURES = {
                   "five more cli.main(['enumerate', ...]) per call into the null device, the call's part "
                   "the median of its five and the total the sum of the parts; tracemalloc peaks from one "
                   "more child per tree, after one warm call of each"),
-    "map": (MAP, MAP_PEAKS, 7, lambda args: json.dumps(map_job(args.n)),
+    "map": (MAP, MAP_PEAKS, 7, lambda args: json.dumps(map_job(args.n, args.mutants)),
             "each drawing one seeded input set of the map workload at n = {args.n} (perfbench's sampler) and "
-            "running perfbench's 12-mode MAP_CHAIN on it once untimed (the SHA-256 of all outputs), then "
+            "running perfbench's 12-mode MAP_CHAIN on it once untimed, which gives each mode's input"
+            "{mutants}, then once more (the SHA-256 of all outputs and the rejected lines), then "
             "timing five more cli.main(['map', ...]) per mode on that mode's input, the mode's part the "
             "median of its five and the total the sum of the parts; tracemalloc peaks from one more child "
             "per tree, after the untimed chain"),
@@ -229,6 +249,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n-max", type=int, default=8, help="the bound that verify.run takes")
     parser.add_argument("--n", type=int, default=8, choices=sorted(map_lines()),
                         help="the size of the map measure's objects, as in map-small or map-large")
+    parser.add_argument("--mutants", action="store_true",
+                        help="put two mutants, most of them rejected, after each line of the map inputs")
     parser.add_argument("--out", help="also write the JSON to this file")
     args = parser.parse_args(argv)
     timed, detail, samples, arg, what = MEASURES[args.measure]
@@ -256,8 +278,9 @@ def main(argv=None) -> int:
     report["ratio_of_medians"] = round(report["after"]["total"]["median_s"] / report["before"]["total"]["median_s"], 4)
     faster = sum(after["total_s"] < before["total_s"] for after, before in zip(runs["after"], runs["before"]))
     report["after_faster_in"] = f"{faster} of {samples}"
+    what = what.format(arg=arg, args=args, mutants=MUTANTS * args.mutants)
     report["method"] = (f"{samples} fresh `{os.path.basename(sys.executable)} -E -s` interpreters per tree, one at "
-                        f"a time, the trees alternated, {what.format(arg=arg, args=args)}; seconds of perf_counter, "
+                        f"a time, the trees alternated, {what}; seconds of perf_counter, "
                         f"inclusive quartiles; ru_maxrss at the child's end")
     text = json.dumps(report, indent=1)
     print(text)
