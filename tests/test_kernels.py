@@ -808,12 +808,6 @@ def test_suffix_tables_match_the_two_loop_leaf_at_the_ceiling(family):
     _same_objects(family, [FAMILIES[family].ceiling], CEILING_COUNT)
 
 
-def test_mirrored_tables_match_the_half_mirroring_generator():
-    # rcalt's reference mirrors each whole half: every n up to 8 and the ceiling
-    _same_objects("rcalt", range(-2, SEARCHES["rcalt"][2] + 1))
-    _same_objects("rcalt", [FAMILIES["rcalt"].ceiling], CEILING_COUNT)
-
-
 def test_pruned_sigma_search_matches_the_permutation_filter():
     # the objects at the largest n, none below 0, and the first 20,000 at the ceiling
     _same_objects("wip3", (-2, -1, SEARCHES["wip3"][2]))

@@ -1,6 +1,9 @@
-"""The modules of springerbij share no private names, and only Family is a dataclass."""
+"""The modules of springerbij share no private names, only Family is a dataclass, and the
+modules are layers that the package root does not re-export."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "springerbij"
@@ -85,3 +88,42 @@ def test_no_test_module_keeps_an_unused_private_function_or_table():
     # a reference, helper or table that no test reads any more is dead weight: a retired
     # oracle must go with the last comparison that ran it
     assert _unused_private_names(sorted(TESTS.glob("*.py"))) == []
+
+
+# the layers in import order; importing one loads it and the layers before it only
+LAYERS = {
+    "permcore": {"permcore"},
+    "paths": {"errors", "permcore", "paths"},
+    "families": {"errors", "permcore", "paths", "families"},
+    "bijections": {"errors", "permcore", "paths", "families", "bijections"},
+    "verify": {"errors", "permcore", "paths", "families", "bijections", "verify"},
+    "cli": {"errors", "permcore", "paths", "families", "bijections", "verify", "cli"},
+}
+
+
+def test_importing_a_layer_loads_only_the_layers_below_it():
+    # one fresh interpreter per layer, on this tree's src whatever else is installed
+    code = ("import importlib, sys\n"
+            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "importlib.import_module('springerbij.' + sys.argv[1])\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('springerbij'))))")
+    for layer, below in LAYERS.items():
+        done = subprocess.run([sys.executable, "-c", code, layer], capture_output=True, text=True, check=True)
+        assert done.stdout.split() == sorted({"springerbij"} | {f"springerbij.{m}" for m in below}), layer
+
+
+def test_the_package_root_re_exports_nothing():
+    # the modules are the one import path: the root binds no function, class or import,
+    # and every `from springerbij import X` outside src/ names a module
+    root = ast.parse((SRC / "__init__.py").read_text())
+    assert [type(node).__name__ for node in ast.walk(root) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))] == []
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    found = []
+    for folder in ("tests", "tools", "perfbench"):
+        for path in sorted((TESTS.parent / folder).glob("*.py")):
+            found += [f"{folder}/{path.name}:{node.lineno}: {alias.name}"
+                      for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                      if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "springerbij"
+                      for alias in node.names if alias.name not in modules]
+    assert found == []
