@@ -12,11 +12,13 @@
 * snake_to_lbp: the composite of psi with the halving map.
 
 BIJECTIONS holds one record per bijection of the CLI, with at most one trace,
-of a domain object. Every public map here rejects a non-member of its domain,
-at least as strictly as the domain's Family.parse, and, but for fz_inverse,
-checks what the theorems guarantee of its output, each once; fz_inverse's output
-is a permutation by construction. The composites and self-checks run the
-unchecked cores (_phi, _fz, _fz_inverse) where a neighbouring check covers them.
+of a domain object. Every public map here checks its input as strictly as the
+domain's Family.parse; of its output, the theorems once and its construction
+never (a comment there proves it). phi and psi_inverse check is_snake, psi
+is_alternating, lbp_to_rcalt that and rc-invariance, fz validate_laguerre,
+rcalt_to_lbp halve_rc_fixed's caps and mirror, phi_inverse validate_wip3 and the
+round trip. The composites and self-checks run the unchecked cores (_phi, _fz,
+_fz_inverse) where a neighbouring check covers them.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from itertools import chain
 from operator import itemgetter, neg
 from typing import Sequence
 
-from . import paths
-from .errors import MarkNotCyclePeak, ValidationError
+from . import paths, permcore
+from .errors import MarkNotCyclePeak, NotAlternating, NotASnake, NotRcInvariant, ValidationError
 from .families import ThreeWIP, validate_permutation, validate_rcalt, validate_snake, validate_wip3
 from .paths import (
     LabeledBallotPath,
@@ -116,14 +118,15 @@ def _phi(wip: ThreeWIP) -> tuple[int, ...]:  # wip is known to be a 3-WIP
 
 
 def phi(wip: ThreeWIP) -> tuple[int, ...]:
-    """Map a weakly increasing 3-dimensional permutation to a snake.
+    """Map a weakly increasing 3-dimensional permutation to a snake, checked to run down-up.
 
     >>> phi(ThreeWIP((1, 5, 2, 6, 7, 3, 8, 9, 4), (2, 5, 6, 3, 1, 7, 8, 4, 9)))
     (5, -7, -1, -2, 6, 3, 8, -9, -4)
     """
     validate_wip3(wip.sigma, wip.pi)
     snake = _phi(wip)
-    validate_snake(snake)
+    if not permcore.is_snake(snake):  # place_bars only signs foata's permutation
+        raise NotASnake(f"not a snake: {snake}")
     return snake
 
 
@@ -161,9 +164,11 @@ def psi(snake: Sequence[int]) -> tuple[int, ...]:
     """Map a snake of length n to an rc-invariant alternating permutation of length 2n.
 
     Entries shift into 1..2n (positives up by n, negatives up by n+1), which
-    preserves relative order. For odd n the reversed shifted word becomes the
-    first half, for even n the shifted word itself becomes the second half;
-    the other half is forced by mirrored entries summing to 2n+1.
+    preserves relative order and, as |v| runs over 1..n once, takes one value of
+    each pair summing to 2n+1. For odd n the reversed shifted word becomes the
+    first half, for even n the second; the mirror gives the other half, the other
+    value of each pair. So the image is an rc-invariant permutation as built, and
+    only its alternation, the theorem, is checked.
 
     >>> psi((2, 1, 5, -4, -3))
     (3, 2, 10, 6, 7, 4, 5, 1, 9, 8)
@@ -174,12 +179,13 @@ def psi(snake: Sequence[int]) -> tuple[int, ...]:
     half = shifted[::-1] if n % 2 else shifted
     mirror = tuple(2 * n + 1 - v for v in reversed(half))
     full = half + mirror if n % 2 else mirror + half
-    validate_rcalt(full)
+    if not permcore.is_alternating(full):
+        raise NotAlternating(f"not alternating: {full}")
     return full
 
 
 def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    """Recover the snake from an rc-invariant alternating permutation.
+    """Recover the snake from an rc-invariant alternating permutation, checked to run down-up.
 
     >>> psi_inverse((3, 2, 10, 6, 7, 4, 5, 1, 9, 8))
     (2, 1, 5, -4, -3)
@@ -189,7 +195,8 @@ def psi_inverse(perm: Sequence[int]) -> tuple[int, ...]:
     n = len(word) // 2
     shifted = word[:n][::-1] if n % 2 else word[n:]
     snake = tuple(v - n if v > n else v - n - 1 for v in shifted)
-    validate_snake(snake)
+    if not permcore.is_snake(snake):  # shifted holds one of v, 2n+1-v for each v: a signed permutation
+        raise NotASnake(f"not a snake: {snake}")
     return snake
 
 
@@ -294,9 +301,12 @@ def rcalt_to_lbp(perm: Sequence[int]) -> LabeledBallotPath:
 
 
 def lbp_to_rcalt(lbp: LabeledBallotPath) -> tuple[int, ...]:
-    """Extend a labeled ballot path to its rc-fixed history and pull it back."""
-    perm = _fz_inverse(extend_to_rc_fixed(lbp))  # extend_to_rc_fixed checks the history
-    validate_rcalt(perm)
+    """Extend a labeled ballot path to its rc-fixed history and pull it back; checks fz's theorems."""
+    perm = _fz_inverse(extend_to_rc_fixed(lbp))  # a permutation of 1..2n: each value linked once
+    if not permcore.is_alternating(perm):  # fz's theorems: down-up and rc-invariant
+        raise NotAlternating(f"not alternating: {perm}")
+    if permcore.reverse_complement(perm) != perm:
+        raise NotRcInvariant(f"not rc-invariant: {perm}")
     return perm
 
 

@@ -161,15 +161,14 @@ def extend_to_rc_fixed(lbp: LabeledBallotPath) -> LaguerreHistory:
     """The unique rc-fixed labeled Dyck path whose first half is the given path.
 
     The second half mirrors the first with U/D swapped; the mirrored weight of
-    step i is the complement of weight i within its range. The result always
-    ends on the axis and is fixed by history_rc.
+    step i is the complement of weight i within its range. Only the path is checked.
     """
+    # The checked path proves the result closed and rc-fixed: the tail retraces the path's
+    # heights back to the axis and keeps each cap (see history_rc), so each complemented weight
+    # is in range; history_rc, the same mirror on the whole word, swaps the path and the tail.
     caps = _caps(lbp.steps, lbp.weights, BALLOT_ALPHABET, closed=False)
     tail_steps, tail_weights = _mirror(lbp.steps, lbp.weights, caps)
-    hw = LaguerreHistory(lbp.steps + tail_steps, lbp.weights + tail_weights)
-    if history_rc(hw) != hw:  # history_rc validates hw first
-        raise NotRcFixed("the extension is not fixed by reverse-complement")
-    return hw
+    return LaguerreHistory(lbp.steps + tail_steps, lbp.weights + tail_weights)
 
 
 def count_lbp_dp(n: int) -> int:

@@ -279,7 +279,7 @@ PER_OBJECT: list[tuple[str, int, Callable[..., str], list[Side]]] = [
     ("bijections/snake-sign-pattern", 8, _holds, [("snakes", _snake_sign_pattern)]),
     ("bijections/snake2lbp-bijective", 6, functools.partial(_bijective, name="snake2lbp"),
      _roundtrip("snake2lbp")[:1]),
-    # extend_to_rc_fixed checks that history_rc fixes its image; halve_rc_fixed checks it again
+    # extend_to_rc_fixed's image is rc-fixed as built; halve_rc_fixed checks it, by its own mirror
     ("paths/extend-to-rc-fixed-closure", 7, _holds, [
         ("lbp", lambda lbp: paths.halve_rc_fixed(paths.extend_to_rc_fixed(lbp)) == lbp)]),
     ("paths/history-rc-involution", 7, _holds, [("laguerre", lambda hw: paths.history_rc(hw) == type(hw)(

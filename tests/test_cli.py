@@ -221,26 +221,26 @@ RCALT14 = "5 2 14 11 12 7 9 6 8 3 4 1 13 10\n"
 PERM9, HISTORY9 = "4 3 1 2 9 6 8 5 7\n", "UHTDUUHDD;0,1,0,0,0,0,2,1,0\n"
 WIP9, SNAKE9 = "1 5 2 6 7 3 8 9 4 / 2 5 6 3 1 7 8 4 9\n", "5 -7 -1 -2 6 3 8 -9 -4\n"
 CHECKS = [
-    # psi's input and output checks (fz's stands in for the latter), then
+    # psi's input check (its image is a permutation as built), then
     # halve_rc_fixed's check of the history
-    (["snake2lbp"], SNAKE7, LBP7, [7, 14], [14]),
-    # extend_to_rc_fixed's checks of its input and of the history (the latter
-    # stands in for fz_inverse's), then psi_inverse's input and output checks
-    (["snake2lbp", "--inverse"], LBP7, SNAKE7, [14, 7], [7, 14]),
+    (["snake2lbp"], SNAKE7, LBP7, [7], [14]),
+    # extend_to_rc_fixed's check of its input (its history is rc-fixed as
+    # built), then psi_inverse's input check (its image is signed as built)
+    (["snake2lbp", "--inverse"], LBP7, SNAKE7, [14], [7]),
     # rcalt_to_lbp's one input check (fz's stands in for it), halve_rc_fixed's
     (["bigpsi"], RCALT14, LBP7, [14], [14]),
-    # extend_to_rc_fixed's two, then lbp_to_rcalt's output check
-    (["bigpsi", "--inverse"], LBP7, RCALT14, [14], [7, 14]),
+    # extend_to_rc_fixed's one; lbp_to_rcalt checks no permutation, only fz's theorems
+    (["bigpsi", "--inverse"], LBP7, RCALT14, [], [7]),
     # fz's input and output checks; fz_inverse's input check, and no output check
     (["fz"], PERM9, HISTORY9, [9], [9]),
     (["fz", "--inverse"], HISTORY9, PERM9, [], [9]),
-    # phi's check of both rows, then of the snake; phi_inverse's check of the
-    # snake, then phi_step1_inverse's of both rows (the round trip re-checks nothing)
-    (["phi"], WIP9, SNAKE9, [9, 9, 9], []),
+    # phi's check of both rows (the snake is signed as built); phi_inverse's check
+    # of the snake, then phi_step1_inverse's of both rows (the round trip re-checks nothing)
+    (["phi"], WIP9, SNAKE9, [9, 9], []),
     (["phi", "--inverse"], SNAKE9, WIP9, [9, 9, 9], []),
-    # the input and output checks of psi and of psi_inverse
-    (["psi"], SNAKE7, RCALT14, [7, 14], []),
-    (["psi", "--inverse"], RCALT14, SNAKE7, [14, 7], []),
+    # the input checks of psi and of psi_inverse; their images are permutations as built
+    (["psi"], SNAKE7, RCALT14, [7], []),
+    (["psi", "--inverse"], RCALT14, SNAKE7, [14], []),
     # wbar's one check; its image needs none
     (["wbar"], LBP7, "UUUDDUU;0,1,1,0,1,1,2\n", [], [7]),
     (["wbar", "--inverse"], "UUUDDUU;0,1,1,0,1,1,2\n", LBP7, [], [7]),
@@ -259,7 +259,7 @@ def test_map_snake2lbp_checks_each_permutation_once(monkeypatch):
         steps.clear()
         assert run_cli(["map", "--bijection", *argv], text) == (0, image, ""), argv
         assert (lengths, steps) == (want_lengths, want_steps), argv
-    assert sum(len(row[3]) for row in CHECKS) == 17 and sum(len(row[4]) for row in CHECKS) == 10
+    assert sum(len(row[3]) for row in CHECKS) == 11 and sum(len(row[4]) for row in CHECKS) == 8
 
 
 def test_map_fz_inverse():

@@ -171,6 +171,40 @@ def test_every_predicate_holds_on_uniform_samples(domain, n, count):
         _holds_on(domain, SAMPLERS[domain](n, rng))
 
 
+# what each map's construction proves of its image, which the map therefore leaves
+# unchecked: map -> (its module, its domain, the property of (object, image))
+PROVED = {
+    "psi": (bijections, "snakes", lambda snake, p: len(p) == 2 * len(snake)
+            and permcore.is_permutation(p) and permcore.reverse_complement(p) == p),
+    "psi_inverse": (bijections, "rcalt", lambda perm, snake: permcore.is_signed_permutation(snake)),
+    "phi": (bijections, "wip3", lambda wip, snake: permcore.is_signed_permutation(snake)),
+    "lbp_to_rcalt": (bijections, "lbp", lambda lbp, p: len(p) == 2 * len(lbp.steps)
+                     and permcore.is_permutation(p)),
+    "extend_to_rc_fixed": (paths, "lbp", lambda lbp, hw: validate_laguerre(*hw) == hw == paths.history_rc(hw)),
+}
+
+
+def _proved_on(name, obj):
+    module, domain, proved = PROVED[name]
+    assert proved(obj, getattr(module, name)(obj)), f"{name} on {domain} {verify._text(domain, obj)!r}"
+
+
+@pytest.mark.parametrize("name", sorted(PROVED))
+def test_what_a_map_proves_holds_on_every_object_up_to_7(name):
+    for n in range(8):
+        for obj in verify._objects(PROVED[name][1], n):
+            _proved_on(name, obj)
+
+
+@pytest.mark.parametrize("n, count", [(64, 10), (512, 3)])
+@pytest.mark.parametrize("name", sorted(PROVED))
+def test_what_a_map_proves_holds_on_uniform_samples(name, n, count):
+    domain = PROVED[name][1]
+    rng = random.Random(f"{domain} {n}")  # the draws of test_every_predicate_holds_on_uniform_samples
+    for _ in range(count):
+        _proved_on(name, SAMPLERS[domain](n, rng))
+
+
 @given(labeled_ballot_paths())
 def test_wbar_is_involution(lbp):
     # the wbar row's predicate, which takes the caps that the row computes once per step word

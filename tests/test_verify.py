@@ -262,14 +262,14 @@ def test_wbar_row_runs_caps_once_per_path_and_once_per_step_word(monkeypatch):
     assert len(calls) == len(objects) + len({lbp.steps for lbp in objects})
 
 
-def test_closure_row_runs_caps_three_times_per_path(monkeypatch):
-    # extend_to_rc_fixed on the path and, through its history_rc self-check, on the
-    # history; halve_rc_fixed on the history. The row itself calls no history_rc.
+def test_closure_row_runs_caps_twice_per_path(monkeypatch):
+    # extend_to_rc_fixed on the path, whose history is rc-fixed as built, and
+    # halve_rc_fixed on the history. The row itself calls no history_rc.
     calls = []
     real = paths._caps
     monkeypatch.setattr(paths, "_caps", lambda s, *a, **k: calls.append(s) or real(s, *a, **k))
     _row("paths/extend-to-rc-fixed-closure")(5)
-    assert len(calls) == 3 * sum(1 for n in range(6) for _ in families.enumerate_lbp(n))
+    assert len(calls) == 2 * sum(1 for n in range(6) for _ in families.enumerate_lbp(n))
 
 
 def test_bars_row_finds_the_peak_valley_pairs_twice_per_snake(monkeypatch):
@@ -446,19 +446,58 @@ def test_validator_rejecting_a_member_fails_the_fuzz_row(monkeypatch):
         verify._validator_fuzz(2)
 
 
-def test_history_rc_off_by_one_weight_fails_the_closure_row(monkeypatch):
-    # the last weight of the mirror is one too high, so extend_to_rc_fixed's own check fails
-    good = paths.history_rc
+def _last_weight_up(good):
+    # the last weight of the image is one too high
+    def wrong(obj):
+        image = good(obj)
+        return image._replace(weights=image.weights[:-1] + (image.weights[-1] + 1,)) if image.steps else image
+    return wrong
 
-    def off_by_one(hw):
-        image = good(hw)
-        if not hw.steps:
-            return image
-        return image._replace(weights=image.weights[:-1] + (image.weights[-1] + 1,))
 
-    monkeypatch.setattr(paths, "history_rc", off_by_one)
-    with pytest.raises(NotRcFixed, match="^the extension is not fixed by reverse-complement$"):
-        paths.extend_to_rc_fixed(paths.LabeledBallotPath("U", (0,)))
+def test_history_rc_off_by_one_weight_fails_the_involution_row(monkeypatch):
+    # extend_to_rc_fixed's history is rc-fixed as built: it calls no history_rc, and the
+    # closure row passes; the involution row states history_rc's formula and fails
+    calls = []
+    wrong = _last_weight_up(paths.history_rc)
+    monkeypatch.setattr(paths, "history_rc", lambda hw: calls.append(hw) or wrong(hw))
+    assert paths.extend_to_rc_fixed(paths.LabeledBallotPath("U", (0,))) == paths.LaguerreHistory("UD", (0, 0))
+    _row("paths/extend-to-rc-fixed-closure")(7)
+    assert calls == []
     with pytest.raises(verify.Counterexample) as excinfo:
-        _row("paths/extend-to-rc-fixed-closure")(7)
-    assert str(excinfo.value) == "lbp 'U;0': NotRcFixed: the extension is not fixed by reverse-complement"
+        _row("paths/history-rc-involution")(7)
+    assert str(excinfo.value) == "laguerre 'H;0'"
+
+
+def _psi_mirror_2n(good):
+    # the mirrored half (the second for odd n, the first for even n) takes 2n - v for 2n + 1 - v
+    def wrong(snake):
+        full, n = list(good(snake)), len(snake)
+        lo = n if n % 2 else 0
+        full[lo:lo + n] = [v - 1 for v in full[lo:lo + n]]
+        return tuple(full)
+    return wrong
+
+
+# faults in what a map builds, past the output checks that the map leaves to its
+# construction (psi's even length, rc-invariance and permutation tests, psi_inverse's
+# signed-permutation test, extend_to_rc_fixed's history_rc round): (targets, fault)
+# -> the row of verify.run(6) that fails and its first counterexample
+CONSTRUCTION_FAULTS = {
+    "psi-mirror-2n-v": ([(bijections, "psi")], _psi_mirror_2n,
+                        "bijections/psi-bijective", "snakes '1': image is not in rcalt"),
+    "psi-inverse-shift": ([(bijections, "psi_inverse")],  # positives shift down by n - 1
+                          lambda good: lambda perm: tuple(v + (v > 0) for v in good(perm)),
+                          "bijections/psi-bijective", "snakes '1': inverse(f(x)) != x"),
+    "extension-last-weight-up": ([(paths, "extend_to_rc_fixed"), (bijections, "extend_to_rc_fixed")],
+                                 _last_weight_up, "paths/extend-to-rc-fixed-closure",
+                                 "lbp 'U;0': WeightOutOfRange: weight 1 at step 2 outside 0..0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONSTRUCTION_FAULTS))
+def test_construction_fault_fails_a_named_row(monkeypatch, fault):
+    targets, wrap, row, first = CONSTRUCTION_FAULTS[fault]
+    for module, name in targets:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    results = {r.name: r for r in verify.run(6)}
+    assert (results[row].passed, results[row].detail) == (False, f"Counterexample: {first}")
