@@ -21,7 +21,9 @@ sigma rows and 9,432 for their 10,440 pi prefixes (24,611 objects at n = 7),
 and 78 and 2,475 for the step words of 250,737 lbp paths and 40,320 laguerre
 histories (n = 8). Each search feeds the object generator, and Family.text,
 which writes a whole size from leaves (head, tail texts, end) without making
-the objects.
+the objects: 3,907 leaves for the snakes, 5,489 for the rcalts, 26,586 for the
+altperms, 8,600 for wip3, and 2,323 and 2,594 for the lbp paths and laguerre
+histories.
 The order rests on one rule. All objects of one size render to the same
 number of tokens (decimals, or the letters of a step word of fixed length),
 and the separators that end a token, ' ' and ',', sort below '-' and the
@@ -181,6 +183,7 @@ def euler_sequence(m: int) -> tuple[int, ...]:
 # enumerators (canonical text order by construction) and the family registry
 
 TEXT_CHUNK = 1024  # lines per piece of Family.text at most
+TAIL_LINES = 16  # lines of a path tail at least, where the word is long enough
 
 
 def _in_text_order(values: Iterable[int]) -> list[int]:
@@ -210,14 +213,15 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     text-ordered candidates above p (odd positions) and below p (even ones)
     in a table, the last position's already filtered by last_ok. A _walk over
     (prefix, bitmask of the slots taken) fills the prefix up to w_n-depth (709
-    moves for 3,990 prefixes of snakes at n = 8), and a loop over w_n-depth+1
-    follows; a table of the call, keyed by it and the slots taken, lists the
-    tails (the last depth entries) in text order. A leaf (prefix, tails, back)
-    stands for the words prefix + tail + back. With a mirror, each word goes on
-    with the mirror images of its entries in reverse order: a tail carries its
-    own, back the prefix's. For n <= depth, w_n-depth is w0 = 0 and 0s pad the
-    positions below 1 (no slots). With text, the leaves are _text's, tails as
-    texts.
+    moves for 3,990 prefixes of snakes at n = 8). A table of the call, keyed by
+    w_n-depth+1 and the slots taken, lists the tails (the last depth entries) in
+    text order; a second, keyed by w_n-depth and the slots taken, joins the lists
+    of each w_n-depth+1 after it, so a prefix with tails is one leaf (3,907 of
+    the 3,990). A leaf (prefix, tails, back) stands for the words prefix + tail
+    + back. With a mirror, each word goes on with the mirror images of its
+    entries in reverse order: a tail carries its own, back the prefix's. For
+    n <= depth, w_n-depth is w0 = 0 and 0s pad the positions below 1 (no slots).
+    With text, the leaves are _text's, tails as texts.
     """
     order = [(v, 1 << slot(v)) for v in _in_text_order(values)]
     prevs = (0, *(v for v, _ in order))
@@ -226,7 +230,7 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     last = {p: [(v, b) for v, b in tables[(n - 1) % 2][p] if last_ok(v)] for p in prevs}
     pad = dict.fromkeys(prevs, [(0, 0)])  # a position below 1 holds a 0, which takes no slot
     ends = [pad if i < 1 else last if i == n else tables[(i - 1) % 2] for i in range(n - depth + 1, n + 1)]
-    suffixes, cut = {}, max(depth - n, 0)
+    suffixes, joined, cut = {}, {}, max(depth - n, 0)
 
     def grow(word, taken):  # w_j for j = len(word) + 1: the candidates after w_j-1 (w0 = 0) in a free slot
         candidates = tables[len(word) % 2][word[-1] if word else 0]
@@ -234,23 +238,27 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
 
     # the prefixes up to w_n-depth and the slots they take; for n <= depth only (), none for n < 0
     for prefix, taken in _walk(max(n - depth, min(n, 0)), ((), 0), grow):
-        v = prefix[-1] if prefix else 0  # w_n-depth; each w_n-depth+1 after it makes a leaf
-        back = tuple(map(mirror, reversed(prefix))) if mirror else ()
-        if text:
-            prefix, back = "%d " * len(prefix) % prefix, " %d" * len(back) % back + "\n"
-        for u, c in ends[0][v]:
-            if taken & c:
-                continue
-            tails = suffixes.get((u, taken | c))
-            if tails is None:  # first met: grow the tails one free position at a time
-                tails = [((u,), taken | c)]
-                for end in ends[1:]:
-                    tails = [(t + (w,), m | d) for t, m in tails for w, d in end[t[-1]] if not m & d]
-                tails = [t[cut:] for t, _ in tails]
-                tails = [t + tuple(map(mirror, reversed(t))) for t in tails] if mirror else tails
-                tails = suffixes[u, taken | c] = list(map(permcore.format_perm, tails)) if text else tails
-            if tails:
-                yield prefix, tails, back
+        v = prefix[-1] if prefix else 0  # w_n-depth
+        joint = joined.get((v, taken))
+        if joint is None:  # first met: join the tails of each w_n-depth+1 after it, in text order
+            joint = joined[v, taken] = []
+            for u, c in ends[0][v]:
+                if taken & c:
+                    continue
+                tails = suffixes.get((u, taken | c))
+                if tails is None:  # first met: grow the tails one free position at a time
+                    tails = [((u,), taken | c)]
+                    for end in ends[1:]:
+                        tails = [(t + (w,), m | d) for t, m in tails for w, d in end[t[-1]] if not m & d]
+                    tails = [t[cut:] for t, _ in tails]
+                    tails = [t + tuple(map(mirror, reversed(t))) for t in tails] if mirror else tails
+                    tails = suffixes[u, taken | c] = list(map(permcore.format_perm, tails)) if text else tails
+                joint += tails
+        if joint:
+            back = tuple(map(mirror, reversed(prefix))) if mirror else ()
+            if text:
+                prefix, back = "%d " * len(prefix) % prefix, " %d" * len(back) % back + "\n"
+            yield prefix, joint, back
 
 
 def _words(leaves: Iterator[tuple[tuple, list, tuple]]) -> Iterator[tuple[int, ...]]:
@@ -390,11 +398,16 @@ def _paths(leaves: Iterator[tuple[str, list]], cls: type) -> Iterator:
 
 
 def _path_lines(words: Iterator[tuple[str, list]]) -> Iterator[tuple[str, list, str]]:
-    """_labeled_paths' words as _text's leaves: the word and all but the last three weights,
-    and the texts of the last three ranges' product, rendered once per call and ranges."""
+    """_labeled_paths' words as _text's leaves: the word and the weights before its tail, and
+    the texts of the tail's product, rendered once per call and ranges. A tail is the last
+    three ranges and as many before them as make it TAIL_LINES lines or more (2,594 leaves
+    for the 1,430 words of laguerre at n = 8; three ranges alone make 13,200)."""
     texts = {}
     for word, ranges in words:
-        k = max(len(ranges) - 3, 0)
+        k, lines = len(ranges), 1
+        while k and (lines < TAIL_LINES or k > len(ranges) - 3):
+            k -= 1
+            lines *= len(ranges[k])
         last = tuple(ranges[k:])
         tails = texts.get(last) or texts.setdefault(
             last, list(map(",".join(["%d"] * len(last)).__mod__, itertools.product(*last))))

@@ -834,8 +834,22 @@ def test_text_matches_the_earlier_text_at_the_ceiling(monkeypatch, family):
     _same_text_at_the_ceiling(monkeypatch, family, [1, 7])
 
 
-# the enumerate workload's n per family
+# the enumerate workload's n and lines per family
 WORKLOAD_N = {family: n for family, n, _, _ in _literal("run", "ENUMERATE_CALLS")["full"]}
+WORKLOAD_LINES = {family: lines for family, _, lines, _ in _literal("run", "ENUMERATE_CALLS")["full"]}
+# the leaves of each text search at the workload's n: one per walked zigzag prefix,
+# one per wip3 pi prefix, one per path word and weights before a tail of at least
+# TAIL_LINES lines; a search that splits its leaves again fails here
+TEXT_LEAVES = {"snakes": 3907, "rcalt": 5489, "altperm": 26586, "laguerre": 2594, "lbp": 2323, "wip3": 8600}
+
+
+@pytest.mark.parametrize("family", sorted(TEXT_LEAVES))
+def test_text_searches_hand_out_few_full_leaves(monkeypatch, family):
+    leaves = []
+    monkeypatch.setattr(families, "_text", leaves.extend)  # Family.text hands its leaves over whole
+    FAMILIES[family].text(WORKLOAD_N[family])
+    assert len(leaves) == TEXT_LEAVES[family]
+    assert sum(len(tails) for _, tails, _ in leaves) == WORKLOAD_LINES[family]
 
 
 @pytest.mark.parametrize("family", sorted(WORKLOAD_N))
@@ -843,9 +857,10 @@ def test_generators_start_at_most_three_frames_per_object(family):
     # each object may cost one resumption of the search and a record's __init__;
     # the recursive searches cost 9-17. The zigzag searches fill a suffix table key
     # by one comprehension per tail position (and one per cut and mirror), and a key
-    # serves many objects: 1.3 frames an object for snakes, 1.4 for rcalt, 2.2 for
-    # altperm, whose five-entry keys each serve fewer. wip3 reads 2.6: its pi walk
-    # resumes the walker and the moves of a prefix for each leaf of about 3 objects
+    # serves many objects: 1.23 frames an object for snakes, 1.28 for rcalt, 2.04
+    # for altperm, whose five-entry keys each serve fewer. laguerre reads 1.19.
+    # wip3 reads 2.6: its pi walk resumes the walker and the moves of a prefix for
+    # each leaf of about 3 objects
     objects = iter(FAMILIES[family].generate(WORKLOAD_N[family]))
     next(objects)
     calls = 0
@@ -919,6 +934,16 @@ def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
 # 32,032 suffixes, 5 at most under one key); with four-entry tails it measured
 # 0.8 and 0.9 MiB (4004 keys, 5005 suffixes). The text's table holds the texts in
 # place of the tuples, so the bound, which counts both, is loose for the text.
+# The call's second table joins, for each walked prefix, the suffix lists of every
+# w_n-d+1 after it. Its keys are w_n-d and the slots taken, which leave d free: at
+# most |values| C(n, d). Each w_n-d+1 is one of the m values of a free slot, so a
+# key's list holds at most the d m lists of its free slots, d m E_d-1 m^(d-1)
+# suffixes, as references of REF_BYTES (a list slot and the eighth more that a
+# growing list allocates); a key costs at most KEY_BYTES, as in the first table.
+# Full runs met about half of those keys: snakes and rcalt 2310 of 4200 at n = 10,
+# with at most 80 and 57 references under one key (128 allowed), altperm 9009 of
+# 16,731 at n = 13, with at most 16 (25 allowed); by sys.getsizeof the table
+# took 1.4, 1.1 and 2.2 MiB. The table is the same for the text.
 #
 # Worst case of one _wip3s call's tail table, its tails the last d = 4 entries of
 # pi. sigma_1..sigma_n-4 are at most n - 2 by the prefix-maximum bound, so sigma's
@@ -938,6 +963,7 @@ def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
 # tuples and 5.1 MiB of texts (29,989 tails).
 KEY_BYTES, SUFFIX_BYTES, PAIR_BYTES = 400, 96, 96
 ENTRY_BYTES, TEXT_KEY_BYTES, TEXT_BYTES = 8, 200, 128
+REF_BYTES = 9
 ALTERNATING_ORDERS = {3: 2, 4: 5}  # E_3, E_4
 
 
@@ -947,7 +973,8 @@ def _table_bound(n, m, entries, depth, text):
     suffix = SUFFIX_BYTES + ENTRY_BYTES * (entries - 4) + TEXT_BYTES * text
     suffixes = ALTERNATING_ORDERS[depth - 1] * m ** (depth - 1)
     table = values * math.comb(n, depth - 1) * (key + suffixes * suffix)
-    return table + 3 * (values + 1) ** 2 * PAIR_BYTES + _pieces_bound(n, text)
+    joined = values * math.comb(n, depth) * (KEY_BYTES + depth * m * suffixes * REF_BYTES)
+    return table + joined + 3 * (values + 1) ** 2 * PAIR_BYTES + _pieces_bound(n, text)
 
 
 def _wip3_table_bound(n, text):
