@@ -45,7 +45,6 @@ from .permcore import (
     foata_inverse,
     format_marked,
     invert,
-    peak_valley_pairs,
 )
 
 
@@ -103,13 +102,21 @@ def phi_step2(tau: MarkedPermutation) -> MarkedPermutation:
 def place_bars(tau_tilde: MarkedPermutation) -> tuple[int, ...]:
     """Step 3 of phi: bar each right valley whose left peak is marked, and every
     other entry in even position. Under p[0] = 0 and p[n+1] = +inf, left peaks and
-    right valleys alternate, starting with a peak: the k-th valley is the k-th peak's."""
+    right valleys alternate, starting with a peak: the k-th valley is the k-th peak's,
+    signed as it closes; the last closes after the loop, where p[n+1] = +inf would."""
     word, marks = tau_tilde.perm, tau_tilde.marks
     out = list(word)
     out[1::2] = map(neg, word[1::2])
-    for peak, valley in peak_valley_pairs(word):
-        v = word[valley - 1]
-        out[valley - 1] = -v if word[peak - 1] in marks else v
+    marked, prev, rose = False, 0, True
+    for i, v in enumerate(word):  # prev = p[i], v = p[i+1]; rose: p[i-1] < p[i]
+        if rose:
+            if prev > v:  # a left peak
+                marked = prev in marks
+        elif prev < v:  # its right valley
+            out[i - 1] = -prev if marked else prev
+        prev, rose = v, prev < v
+    if not rose:
+        out[-1] = -prev if marked else prev
     return tuple(out)
 
 
@@ -133,9 +140,17 @@ def phi(wip: ThreeWIP) -> tuple[int, ...]:
 def unbar(snake: Sequence[int]) -> MarkedPermutation:
     """Invert step 3: mark the k-th left peak when the k-th right valley has a bar (see place_bars)."""
     word = tuple(map(abs, snake))
-    marks = frozenset(word[peak - 1] for peak, valley in peak_valley_pairs(word)
-                      if snake[valley - 1] < 0)
-    return MarkedPermutation(word, marks)
+    marks, peak, prev, rose = [], 0, 0, True
+    for i, v in enumerate(word):  # prev = p[i], v = p[i+1]; rose: p[i-1] < p[i]
+        if rose:
+            if prev > v:
+                peak = prev
+        elif prev < v and snake[i - 1] < 0:
+            marks.append(peak)
+        prev, rose = v, prev < v
+    if not rose and snake[-1] < 0:
+        marks.append(peak)
+    return MarkedPermutation(word, frozenset(marks))
 
 
 def phi_inverse_trace(snake: Sequence[int]) -> MarkedPermutation:

@@ -4,8 +4,7 @@ A permutation is a tuple of the values 1..n; a signed permutation is a tuple
 of nonzero integers whose absolute values form a permutation. All positions
 in documented statistics are 1-based, matching the text formats. Boundary
 comparisons use the conventions p[0] = 0 and p[n+1] = +infinity. left_peaks and
-right_valleys realize them by their comparisons alone; peak_valley_pairs closes
-its last pair after its loop, where p[n+1] = +infinity would.
+right_valleys realize them by their comparisons alone.
 
 Everything here is a pure function on immutable values.
 """
@@ -125,20 +124,6 @@ def right_valleys(perm: Sequence[int]) -> tuple[int, ...]:
     if fell:
         valleys.append(len(perm))
     return tuple(valleys)
-
-
-def peak_valley_pairs(perm: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """zip(left_peaks(perm), right_valleys(perm)) in one pass, for distinct entries."""
-    pairs, peak, prev, rose = [], 0, -math.inf, True
-    for i, v in enumerate(perm):  # prev = p[i], v = p[i+1]; rose: p[i-1] < p[i]
-        if rose and prev > v:
-            peak = i
-        elif not rose and prev < v:
-            pairs.append((peak, i))
-        prev, rose = v, prev < v
-    if not rose:  # p[n] < p[n+1] = +inf closes the last pair
-        pairs.append((peak, len(perm)))
-    return tuple(pairs)
 
 
 def cycle_peaks(perm: Sequence[int]) -> frozenset[int]:

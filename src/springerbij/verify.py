@@ -182,11 +182,15 @@ def _rcalt_image_shape(p) -> bool:
 
 
 def _snake_sign_pattern(snake) -> bool:
-    # v > 0 exactly in odd positions, but at right valleys of |snake|, which take either sign
-    positive = list(map(operator.lt, itertools.repeat(0), snake))
-    for q in permcore.right_valleys(list(map(abs, snake))):
-        positive[q - 1] = q % 2 == 1
-    return False not in positive[0::2] and True not in positive[1::2]
+    # the one statement of the rule: v > 0 exactly in odd positions, but at right valleys of
+    # |snake|, which take either sign; an entry is read once the next shows if it is a valley
+    prev, low, fell, odd = 0, 0, False, False  # p[i], |p[i]|, |p[i-1]| > |p[i]|, i odd
+    for v in snake:
+        a = abs(v)
+        if (prev > 0) != odd and not (fell and low < a):
+            return False
+        prev, low, fell, odd = v, a, low > a, not odd
+    return fell or (prev > 0) == odd  # p[n+1] = +inf: p[n] is a valley when it fell
 
 
 # rows over all families

@@ -73,7 +73,6 @@ from springerbij.permcore import (
     format_perm,
     is_alternating,
     left_peaks,
-    peak_valley_pairs,
     reverse_complement,
     right_valleys,
 )
@@ -1180,42 +1179,34 @@ def _same_values(new, old, inputs, apply=map):
         pytest.fail(f"{new.__name__} differs from {old.__name__} on {first!r}")
 
 
-
-def test_peak_valley_pairs_match_left_peaks_zipped_with_right_valleys():
-    # the pairing's docstring zips left_peaks and right_valleys; here against the padded
-    # oracle on signed permutations with n <= 5 (distinct entries, as _unbar passes
-    # them) and on ten seeded permutations at n = 512
-    words = []
-    for n in range(6):
-        words += [tuple(s * v for s, v in zip(signs, perm))
-                  for perm in itertools.permutations(range(1, n + 1))
-                  for signs in itertools.product((1, -1), repeat=n)]
-    rng = random.Random(512)
-    words += [tuple(rng.sample(range(1, 513), 512)) for _ in range(10)]
-    _same_values(peak_valley_pairs, _peak_valley_pairs_padded_oracle, words)
-
-
-def test_peak_valley_pairs_match_the_padded_oracle():
-    # every permutation with n <= 8, which covers the relative order of every snake
-    # with n <= 8, and seeded words at n = 512 and 4096, also as lists
-    perms = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)) for n in range(9))
-    _same_values(peak_valley_pairs, _peak_valley_pairs_padded_oracle, perms)
-    words = []
-    for _, p, signed in _large_inputs():
-        words += [p, *signed]
-    _same_values(peak_valley_pairs, _peak_valley_pairs_padded_oracle, words)
-    _same_values(peak_valley_pairs, _peak_valley_pairs_padded_oracle, map(list, words))
-
-
 def test_unbar_and_place_bars_match_the_comprehension_oracles():
-    # unbar on every snake with n <= 7 and on seeded signed words; place_bars on what
-    # unbar gives and on seeded permutations with random marks (every permutation with
-    # n <= 6 under every set of left peak values marked is in test_bijections.py)
+    # unbar on every snake with n <= 7, on every signed permutation with n <= 5 and on
+    # seeded words at n = 512 and 4096, as tuples and as lists; place_bars on what unbar
+    # gives, on every permutation with n <= 8 (which covers the relative order of every
+    # snake with n <= 8) and on the seeded permutations, each with seeded random marks
+    # (every permutation with n <= 6 under every set of left peak values marked is in
+    # test_bijections.py)
     marked = []
     snakes = _snakes_up_to(7)
     for rng, p, signed in _large_inputs():
         snakes += signed
         marked.append(MarkedPermutation(p, frozenset(rng.sample(p, len(p) // 3))))
+    for n in range(6):
+        snakes += [tuple(s * v for s, v in zip(signs, perm))
+                   for perm in itertools.permutations(range(1, n + 1))
+                   for signs in itertools.product((1, -1), repeat=n)]
+    rng = random.Random(512)
+    perms = [tuple(rng.sample(range(1, 513), 512)) for _ in range(10)]
+    words = list(perms)
+    for _, p, signed in _large_inputs():  # rng untouched between draws, unlike above
+        perms.append(p)
+        words += [p, *signed]
+    snakes += words + list(map(list, words))
+    perms += itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)) for n in range(9))
+    rng = random.Random(8)
+    for p in perms:
+        marks = frozenset(v for v in p if rng.random() < 0.5)
+        marked += [MarkedPermutation(p, marks), MarkedPermutation(list(p), marks)]
     _same_values(bijections.unbar, _unbar_comprehension_oracle, snakes)
     _same_values(bijections.place_bars, _place_bars_comprehension_oracle,
                  marked + list(map(bijections.unbar, snakes)))

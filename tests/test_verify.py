@@ -272,13 +272,15 @@ def test_closure_row_runs_caps_twice_per_path(monkeypatch):
     assert len(calls) == 2 * sum(1 for n in range(6) for _ in families.enumerate_lbp(n))
 
 
-def test_bars_row_finds_the_peak_valley_pairs_twice_per_snake(monkeypatch):
-    # once in unbar, once in place_bars
-    calls = []
-    real = bijections.peak_valley_pairs
-    monkeypatch.setattr(bijections, "peak_valley_pairs", lambda word: calls.append(word) or real(word))
+def test_bars_row_runs_unbar_and_place_bars_once_per_snake(monkeypatch):
+    # each kernel scans the snake once; the row runs both maps on every snake
+    calls = collections.Counter()
+    for fn in ("unbar", "place_bars"):
+        real = getattr(bijections, fn)
+        monkeypatch.setattr(bijections, fn, lambda x, fn=fn, real=real: calls.update([fn]) or real(x))
     _row("bijections/bars-always-consistent")(6)
-    assert len(calls) == 2 * sum(1 for n in range(7) for _ in families.enumerate_snakes(n))
+    snakes = sum(1 for n in range(7) for _ in families.enumerate_snakes(n))
+    assert calls == {"unbar": snakes, "place_bars": snakes}
 
 
 # bijection -> its forward and inverse function, as its BIJECTIONS lambdas look them up by
@@ -387,6 +389,23 @@ def test_generator_that_raises_fails_its_rows_naming_no_object(monkeypatch):
                  "snake-sign-pattern", "snake2lbp-bijective"):
         assert not rows[f"bijections/{name}"].passed
         assert rows[f"bijections/{name}"].detail == "RuntimeError: snakes ran dry"
+
+
+@pytest.mark.parametrize("right, flipped, fails", [
+    ((1, -2), (1, 2), True),   # a sign flipped at an entry that is no right valley
+    ((2, -1), (2, 1), False),  # at a right valley, which takes either sign
+])
+def test_snake_with_a_flipped_sign_fails_both_sign_rows_but_at_a_valley(monkeypatch, right, flipped, fails):
+    # the snake generator yields `flipped` in place of `right`: the sign row and the bars
+    # row each leave the signs of right valleys free and fix every other entry's sign
+    good = families.FAMILIES["snakes"].generate
+    _replace_family(monkeypatch, "snakes", generate=lambda n: (flipped if s == right else s for s in good(n)))
+    for name in ("bijections/snake-sign-pattern", "bijections/bars-always-consistent"):
+        if fails:
+            with pytest.raises(verify.Counterexample, match=r"^snakes '1 2'$"):
+                _row(name)(4)
+        else:
+            assert _row(name)(4) == ""
 
 
 def test_off_by_one_oracle_fails_the_count_row(monkeypatch):
