@@ -20,10 +20,10 @@ rcalts (n = 8), 9,439 for 353,792 altperms (n = 11), 1,077 for wip3's 576
 sigma rows and 9,432 for their 10,440 pi prefixes (24,611 objects at n = 7),
 and 78 and 2,475 for the step words of 250,737 lbp paths and 40,320 laguerre
 histories (n = 8). Each search feeds the object generator, and Family.text,
-which writes a whole size from leaves (head, tail texts, end) without making
-the objects: 3,907 leaves for the snakes, 5,489 for the rcalts, 26,586 for the
-altperms, 8,600 for wip3, and 2,323 and 2,594 for the lbp paths and laguerre
-histories.
+which writes a whole size without making the objects, one string join per
+leaf (head, tail texts, end): 3,907 pieces for the snakes, 5,489 for the
+rcalts, 26,586 for the altperms, 8,600 for wip3, and 2,323 and 2,594 for the
+lbp paths and laguerre histories.
 The order rests on one rule. All objects of one size render to the same
 number of tokens (decimals, or the letters of a step word of fixed length),
 and the separators that end a token, ' ' and ',', sort below '-' and the
@@ -94,10 +94,7 @@ def parse_wip3(text: str) -> ThreeWIP:
     head, sep, tail = text.partition("/")
     if not sep:
         raise ValueError(f"expected 'sigma / pi' in {text!r}")
-    sigma, pi = permcore.parse_perm(head), permcore.parse_perm(tail)  # checks both rows
-    if len(sigma) != len(pi) or not _maxima_rise(sigma, pi):
-        raise ValueError(_NOT_WIP3)
-    return ThreeWIP(sigma, pi)
+    return validate_wip3(permcore.parse_perm(head), permcore.parse_perm(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +179,6 @@ def euler_sequence(m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # enumerators (canonical text order by construction) and the family registry
 
-TEXT_CHUNK = 1024  # lines per piece of Family.text at most
 TAIL_LINES = 16  # lines of a path tail at least, where the word is long enough
 
 
@@ -221,7 +217,7 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     + back. With a mirror, each word goes on with the mirror images of its
     entries in reverse order: a tail carries its own, back the prefix's. For
     n <= depth, w_n-depth is w0 = 0 and 0s pad the positions below 1 (no slots).
-    With text, the leaves are _text's, tails as texts.
+    With text, the leaves are _text's, tails as texts: a leaf is one piece.
     """
     order = [(v, 1 << slot(v)) for v in _in_text_order(values)]
     prevs = (0, *(v for v, _ in order))
@@ -269,24 +265,8 @@ def _words(leaves: Iterator[tuple[tuple, list, tuple]]) -> Iterator[tuple[int, .
 
 
 def _text(leaves: Iterator[tuple[str, list, str]]) -> Iterator[str]:
-    """The lines head + tail + end of leaves (head, tails, end), TEXT_CHUNK at most a piece; the
-    leaves in a row with the same head and end objects are one join, head + (end + head).join(...) + end."""
-    piece, lines, count, head, end = [], [], 0, None, None
-    for h, tails, e in leaves:
-        if h is not head or e is not end:  # the lines of the head before are all in
-            if lines:
-                piece.append(head + sep.join(lines) + end)
-            head, end, sep, lines = h, e, e + h, []
-        lines += tails
-        count += len(tails)
-        while count >= TEXT_CHUNK:  # fill the piece up and hand it over
-            k = len(lines) - (count - TEXT_CHUNK)
-            yield "".join([*piece, head + sep.join(lines[:k]) + end])
-            piece, lines, count = [], lines[k:], count - TEXT_CHUNK
-    if lines:
-        piece.append(head + sep.join(lines) + end)
-    if piece:
-        yield "".join(piece)
+    """The lines head + tail + end of leaves (head, tails, end), one piece a leaf."""
+    return (head + (end + head).join(tails) + end for head, tails, end in leaves)
 
 
 # the searches of the zigzag families. rcalt searches the first half: position i
@@ -430,7 +410,7 @@ class Family:
     enumerate: Callable[[int], Iterator]  # n -> objects in canonical text order
     generate: Callable[[int], Iterator]   # = enumerate; perfbench/tracer.py wraps both by name
     render: Callable[[Any], str]          # object -> canonical text
-    text: Callable[[int], Iterator[str]]  # n -> render(obj) + "\n" per object, <= TEXT_CHUNK lines a piece
+    text: Callable[[int], Iterator[str]]  # n -> render(obj) + "\n" per object, one piece a search leaf
     validate: Callable[[Any], object]     # object -> raises ValueError on a non-member
     oracle: Callable[[int], int]          # n -> count, closed form
     parse: Callable[[str], Any]           # text -> object; raises ValueError on malformed text

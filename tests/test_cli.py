@@ -102,10 +102,8 @@ def test_enumerate_line_count_matches_count():
             assert len(lines.splitlines()) == int(count)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, families.TEXT_CHUNK])
-def test_enumerate_chunks_write_the_rendered_objects(monkeypatch, chunk):
-    # chunk boundaries, a last partial chunk and the one empty object of n = 0
-    monkeypatch.setattr(families, "TEXT_CHUNK", chunk)
+def test_enumerate_pieces_write_the_rendered_objects():
+    # a piece per search leaf, and the one empty object of n = 0
     for family, fam in families.FAMILIES.items():
         for n in range(6):
             want = "".join(fam.render(obj) + "\n" for obj in fam.generate(n))

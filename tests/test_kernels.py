@@ -9,7 +9,7 @@ foata, list.index counts and the sentinel definitions of peaks and valleys.
 Each is compared with its kernel on every object up to a size, on words that
 the kernel must reject in the same way (exception class, message and args),
 and on seeded inputs at n = 512 and 4096. The searches are compared object by
-object, types included, and through Family.text at TEXT_CHUNK = 1, 7 and 1024,
+object, types included, and through Family.text, one piece a search leaf,
 for every n up to 8 (altperm 10) and for the first 20,000 objects and lines at
 each family's ceiling; each reference runs once per size and run. CHANGES.md
 lists the kernels, their references and the inputs.
@@ -753,33 +753,16 @@ def _same_objects(family, ns, count=None):
         assert _shapes(objects) == shapes, (family, n)
 
 
-def _same_pieces(pieces, want, chunk):
-    # the pieces spell want, each holds chunk lines but the last, which holds 1..chunk
+def _same_pieces(pieces, want):
+    # the pieces spell want, and each is whole lines: not empty, ended by a newline
     pieces = list(pieces)
     got = "".join(pieces)
     assert got == want, _first_difference(got, want)
-    counts = list(map(str.count, pieces, itertools.repeat("\n")))
-    assert counts[:-1] == [chunk] * (len(counts) - 1) and 0 < counts[-1:][0] <= chunk if counts else not want
+    assert all(piece.endswith("\n") for piece in pieces)
 
 
 def _first_lines(pieces, count):
     return "".join(itertools.islice(itertools.chain.from_iterable(p.splitlines(True) for p in pieces), count))
-
-
-def _same_text(monkeypatch, family, chunks):
-    # Family.text of every n up to the largest (none below 0) at each chunk size
-    for chunk in chunks:
-        monkeypatch.setattr(families, "TEXT_CHUNK", chunk)
-        for n in range(-2, SEARCHES[family][2] + 1):
-            _same_pieces(FAMILIES[family].text(n), _reference(family, n, None)[0], chunk)
-
-
-def _same_text_at_the_ceiling(monkeypatch, family, chunks):
-    # the largest n meets keys and weights that no smaller n has
-    n = FAMILIES[family].ceiling
-    for chunk in chunks:
-        monkeypatch.setattr(families, "TEXT_CHUNK", chunk)
-        assert _first_lines(FAMILIES[family].text(n), CEILING_COUNT) == _reference(family, n, CEILING_COUNT)[0]
 
 
 @pytest.mark.parametrize("family", sorted(SEARCHES))
@@ -814,23 +797,17 @@ def test_pruned_sigma_search_matches_the_permutation_filter():
 
 
 @pytest.mark.parametrize("family", sorted(SEARCHES))
-def test_text_matches_the_rendered_objects(monkeypatch, family):
-    _same_text(monkeypatch, family, [1024])
+def test_text_matches_the_rendered_objects(family):
+    # Family.text of every n up to the largest (none below 0)
+    for n in range(-2, SEARCHES[family][2] + 1):
+        _same_pieces(FAMILIES[family].text(n), _reference(family, n, None)[0])
 
 
 @pytest.mark.parametrize("family", sorted(SEARCHES))
-def test_text_matches_the_rendered_objects_at_the_ceiling(monkeypatch, family):
-    _same_text_at_the_ceiling(monkeypatch, family, [1024])
-
-
-@pytest.mark.parametrize("family", sorted(SEARCHES))
-def test_text_matches_the_earlier_text_at_every_chunk(monkeypatch, family):
-    _same_text(monkeypatch, family, [1, 7])
-
-
-@pytest.mark.parametrize("family", sorted(SEARCHES))
-def test_text_matches_the_earlier_text_at_the_ceiling(monkeypatch, family):
-    _same_text_at_the_ceiling(monkeypatch, family, [1, 7])
+def test_text_matches_the_rendered_objects_at_the_ceiling(family):
+    # the largest n meets keys and weights that no smaller n has
+    n = FAMILIES[family].ceiling
+    assert _first_lines(FAMILIES[family].text(n), CEILING_COUNT) == _reference(family, n, CEILING_COUNT)[0]
 
 
 # the enumerate workload's n and lines per family
@@ -838,17 +815,15 @@ WORKLOAD_N = {family: n for family, n, _, _ in _literal("run", "ENUMERATE_CALLS"
 WORKLOAD_LINES = {family: lines for family, _, lines, _ in _literal("run", "ENUMERATE_CALLS")["full"]}
 # the leaves of each text search at the workload's n: one per walked zigzag prefix,
 # one per wip3 pi prefix, one per path word and weights before a tail of at least
-# TAIL_LINES lines; a search that splits its leaves again fails here
+# TAIL_LINES lines; a search or a Family.text that splits its leaves again fails here
 TEXT_LEAVES = {"snakes": 3907, "rcalt": 5489, "altperm": 26586, "laguerre": 2594, "lbp": 2323, "wip3": 8600}
 
 
 @pytest.mark.parametrize("family", sorted(TEXT_LEAVES))
-def test_text_searches_hand_out_few_full_leaves(monkeypatch, family):
-    leaves = []
-    monkeypatch.setattr(families, "_text", leaves.extend)  # Family.text hands its leaves over whole
-    FAMILIES[family].text(WORKLOAD_N[family])
-    assert len(leaves) == TEXT_LEAVES[family]
-    assert sum(len(tails) for _, tails, _ in leaves) == WORKLOAD_LINES[family]
+def test_text_searches_hand_out_few_full_leaves(family):
+    counts = [piece.count("\n") for piece in FAMILIES[family].text(WORKLOAD_N[family])]
+    assert len(counts) == TEXT_LEAVES[family]
+    assert sum(counts) == WORKLOAD_LINES[family]
 
 
 @pytest.mark.parametrize("family", sorted(WORKLOAD_N))
@@ -889,26 +864,26 @@ def test_walked_searches_go_deeper_than_the_recursion_limit():
         "d8635a2c6e7b3fffa6c58a79c978a590bfa0a7f8d1aae62edb5a548d039328c6")
 
 
-def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
-    # the all-U word of lbp at n = 11 alone has 11! weight vectors: its first
-    # pieces come full, without the rest of its lines
+def test_text_hands_out_one_piece_per_leaf():
+    # the all-U word of lbp at n = 11 alone has 11! weight vectors: its leaves, a piece
+    # each, hold the 990 lines of its last three weight ranges (9 * 10 * 11)
     ranges = [tuple(sorted(range(h + 1), key=str)) for h in range(11)]
     pieces = families._text(families._path_lines(iter([("U" * 11, ranges)])))
-    assert [piece.count("\n") for piece in itertools.islice(pieces, 3)] == [families.TEXT_CHUNK] * 3
-    counts = [piece.count("\n") for piece in itertools.islice(FAMILIES["lbp"].text(11), 200)]
-    assert len(counts) == 200 and min(counts) > 0 and max(counts) <= families.TEXT_CHUNK
-    monkeypatch.setattr(families, "TEXT_CHUNK", 7)
-    for name, fam in FAMILIES.items():
-        counts = [piece.count("\n") for piece in itertools.islice(fam.text(SEARCHES[name][2]), 200)]
-        assert len(counts) == 200 and min(counts) > 0 and max(counts) <= 7, (name, counts)
-    # the first sigma at n = 11 has 510 pis: they come as leaves of at most 8 tails and go
-    # out 7 lines a piece, so its lines are never collected whole
+    assert [piece.count("\n") for piece in itertools.islice(pieces, 3)] == [990] * 3
+    # a zigzag piece holds the tails of one walked prefix: one key of the joined table
+    for family, m in {"snakes": 2, "rcalt": 2, "altperm": 1}.items():
+        fam = FAMILIES[family]
+        counts = [piece.count("\n") for piece in itertools.islice(fam.text(fam.ceiling), 200)]
+        assert len(counts) == 200 and 0 < min(counts) and max(counts) <= _leaf_bound(m, TAILS[family][1]), family
+    # the first sigma at n = 11 has 510 pis: they come as leaves of at most 8 tails, a piece
+    # each, so its lines are never collected whole
     first = next(FAMILIES["wip3"].text(11)).partition(" / ")[0] + " / "
     leaves = list(itertools.takewhile(lambda leaf: leaf[0].startswith(first), families._wip3s(11, text=True)))
-    assert sum(len(tails) for _, tails, _ in leaves) == 510 and max(len(tails) for _, tails, _ in leaves) <= 8
-    pieces = list(itertools.islice(FAMILIES["wip3"].text(11), 73))
-    assert [piece.count("\n") for piece in pieces] == [7] * 73
-    assert [line.startswith(first) for line in "".join(pieces).splitlines()] == [True] * 510 + [False]
+    pieces = list(itertools.islice(FAMILIES["wip3"].text(11), len(leaves) + 1))
+    counts = [piece.count("\n") for piece in pieces]
+    assert counts[:-1] == [len(tails) for _, tails, _ in leaves]
+    assert sum(counts[:-1]) == 510 and max(counts) <= 8
+    assert [line.startswith(first) for line in "".join(pieces).splitlines()] == [True] * 510 + [False] * counts[-1]
 
 
 # Worst case of one _zigzags call's suffix table, its tails d entries long (d = 4
@@ -925,7 +900,7 @@ def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
 # entry, rcalt's four mirror images). The candidate tables add 3 (|values| + 1)^2
 # pairs at most. The text adds TEXT_KEY_BYTES per key (a list and its share of a
 # dict) and TEXT_BYTES per suffix (a str of at most 4 characters per entry and
-# its list slot), and a piece of TEXT_CHUNK lines, twice while it is joined.
+# its list slot), and the largest piece, one leaf, twice while it is joined.
 # Filled by hand with every key, snakes at n = 11 measured 2.5 MiB of table and
 # 2.0 MiB of texts under tracemalloc (2640 keys, 26,400 suffixes), rcalt at
 # n = 11 2.6 and 1.7 MiB (2640 keys, 18,810 suffixes). altperm at n = 14, with
@@ -939,6 +914,7 @@ def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
 # key's list holds at most the d m lists of its free slots, d m E_d-1 m^(d-1)
 # suffixes, as references of REF_BYTES (a list slot and the eighth more that a
 # growing list allocates); a key costs at most KEY_BYTES, as in the first table.
+# A key's list is the tails of one walked prefix: the largest leaf of the text.
 # Full runs met about half of those keys: snakes and rcalt 2310 of 4200 at n = 10,
 # with at most 80 and 57 references under one key (128 allowed), altperm 9009 of
 # 16,731 at n = 13, with at most 16 (25 allowed); by sys.getsizeof the table
@@ -956,10 +932,10 @@ def test_text_pieces_hold_at_most_the_chunk_bound(monkeypatch):
 # of its values, and n = 9's keys, which take every order, list 8 tails at most.
 # A key costs at most KEY_BYTES (its 3-tuple, sigma's tail, the mask, the list
 # header and its share of the dict) and a tail SUFFIX_BYTES, or TEXT_BYTES as a
-# text; the text adds the pieces as above. Under tracemalloc, full runs at n = 9
-# peaked at 1.4 MiB for the objects and 1.6 MiB for the text (5292 keys, 11,137
-# tails); filled by hand with every key at n = 11, the table took 5.0 MiB of
-# tuples and 5.1 MiB of texts (29,989 tails).
+# text; the text adds the largest piece, a leaf of 8 tails, as above. Under
+# tracemalloc, full runs at n = 9 peaked at 1.4 MiB for the objects and 1.6 MiB
+# for the text (5292 keys, 11,137 tails); filled by hand with every key at
+# n = 11, the table took 5.0 MiB of tuples and 5.1 MiB of texts (29,989 tails).
 KEY_BYTES, SUFFIX_BYTES, PAIR_BYTES = 400, 96, 96
 ENTRY_BYTES, TEXT_KEY_BYTES, TEXT_BYTES = 8, 200, 128
 REF_BYTES = 9
@@ -972,24 +948,35 @@ def _table_bound(n, m, entries, depth, text):
     suffix = SUFFIX_BYTES + ENTRY_BYTES * (entries - 4) + TEXT_BYTES * text
     suffixes = ALTERNATING_ORDERS[depth - 1] * m ** (depth - 1)
     table = values * math.comb(n, depth - 1) * (key + suffixes * suffix)
-    joined = values * math.comb(n, depth) * (KEY_BYTES + depth * m * suffixes * REF_BYTES)
-    return table + joined + 3 * (values + 1) ** 2 * PAIR_BYTES + _pieces_bound(n, text)
+    leaf = _leaf_bound(m, depth)
+    joined = values * math.comb(n, depth) * (KEY_BYTES + leaf * REF_BYTES)
+    return table + joined + 3 * (values + 1) ** 2 * PAIR_BYTES + _pieces_bound(n, leaf, text)
 
 
 def _wip3_table_bound(n, text):
     keys = 3 * ((n - 2) * (n - 3)) ** 2
-    return keys * (KEY_BYTES + 8 * (TEXT_BYTES if text else SUFFIX_BYTES)) + _pieces_bound(n, text)
+    return keys * (KEY_BYTES + 8 * (TEXT_BYTES if text else SUFFIX_BYTES)) + _pieces_bound(n, 8, text)
 
 
-def _pieces_bound(n, text):
-    # a piece of TEXT_CHUNK lines of at most 2n entries, twice while it is joined
-    return 2 * families.TEXT_CHUNK * (4 * 2 * n + 64) * text
+def _leaf_bound(m, depth):
+    # the tails under one key of the joined table: d m lists of E_d-1 m^(d-1) tails
+    return depth * m * ALTERNATING_ORDERS[depth - 1] * m ** (depth - 1)
 
 
-def _peak(items, count):
+def _pieces_bound(n, lines, text):
+    # a piece of one leaf's lines, of at most 2n entries each, twice while it is joined
+    return 2 * lines * (4 * 2 * n + 64) * text
+
+
+def _peak(items, count, text=False):
+    # drain items until count of them, or with text count lines of them, have come
     tracemalloc.start()
     try:
-        drained = sum(1 for _ in itertools.islice(items, count))
+        drained = 0
+        for item in items:
+            drained += item.count("\n") if text else 1
+            if drained >= count:
+                break
         return drained, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1014,18 +1001,18 @@ def test_suffix_table_stays_within_its_worst_case(generate, n, m, objects):
                                                  ("rcalt", 11, 2, 200_000)])
 def test_suffix_table_and_tail_texts_stay_within_their_worst_case(family, n, m, lines):
     bound = _table_bound(n, m, *TAILS[family], text=True)
-    drained, peak = _peak(FAMILIES[family].text(n), lines // families.TEXT_CHUNK)
-    assert drained == lines // families.TEXT_CHUNK
+    drained, peak = _peak(FAMILIES[family].text(n), lines, text=True)
+    assert drained >= lines
     assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("text", [False, True])
 def test_wip3_tail_table_stays_within_its_worst_case(text):
     # the first 200,000 objects or lines at the ceiling
-    n, count = FAMILIES["wip3"].ceiling, 200_000 // families.TEXT_CHUNK if text else 200_000
+    n, count = FAMILIES["wip3"].ceiling, 200_000
     bound = _wip3_table_bound(n, text)
-    drained, peak = _peak(FAMILIES["wip3"].text(n) if text else FAMILIES["wip3"].generate(n), count)
-    assert drained == count
+    drained, peak = _peak(FAMILIES["wip3"].text(n) if text else FAMILIES["wip3"].generate(n), count, text)
+    assert drained >= count
     assert peak <= bound, (peak, bound)
 
 
