@@ -102,12 +102,18 @@ def test_enumerate_line_count_matches_count():
             assert len(lines.splitlines()) == int(count)
 
 
-def test_enumerate_pieces_write_the_rendered_objects():
-    # a piece per search leaf, and the one empty object of n = 0
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1024])
+def test_enumerate_chunks_write_the_rendered_objects(chunk):
+    # a piece per search leaf, written through a byte buffer that flushes every chunk bytes,
+    # so pieces cross its boundaries; and the one empty object of n = 0
     for family, fam in families.FAMILIES.items():
         for n in range(6):
+            raw = io.BytesIO()
+            stdout = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=chunk), encoding="ascii")
+            code = main(["enumerate", "--family", family, "--n", str(n)], stdout=stdout)
+            stdout.flush()
             want = "".join(fam.render(obj) + "\n" for obj in fam.generate(n))
-            assert run_cli(["enumerate", "--family", family, "--n", str(n)]) == (0, want, ""), (family, n)
+            assert (code, raw.getvalue().decode("ascii")) == (0, want), (family, n)
 
 
 CEILINGS = {"snakes": 11, "wip3": 11, "rcalt": 11, "lbp": 11, "laguerre": 12, "altperm": 14}
