@@ -12,7 +12,7 @@ import functools
 import sys
 from typing import TextIO
 
-from . import bijections, families, verify
+from . import bijections, families, paths, verify
 from .errors import LineTooLong, NotCanonical
 
 MAP_LINE_MAX = 2**20  # characters in a map line, its newline not counted; longer lines are refused
@@ -118,7 +118,7 @@ def _cmd_verify(args, out: TextIO) -> int:
 
 def _cmd_springer(args, out: TextIO) -> int:
     values = families.springer_egf(args.n_max)
-    if values != families.springer_dp(args.n_max):  # the DP checks every value printed
+    if values != paths.lbp_dp_counts(args.n_max):  # the DP checks every value printed
         raise RuntimeError("the EGF and the DP give different Springer numbers")
     for value in values:
         out.write(f"{value}\n")

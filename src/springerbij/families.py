@@ -52,7 +52,6 @@ from .paths import (
     STEP_RULES,
     LabeledBallotPath,
     LaguerreHistory,
-    count_lbp_dp,
     format_path,
     validate_labeled_ballot,
     validate_laguerre,
@@ -157,11 +156,6 @@ def springer_egf(m: int) -> tuple[int, ...]:
     (1, 1, 3, 11, 57, 361, 2763)
     """
     return _at_one(m, [1], 1)
-
-
-def springer_dp(m: int) -> tuple[int, ...]:
-    """S_0..S_m via the weighted ballot-path dynamic program (independent oracle), run once."""
-    return paths.lbp_dp_counts(m)[:m + 1]
 
 
 def euler_sequence(m: int) -> tuple[int, ...]:
@@ -443,7 +437,7 @@ FAMILIES: dict[str, Family] = {
     "lbp": Family(
         enumerate_lbp, enumerate_lbp, format_path,
         lambda n: _text(_path_lines(_labeled_paths(n, BALLOT_ALPHABET, False))),
-        lambda p: validate_labeled_ballot(p.steps, p.weights), count_lbp_dp,
+        lambda p: validate_labeled_ballot(p.steps, p.weights), lambda n: paths.lbp_dp_counts(n)[-1],
         lambda t: paths.parse_labeled_ballot(t), lambda t: LabeledBallotPath(*paths.parse_path_text(t)),
     ),
     "laguerre": Family(

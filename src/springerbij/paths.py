@@ -171,21 +171,15 @@ def extend_to_rc_fixed(lbp: LabeledBallotPath) -> LaguerreHistory:
     return LaguerreHistory(lbp.steps + tail_steps, lbp.weights + tail_weights)
 
 
-def count_lbp_dp(n: int) -> int:
-    """Weighted count of ballot paths: U from height h has h+1 labelings, D has h.
-
-    Exact big-integer dynamic program over heights; agrees with exhaustive
+def lbp_dp_counts(m: int) -> tuple[int, ...]:
+    """Weighted counts of ballot paths of n = 0..max(m, 0) steps, U from height h with h+1
+    labelings and D with h: one exact big-integer dynamic program over heights, the sum of
+    each layer, in O(m^2) steps where a run per n would take O(m^3). Agrees with exhaustive
     generation and with the EGF recurrence for Springer numbers.
 
-    >>> count_lbp_dp(3)
-    11
+    >>> lbp_dp_counts(3)
+    (1, 1, 3, 11)
     """
-    return lbp_dp_counts(n)[-1]
-
-
-def lbp_dp_counts(m: int) -> tuple[int, ...]:
-    """count_lbp_dp(n) for n = 0..max(m, 0) from one run of the dynamic program, the sum
-    of each layer: O(m^2) big-integer steps, where a run per n would take O(m^3)."""
     layer, counts = {0: 1}, [1]
     for _ in range(m):
         nxt: dict[int, int] = {}

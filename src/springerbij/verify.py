@@ -83,10 +83,11 @@ def _bijective(cap: int, name: str, sides: Sequence[Side]) -> str:
                 image = bij.forward(obj)
             except Exception as exc:
                 raise _raised(domain, obj, exc) from exc
-            if image not in unhit:  # hit before, or never in the codomain
+            try:
+                unhit.remove(image)
+            except (KeyError, TypeError) as exc:  # hit before, never in the codomain, or unhashable
                 why = "repeats" if image in _objects(codomain, n) else f"is not in {codomain}"
-                raise Counterexample(f"{domain} {_text(domain, obj)!r}: image {why}")
-            unhit.remove(image)
+                raise Counterexample(f"{domain} {_text(domain, obj)!r}: image {why}") from exc
             for _, undone in sides:
                 try:
                     held = undone(obj, image)
@@ -117,10 +118,11 @@ def _counts(cap: int, names: Sequence[str]) -> str:
 def _roundtrip(name: str) -> list[Side]:
     """The sides inverse(f(x)) == x on the domain and f(inverse(y)) == y on the codomain of
     the named bijection. A bijective row passes the first the image f(x) that it holds."""
-    bij = bijections.BIJECTIONS[name]
     def undone(x, image=None, back=False) -> bool:
+        bij = bijections.BIJECTIONS[name]  # the record that map runs, looked up as the row runs
         there, again = (bij.inverse, bij.forward) if back else (bij.forward, bij.inverse)
         return again(there(x) if image is None else image) == x
+    bij = bijections.BIJECTIONS[name]
     return [(bij.domain, undone), (bij.codomain, functools.partial(undone, back=True))]
 
 
@@ -196,7 +198,7 @@ def _snake_sign_pattern(snake) -> bool:
 # rows over all families
 
 def _lbp_dp_vs_egf(cap: int) -> str:
-    egf, dp = families.springer_egf(cap), families.springer_dp(cap)
+    egf, dp = families.springer_egf(cap), paths.lbp_dp_counts(cap)
     if egf != dp:
         n = next(n for n, (a, b) in enumerate(zip(egf, dp)) if a != b)
         raise Counterexample(f"n={n}: egf {egf[n]}, dp {dp[n]}")

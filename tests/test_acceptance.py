@@ -27,7 +27,7 @@ from springerbij.families import (
     euler_sequence,
     springer_egf,
 )
-from springerbij.paths import count_lbp_dp, format_path
+from springerbij.paths import format_path, lbp_dp_counts
 from springerbij.permcore import format_marked, format_perm
 from springerbij.verify import PROPERTIES
 
@@ -123,7 +123,7 @@ def test_criterion_6_statistic_identities():
 
 def test_criterion_7_oracle_agreement():
     egf = springer_egf(12)
-    assert tuple(count_lbp_dp(n) for n in range(13)) == egf
+    assert lbp_dp_counts(12) == egf
     assert egf[7] == 24611
     assert sum(1 for _ in enumerate_snakes(7)) == 24611
     report(7, "counting oracles agree n<=12")

@@ -434,10 +434,10 @@ def test_springer_negative_is_usage_error():
 
 def test_springer_above_1000_is_a_usage_error(monkeypatch):
     monkeypatch.setattr(families, "springer_egf", _refuse_to_count)
-    monkeypatch.setattr(families, "springer_dp", _refuse_to_count)
+    monkeypatch.setattr(paths, "lbp_dp_counts", _refuse_to_count)
     assert run_cli(["springer", "--n-max", "1001"]) == (2, "", "n-max must be <= 1000\n")
     monkeypatch.setattr(families, "springer_egf", lambda m: (0,) * (m + 1))
-    monkeypatch.setattr(families, "springer_dp", lambda m: (0,) * (m + 1))
+    monkeypatch.setattr(paths, "lbp_dp_counts", lambda m: (0,) * (m + 1))
     assert run_cli(["springer", "--n-max", "1000"]) == (0, "0\n" * 1001, "")
 
 

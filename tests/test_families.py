@@ -21,11 +21,10 @@ from springerbij.families import (
     format_wip3,
     is_wip3,
     parse_wip3,
-    springer_dp,
     springer_egf,
     validate_wip3,
 )
-from springerbij.paths import LabeledBallotPath, LaguerreHistory, format_path
+from springerbij.paths import LabeledBallotPath, LaguerreHistory, format_path, lbp_dp_counts
 
 SNAKES_3 = {
     (1, -2, 3), (1, -3, 2), (1, -3, -2),
@@ -41,7 +40,7 @@ def test_springer_egf_values():
 
 
 def test_springer_methods_agree():
-    assert springer_egf(9) == springer_dp(9)
+    assert springer_egf(9) == lbp_dp_counts(9)
     assert springer_egf(5) == tuple(sum(1 for _ in enumerate_snakes(n)) for n in range(6))
 
 

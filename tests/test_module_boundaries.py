@@ -90,6 +90,11 @@ def test_no_test_module_keeps_an_unused_private_function_or_table():
     assert _unused_private_names(sorted(TESTS.glob("*.py"))) == []
 
 
+def test_no_library_module_keeps_an_unused_private_function_or_table():
+    # the same rule for src/: a helper that a removal leaves behind goes with it
+    assert _unused_private_names(sorted(SRC.glob("*.py"))) == []
+
+
 # the layers in import order; importing one loads it and the layers before it only
 LAYERS = {
     "permcore": {"permcore"},

@@ -16,12 +16,12 @@ from springerbij.families import enumerate_laguerre, enumerate_lbp
 from springerbij.paths import (
     LabeledBallotPath,
     LaguerreHistory,
-    count_lbp_dp,
     extend_to_rc_fixed,
     format_path,
     halve_rc_fixed,
     height_profile,
     history_rc,
+    lbp_dp_counts,
     parse_labeled_ballot,
     parse_laguerre,
     parse_path_text,
@@ -161,15 +161,15 @@ def test_extend_halve_roundtrip():
 
 
 def test_count_lbp_dp():
-    assert count_lbp_dp(0) == 1
-    assert count_lbp_dp(1) == 1
-    assert count_lbp_dp(3) == 11
-    assert count_lbp_dp(7) == 24611
+    assert lbp_dp_counts(0)[-1] == 1
+    assert lbp_dp_counts(1)[-1] == 1
+    assert lbp_dp_counts(3)[-1] == 11
+    assert lbp_dp_counts(7)[-1] == 24611
 
 
 def test_count_lbp_dp_matches_enumeration():
     for n in range(8):
-        assert count_lbp_dp(n) == sum(1 for _ in enumerate_lbp(n))
+        assert lbp_dp_counts(n)[-1] == sum(1 for _ in enumerate_lbp(n))
 
 
 @pytest.mark.parametrize("fn, obj, error", [

@@ -345,6 +345,24 @@ def test_image_outside_the_codomain_fails_the_bijective_row(monkeypatch):
     assert str(excinfo.value) == "perm '': image is not in laguerre"
 
 
+def test_unhashable_image_fails_the_bijective_row_naming_the_object(monkeypatch):
+    # a list image cannot be looked up in the set of codomain objects; the row still
+    # names the first snake, the empty one, whose image is no rcalt
+    good = bijections.psi
+    monkeypatch.setattr(bijections, "psi", lambda snake: list(good(snake)))
+    with pytest.raises(verify.Counterexample, match=r"^snakes '': image is not in rcalt$"):
+        _row("bijections/psi-bijective")(3)
+
+
+def test_roundtrip_row_runs_the_record_in_the_registry_when_it_runs(monkeypatch):
+    # a record replaced after import is the one the round trip checks, as map would run it:
+    # an inverse that reverses its result first breaks f(inverse(y)) == y at n = 2
+    good = bijections.BIJECTIONS["psi"]
+    monkeypatch.setitem(bijections.BIJECTIONS, "psi", good._replace(inverse=lambda y: good.inverse(y)[::-1]))
+    with pytest.raises(verify.Counterexample, match=r"^rcalt '2 1 4 3'"):
+        _row("bijections/psi-roundtrip")(2)
+
+
 def test_predicate_that_raises_fails_its_row_naming_the_object():
     def no_231(p):
         if tuple(p) == (2, 3, 1):
@@ -420,16 +438,16 @@ def _springer_dp_wrong_at(wrong, good):
 
 
 def test_springer_dp_wrong_at_one_n_fails_the_egf_row(monkeypatch):
-    monkeypatch.setattr(families, "springer_dp", _springer_dp_wrong_at(5, families.springer_dp))
+    monkeypatch.setattr(paths, "lbp_dp_counts", _springer_dp_wrong_at(5, paths.lbp_dp_counts))
     with pytest.raises(verify.Counterexample, match=r"^n=5: egf 361, dp 362$"):
         _row("paths/lbp-count-dp-matches-egf")(12)
 
 
 def test_springer_dp_wrong_at_one_n_stops_the_springer_command(monkeypatch):
     # the command checks every value it prints, not only those up to the egf row's cap of 12
-    good = families.springer_dp
+    good = paths.lbp_dp_counts
     for wrong, n_max in [(5, "6"), (13, "20")]:
-        monkeypatch.setattr(families, "springer_dp", _springer_dp_wrong_at(wrong, good))
+        monkeypatch.setattr(paths, "lbp_dp_counts", _springer_dp_wrong_at(wrong, good))
         with pytest.raises(RuntimeError, match="the EGF and the DP give different Springer numbers"):
             main(["springer", "--n-max", n_max], stdout=io.StringIO(), stderr=io.StringIO())
 
