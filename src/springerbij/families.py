@@ -13,10 +13,10 @@ zigzag families, a table of pi's last four entries for wip3 (at most
 3((n-2)(n-3))^2 keys, 15,552 and 5.1 MiB at n = 11). Every search takes its
 states from _walk, which keeps one candidate iterator per position on an
 explicit stack (Knuth, TAOCP 4A, 7.2.2, Algorithm B), so no n is too deep.
-The tables end the zigzag and pi searches four or five positions early, so a
-walk lists the moves of few states beside the objects it stands for; at the
-enumerate workload's sizes: 709 for 250,737 snakes and 1,025 for as many
-rcalts (n = 8), 9,439 for 353,792 altperms (n = 11), 1,077 for wip3's 576
+Tables (and a loop) end the zigzag and pi walks four to six positions early,
+so a walk lists the moves of few states beside the objects it stands for; at
+the enumerate workload's sizes: 93 for 250,737 snakes and 129 for as many
+rcalts (n = 8), 2,047 for 353,792 altperms (n = 11), 1,077 for wip3's 576
 sigma rows and 9,432 for their 10,440 pi prefixes (24,611 objects at n = 7),
 and 78 and 2,475 for the step words of 250,737 lbp paths and 40,320 laguerre
 histories (n = 8). Each search feeds the object generator, and Family.text,
@@ -38,6 +38,7 @@ order (Knuth, TAOCP 4A, 7.2.1.2).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -202,8 +203,9 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     must also pass last_ok. Each previous entry p (0 before the first) has its
     text-ordered candidates above p (odd positions) and below p (even ones)
     in a table, the last position's already filtered by last_ok. A _walk over
-    (prefix, bitmask of the slots taken) fills the prefix up to w_n-depth (709
-    moves for 3,990 prefixes of snakes at n = 8). A table of the call, keyed by
+    (prefix, bitmask of the slots taken) fills the parents, prefixes up to
+    w_n-depth-1 (93 moves for 616 snake parents at n = 8), and a loop over a
+    parent's candidates w_n-depth (3,990 prefixes). A table of the call, keyed by
     w_n-depth+1 and the slots taken, lists the tails (the last depth entries) in
     text order; a second, keyed by w_n-depth and the slots taken, joins the lists
     of each w_n-depth+1 after it, so a prefix with tails is one leaf (3,907 of
@@ -211,7 +213,7 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
     + back. With a mirror, each word goes on with the mirror images of its
     entries in reverse order: a tail carries its own, back the prefix's. For
     n <= depth, w_n-depth is w0 = 0 and 0s pad the positions below 1 (no slots).
-    With text, the leaves are _text's, tails as texts: a leaf is one piece.
+    With text, the leaves are _text's, all parts texts, each parent's made once.
     """
     order = [(v, 1 << slot(v)) for v in _in_text_order(values)]
     prevs = (0, *(v for v, _ in order))
@@ -226,29 +228,41 @@ def _zigzags(n: int, values: Iterable[int], slot: Callable[[int], int],
         candidates = tables[len(word) % 2][word[-1] if word else 0]
         return ((word + (v,), taken | b) for v, b in candidates if not taken & b)
 
-    # the prefixes up to w_n-depth and the slots they take; for n <= depth only (), none for n < 0
-    for prefix, taken in _walk(max(n - depth, min(n, 0)), ((), 0), grow):
-        v = prefix[-1] if prefix else 0  # w_n-depth
-        joint = joined.get((v, taken))
-        if joint is None:  # first met: join the tails of each w_n-depth+1 after it, in text order
-            joint = joined[v, taken] = []
-            for u, c in ends[0][v]:
-                if taken & c:
-                    continue
-                tails = suffixes.get((u, taken | c))
-                if tails is None:  # first met: grow the tails one free position at a time
-                    tails = [((u,), taken | c)]
-                    for end in ends[1:]:
-                        tails = [(t + (w,), m | d) for t, m in tails for w, d in end[t[-1]] if not m & d]
-                    tails = [t[cut:] for t, _ in tails]
-                    tails = [t + tuple(map(mirror, reversed(t))) for t in tails] if mirror else tails
-                    tails = suffixes[u, taken | c] = list(map(permcore.format_perm, tails)) if text else tails
-                joint += tails
-        if joint:
-            back = tuple(map(mirror, reversed(prefix))) if mirror else ()
-            if text:
-                prefix, back = "%d " * len(prefix) % prefix, " %d" * len(back) % back + "\n"
-            yield prefix, joint, back
+    def join(v, taken):  # first met: join the tails of each w_n-depth+1 after w_n-depth = v, in text order
+        joint = joined[v, taken] = []
+        for u, c in ends[0][v]:
+            if taken & c:
+                continue
+            tails = suffixes.get((u, taken | c))
+            if tails is None:  # first met: grow the tails one free position at a time
+                tails = [((u,), taken | c)]
+                for end in ends[1:]:
+                    tails = [(t + (w,), m | d) for t, m in tails for w, d in end[t[-1]] if not m & d]
+                tails = [t[cut:] for t, _ in tails]
+                tails = [t + tuple(map(mirror, reversed(t))) for t in tails] if mirror else tails
+                tails = suffixes[u, taken | c] = list(map(permcore.format_perm, tails)) if text else tails
+            joint += tails
+        return joint
+
+    def pieces(word):  # a prefix's head and back (its mirror images in reverse order), or their texts
+        back = tuple(map(mirror, reversed(word))) if mirror else ()
+        return ("%d " * len(word) % word, " %d" * len(back) % back) if text else (word, back)
+
+    if n > depth:  # the parents, prefixes up to w_n-depth-1, and per w_n-depth-1 the w_n-depth after it
+        parents = _walk(n - depth - 1, ((), 0), grow)
+        steps = {p: [(v, b, *pieces((v,))) for v, b in tables[(n - depth - 1) % 2][p]] for p in prevs}
+    else:  # one parent, (), for n >= 0, and w_n-depth is w0 = 0, which adds no slot and no text
+        parents, steps = [((), 0)] * (n >= 0), {0: [(0, 0, *pieces(()))]}
+    for parent, taken in parents:
+        head, back = pieces(parent)
+        back += "\n" if text else ()
+        for v, b, lead, trail in steps[parent[-1] if parent else 0]:
+            if not taken & b:
+                joint = joined.get((v, taken | b))
+                if joint is None:
+                    joint = join(v, taken | b)
+                if joint:
+                    yield head + lead, joint, trail + back
 
 
 def _words(leaves: Iterator[tuple[tuple, list, tuple]]) -> Iterator[tuple[int, ...]]:
@@ -410,7 +424,7 @@ class Family:
     parse: Callable[[str], Any]           # text -> object; raises ValueError on malformed text
     read: Callable[[str], Any]            # text -> object from the tokens alone, unchecked
 
-    @property
+    @functools.cached_property  # in the instance __dict__, which frozen allows; each record computes its own
     def ceiling(self) -> int:
         """The largest n whose oracle count is at most 10**9; the CLI enumerates no further."""
         return next(n for n in itertools.count() if self.oracle(n + 1) > 10**9)

@@ -126,6 +126,15 @@ def test_enumeration_ceilings_are_the_last_n_with_at_most_a_billion_objects():
         assert fam.oracle(fam.ceiling) <= 10**9 < fam.oracle(fam.ceiling + 1)
 
 
+def test_a_record_computes_its_ceiling_once():
+    # cli._usage_error reads the ceiling on every enumerate: the oracle runs once per n, on the first read
+    for name, fam in families.FAMILIES.items():
+        calls = []
+        record = dataclasses.replace(fam, oracle=lambda n: calls.append(n) or fam.oracle(n))
+        assert record.ceiling == record.ceiling == CEILINGS[name]
+        assert calls == list(range(1, CEILINGS[name] + 2)), name
+
+
 def _refuse_to_run(n):
     raise AssertionError(f"enumeration at n = {n} started")
 

@@ -826,12 +826,33 @@ def test_text_searches_hand_out_few_full_leaves(family):
     assert sum(counts) == WORKLOAD_LINES[family]
 
 
+# the moves of each zigzag walk at the workload's n: the walk stops at w_n-depth-1, and
+# the search's own loop fills w_n-depth, so a walk that fills it too fails here
+WALK_MOVES = {"snakes": 93, "rcalt": 129, "altperm": 2047}
+
+
+@pytest.mark.parametrize("family", sorted(WALK_MOVES))
+def test_zigzag_walks_stop_one_entry_before_their_leaves(family, monkeypatch):
+    moves, walk = 0, families._walk
+
+    def counted(n, start, step):
+        def counting(*state):
+            nonlocal moves
+            moves += 1
+            return step(*state)
+        return walk(n, start, counting)
+
+    monkeypatch.setattr(families, "_walk", counted)
+    assert sum(1 for _ in FAMILIES[family].text(WORKLOAD_N[family])) == TEXT_LEAVES[family]
+    assert moves == WALK_MOVES[family]
+
+
 @pytest.mark.parametrize("family", sorted(WORKLOAD_N))
 def test_generators_start_at_most_three_frames_per_object(family):
     # each object may cost one resumption of the search and a record's __init__;
     # the recursive searches cost 9-17. The zigzag searches fill a suffix table key
     # by one comprehension per tail position (and one per cut and mirror), and a key
-    # serves many objects: 1.23 frames an object for snakes, 1.28 for rcalt, 2.04
+    # serves many objects: 1.21 frames an object for snakes, 1.26 for rcalt, 1.96
     # for altperm, whose five-entry keys each serve fewer. laguerre reads 1.19.
     # wip3 reads 2.6: its pi walk resumes the walker and the moves of a prefix for
     # each leaf of about 3 objects

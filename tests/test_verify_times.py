@@ -14,6 +14,7 @@ import pytest
 import springerbij
 from springerbij import cli, verify
 from springerbij.bijections import BIJECTIONS
+from springerbij.families import FAMILIES
 
 SRC = Path(springerbij.__file__).resolve().parent.parent
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_times.py"
@@ -73,6 +74,7 @@ def test_enumerate_times_checks_each_call_by_the_digest_of_its_text(tool, capsys
         tree = report[side]
         assert tree["check"] == digests
         assert list(tree["parts"]) == names and list(tree["peak_mib"]) == names
+        assert tree["pieces"] == {f"{family}@{n}": len(list(FAMILIES[family].text(n))) for family, n in CALLS}
         assert all(0 < part["min_s"] <= part["median_s"] for part in tree["parts"].values())
         assert tree["maxrss_mib"] > 0
     assert report["after_faster_in"].endswith(" of 2")

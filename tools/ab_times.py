@@ -118,10 +118,18 @@ parts = {name: median_s(lambda: run(family, n, sink).flush()) for name, family, 
 total = sum(parts.values())
 """ + REPORT
 
+# a piece is one string the enumerate text hands out, one a search leaf
 ENUMERATE_PEAKS = CALLS + """
+class Pieces:
+    def __init__(self):
+        self.count = 0
+    def writelines(self, lines):
+        self.count += sum(1 for _ in lines)
 warm = [run(family, n, sink) for _, family, n in calls]
+pieces = {name: run(family, n, Pieces()).count for name, family, n in calls}
 """ + TRACE + """
-print(json.dumps({"peak_mib": {name: peak_mib(run, family, n, sink) for name, family, n in calls}}))
+print(json.dumps({"peak_mib": {name: peak_mib(run, family, n, sink) for name, family, n in calls},
+                  "pieces": pieces}))
 """
 
 # the chain of the map workloads on one input set, seeded by n: perfbench's
@@ -214,8 +222,8 @@ MEASURES = {
     "enumerate": (ENUMERATE, ENUMERATE_PEAKS, 7, lambda args: json.dumps(workload()),
                   "each running every call of {arg} once untimed (its SHA-256; warm caches), then timing "
                   "five more cli.main(['enumerate', ...]) per call into the null device, the call's part "
-                  "the median of its five and the total the sum of the parts; tracemalloc peaks from one "
-                  "more child per tree, after one warm call of each"),
+                  "the median of its five and the total the sum of the parts; tracemalloc peaks and each call's "
+                  "pieces (one a search leaf) from one more child per tree, after one warm call of each"),
     "map": (MAP, MAP_PEAKS, 7, lambda args: json.dumps(map_job(args.n, args.mutants)),
             "each drawing one seeded input set of the map workload at n = {args.n} (perfbench's sampler) and "
             "running perfbench's 12-mode MAP_CHAIN on it once untimed, which gives each mode's input"
